@@ -18,13 +18,18 @@ from typing import Any
 CAPACITY_RTOL = 1e-12
 
 
+def capacity_limit(capacity: float) -> float:
+    """The largest load :func:`fits` accepts for *capacity*."""
+    return capacity * (1 + CAPACITY_RTOL)
+
+
 def fits(load: float, capacity: float) -> bool:
     """True when *load* fits *capacity* under the shared fp tolerance.
 
     The one capacity predicate used by every solver, feasibility check,
     and partition validator: ``load <= capacity * (1 + CAPACITY_RTOL)``.
     """
-    return load <= capacity * (1 + CAPACITY_RTOL)
+    return load <= capacity_limit(capacity)
 
 
 def require_positive(name: str, value: float) -> float:

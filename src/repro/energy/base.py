@@ -13,9 +13,15 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from repro._validation import fits, require_nonnegative, require_positive
+from repro._validation import (
+    capacity_limit,
+    fits,
+    require_nonnegative,
+    require_positive,
+)
 
 
 @dataclass(frozen=True)
@@ -116,11 +122,38 @@ class EnergyFunction(ABC):
     def max_workload(self) -> float:
         """Largest feasible workload (cycles); ``inf`` for ideal models."""
 
-    @abstractmethod
     def energy(self, workload: float) -> float:
         """Minimum energy (J) to retire *workload* cycles by the deadline.
 
         Raises ValueError when the workload is infeasible.
+        """
+        return self._energy(self._check_workload(workload))
+
+    def energy_many(self, workloads: Iterable[float]) -> list[float]:
+        """``[self.energy(w) for w in workloads]``, validating each once.
+
+        Raises what that comprehension raises, on the same element.  The
+        solver kernels price whole DP rows, frontiers and breakpoint sets
+        through this one call, so the fast path of
+        :meth:`_check_workload` is inlined here with the limit hoisted.
+        """
+        limit = capacity_limit(self.max_workload)
+        energy, check = self._energy, self._check_workload
+        return [
+            energy(
+                w
+                if type(w) is float and 0.0 <= w <= limit and w != math.inf
+                else check(w)
+            )
+            for w in workloads
+        ]
+
+    @abstractmethod
+    def _energy(self, workload: float) -> float:
+        """``g(W)`` for a float already accepted by :meth:`_check_workload`.
+
+        Subclasses implement this instead of :meth:`energy`, and must not
+        re-validate: the public entry points have done it once.
         """
 
     @abstractmethod
@@ -145,8 +178,19 @@ class EnergyFunction(ABC):
         return self.energy(workload + delta) - self.energy(workload)
 
     def _check_workload(self, workload: float) -> float:
+        """*workload* as a float; raises unless it is a feasible workload.
+
+        A plain float is accepted by one range test, which admits exactly
+        the floats the full checks below admit.
+        """
+        if (
+            type(workload) is float
+            and 0.0 <= workload <= capacity_limit(self.max_workload)
+            and workload != math.inf
+        ):
+            return workload
         require_nonnegative("workload", workload)
-        if not self.is_feasible(workload):
+        if not fits(workload, self.max_workload):
             raise ValueError(
                 f"workload {workload!r} exceeds the feasible maximum "
                 f"{self.max_workload!r} for deadline {self._deadline!r}"

@@ -43,7 +43,9 @@ class ContinuousEnergyFunction(EnergyFunction):
     ) -> None:
         super().__init__(deadline)
         self._model = power_model
-        self._include_floor = bool(include_static_floor)
+        self._floor = (
+            power_model.static_power * self._deadline if include_static_floor else 0.0
+        )
 
     @property
     def power_model(self) -> PowerModel:
@@ -67,30 +69,31 @@ class ContinuousEnergyFunction(EnergyFunction):
 
     def optimal_speed(self, workload: float) -> float:
         """The single constant speed used for *workload* cycles."""
-        workload = self._check_workload(workload)
+        return self._speed(self._check_workload(workload))
+
+    def _speed(self, workload: float) -> float:
         if workload == 0.0:
             return 0.0
-        return self._model.clamp_speed(workload / self._deadline)
+        speed = workload / self._deadline
+        if speed == math.inf:  # W/D overflowed: only an unbounded s_max allows it
+            return self._model.clamp_speed(speed)  # raises
+        return self._model._clamp_speed(speed)
 
-    def energy(self, workload: float) -> float:
+    def _energy(self, workload: float) -> float:
         """Minimum energy for *workload* cycles (see class docstring)."""
-        workload = self._check_workload(workload)
-        floor = (
-            self._model.static_power * self._deadline if self._include_floor else 0.0
-        )
-        speed = self.optimal_speed(workload)
+        speed = self._speed(workload)
         # Denormal workloads can underflow W/D to exactly 0; they carry no
         # measurable energy either way.
         if workload == 0.0 or speed == 0.0:
-            return floor
-        dynamic = (workload / speed) * self._model.dynamic_power(speed)
-        return dynamic + floor
+            return self._floor
+        dynamic = (workload / speed) * self._model._dynamic_power(speed)
+        return dynamic + self._floor
 
     def plan(self, workload: float) -> SpeedPlan:
         """Constant-speed plan: execute, then idle until the deadline."""
         workload = self._check_workload(workload)
-        energy = self.energy(workload)
-        speed = self.optimal_speed(workload)
+        energy = self._energy(workload)
+        speed = self._speed(workload)
         if workload == 0.0 or speed == 0.0:
             segments = (SpeedSegment(0.0, self._deadline, 0.0),)
             return SpeedPlan(segments=segments, energy=energy)

@@ -22,6 +22,8 @@ relaxation, a true pointwise lower bound).
 
 from __future__ import annotations
 
+import math
+
 from repro.energy.base import EnergyFunction, SpeedPlan, SpeedSegment
 from repro.power.base import DormantMode, PowerModel
 
@@ -99,10 +101,15 @@ class CriticalSpeedEnergyFunction(EnergyFunction):
 
     def execution_speed(self, workload: float) -> float:
         """The constant execution speed for *workload* cycles (0 if none)."""
-        workload = self._check_workload(workload)
+        return self._speed(self._check_workload(workload))
+
+    def _speed(self, workload: float) -> float:
         if workload == 0.0:
             return 0.0
-        return self._model.clamp_speed(max(workload / self._deadline, self._s_star))
+        speed = max(workload / self._deadline, self._s_star)
+        if speed == math.inf:  # W/D overflowed: only an unbounded s_max allows it
+            return self._model.clamp_speed(speed)  # raises
+        return self._model._clamp_speed(speed)
 
     def _slack_cost(self, slack: float) -> tuple[float, bool]:
         """(energy, slept) for spending *slack* time off the workload."""
@@ -114,23 +121,22 @@ class CriticalSpeedEnergyFunction(EnergyFunction):
             return (self._dormant.e_sw, True)
         return (idle_cost, False)
 
-    def energy(self, workload: float) -> float:
+    def _energy(self, workload: float) -> float:
         """Minimum energy for *workload* cycles under the clamped policy."""
-        workload = self._check_workload(workload)
-        speed = self.execution_speed(workload)
+        speed = self._speed(workload)
         # speed == 0 covers denormal workloads whose W/D underflows (only
         # possible when the model has no leakage, hence s* == 0).
         if workload == 0.0 or speed == 0.0:
             return self._slack_cost(self._deadline)[0]
         busy = workload / speed
         slack_energy, _ = self._slack_cost(self._deadline - busy)
-        return busy * self._model.power(speed) + slack_energy
+        return busy * self._model._power(speed) + slack_energy
 
     def plan(self, workload: float) -> SpeedPlan:
         """Execute at the clamped speed, then sleep or idle through slack."""
         workload = self._check_workload(workload)
-        energy = self.energy(workload)
-        speed = self.execution_speed(workload)
+        energy = self._energy(workload)
+        speed = self._speed(workload)
         if workload == 0.0 or speed == 0.0:
             _, slept = self._slack_cost(self._deadline)
             tail = SpeedPlan.SLEEP_SPEED if slept else 0.0

@@ -133,8 +133,8 @@ class DiscreteEnergyFunction(EnergyFunction):
     def _level_power(self, speed: float) -> float:
         """Power counted at *speed*: full P for dormant-enable, else Pd."""
         if self._dormant is not None:
-            return self._model.power(speed)
-        return self._model.dynamic_power(speed)
+            return self._model._power(speed)
+        return self._model._dynamic_power(speed)
 
     def _slack_cost(self, slack: float) -> tuple[float, bool]:
         """(energy, slept) for *slack* time units of no execution."""
@@ -167,9 +167,8 @@ class DiscreteEnergyFunction(EnergyFunction):
         t_lo = self._deadline - t_hi
         return ((lo, t_lo), (hi, t_hi))
 
-    def energy(self, workload: float) -> float:
+    def _energy(self, workload: float) -> float:
         """Minimum energy under the adjacent-level time-sharing policy."""
-        workload = self._check_workload(workload)
         floor = (
             self._model.static_power * self._deadline
             if (self._dormant is None and self._include_floor)
@@ -185,7 +184,7 @@ class DiscreteEnergyFunction(EnergyFunction):
     def plan(self, workload: float) -> SpeedPlan:
         """Speed plan: slow level, fast level, then sleep/idle slack."""
         workload = self._check_workload(workload)
-        energy = self.energy(workload)
+        energy = self._energy(workload)
         segments: list[SpeedSegment] = []
         clock = 0.0
         if workload > 0.0:

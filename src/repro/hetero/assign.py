@@ -440,9 +440,8 @@ class SplitPooledEnergyFunction(EnergyFunction):
         )
         return x
 
-    def energy(self, workload: float) -> float:
+    def _energy(self, workload: float) -> float:
         """``min_x A(x) + B(W - x)`` by golden section on the convex split."""
-        workload = self._check_workload(workload)
         lo = max(0.0, workload - self._b.max_workload)
         hi = min(workload, self._a.max_workload)
         if hi <= lo:

@@ -8,8 +8,9 @@ while reproducing the pure-python reference bit for bit (the contract in
   round exactly like the reference's left-to-right loops;
 * stable sorts (``np.lexsort`` / ``kind="stable"``) replicate the
   reference's tie-breaking;
-* energy evaluation stays scalar per element (NumPy's elementwise ``**``
-  is not bit-equal to CPython's), batched only around the calls.
+* energy tables go through ``energy_fn.energy_many`` on ``.tolist()``
+  floats, never ``np.float64`` (NumPy's elementwise ``**`` is not
+  bit-equal to CPython's).
 
 This module must only be imported via :func:`repro.kernels.get_kernel`,
 which guards on NumPy availability.
@@ -27,6 +28,7 @@ from repro.kernels.base import (
     SHED_ATOL,
     FrontierStep,
     Kernel,
+    energy_many,
     improves,
     suffix_shed_cost,
 )
@@ -83,13 +85,9 @@ class NumpyKernel(Kernel):
     def energy_table(
         self, energy_fn, workloads: Sequence[float]
     ) -> np.ndarray:
-        # Scalar per element on purpose: vectorised ``**`` is not
-        # bit-equal to CPython's (see repro.kernels.base).
-        energy = energy_fn.energy
-        out = np.empty(len(workloads))
-        for i, w in enumerate(workloads):
-            out[i] = energy(float(w))
-        return out
+        # Scalar CPython arithmetic on plain floats, on purpose: numpy's
+        # ``**`` is not bit-equal to CPython's (see repro.kernels.base).
+        return np.array(energy_many(energy_fn, _as_array(workloads).tolist()))
 
     # ------------------------------------------------------------------ #
     # Greedy family                                                      #

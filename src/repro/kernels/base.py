@@ -18,11 +18,17 @@ the two backends agree to the last ulp and solvers produce *identical*
 accepted sets, costs, plans, and work counters on either one.  Two
 consequences shape the interface:
 
-* **Energy stays scalar.**  NumPy's elementwise ``**`` is not bit-equal
-  to CPython's ``**`` (they disagree on ~5% of inputs by an ulp), so
-  :meth:`Kernel.energy_table` evaluates ``energy_fn.energy`` per element
-  in *both* backends.  The vectorised wins come from the table/frontier
-  sweeps around those calls, which dominate the running time.
+* **Energy is batched, not vectorised.**  NumPy's elementwise ``**`` is
+  not bit-equal to CPython's ``**`` (they disagree on ~5% of inputs by
+  an ulp), so :meth:`Kernel.energy_table` hands the workloads, as plain
+  Python floats, to ``energy_fn.energy_many`` in *both* backends.  That
+  entry point validates each workload once and then runs the scalar
+  CPython formula, so its results are bit-identical to per-element
+  ``energy`` calls.  Evaluating ``g`` is the dominant cost of the
+  solvers, not the sweeps around it.  On the seeded ``perfbench`` solve
+  mix under cProfile, ``g`` took ~87% of solve time when every call
+  re-ran its checks and ~54% with ``energy_many``; ``dp_penalty``, whose
+  rows are all energy, stays near 90%.
 * **Sums are specified, not incidental.**  Reductions use strict
   left-to-right accumulation (:meth:`Kernel.cumsum` ==
   ``np.add.accumulate``), and derived quantities (remaining workload
@@ -93,6 +99,15 @@ def suffix_shed_cost(
     return (cum_p[k] - cum_p[start]) + (
         rejected - (cum_c[k] - cum_c[start])
     ) * densities[k]
+
+
+def energy_many(energy_fn, workloads: Sequence[float]) -> list[float]:
+    """``energy_fn.energy`` at each workload, through its batch entry
+    point when it has one (every :class:`repro.energy.EnergyFunction`
+    does); other objects with an ``energy`` method go element by element.
+    """
+    batch = getattr(energy_fn, "energy_many", None)
+    return batch(workloads) if batch else [energy_fn.energy(w) for w in workloads]
 
 
 @dataclass(frozen=True)
@@ -175,8 +190,8 @@ class Kernel(ABC):
     ) -> Sequence[float]:
         """``energy_fn.energy`` at each workload (must all be feasible).
 
-        Scalar per-element evaluation in both backends — see the module
-        docstring for why this is *not* vectorised.
+        One :func:`energy_many` call on plain floats in both backends —
+        see the module docstring for why this is *not* vectorised.
         """
 
     # ------------------------------------------------------------------ #

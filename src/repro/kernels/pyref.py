@@ -16,6 +16,7 @@ from collections.abc import Sequence
 from repro.kernels.base import (
     FrontierStep,
     Kernel,
+    energy_many,
     improves,
     suffix_shed_cost,
 )
@@ -65,8 +66,7 @@ class PythonKernel(Kernel):
     def energy_table(
         self, energy_fn, workloads: Sequence[float]
     ) -> list[float]:
-        energy = energy_fn.energy
-        return [energy(w) for w in workloads]
+        return energy_many(energy_fn, workloads)
 
     # ------------------------------------------------------------------ #
     # Greedy family                                                      #

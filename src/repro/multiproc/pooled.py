@@ -76,9 +76,8 @@ class PooledEnergyFunction(EnergyFunction):
             return self
         return PooledEnergyFunction(self._inner.convex_lower_bound(), self._m)
 
-    def energy(self, workload: float) -> float:
+    def _energy(self, workload: float) -> float:
         """``M · g(W / M)``."""
-        workload = self._check_workload(workload)
         return self._m * self._inner.energy(workload / self._m)
 
     def plan(self, workload: float) -> SpeedPlan:

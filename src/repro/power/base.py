@@ -91,9 +91,14 @@ class PowerModel(ABC):
     # Interface                                                          #
     # ------------------------------------------------------------------ #
 
-    @abstractmethod
     def dynamic_power(self, speed: float) -> float:
         """Speed-dependent power ``Pd(s)`` in watts (convex, increasing)."""
+        require_nonnegative("speed", speed)
+        return self._dynamic_power(speed)
+
+    @abstractmethod
+    def _dynamic_power(self, speed: float) -> float:
+        """:meth:`dynamic_power` for a speed already known to be >= 0."""
 
     @property
     def s_min(self) -> float:
@@ -121,9 +126,7 @@ class PowerModel(ABC):
         (a dormant-disable processor cannot shed it).
         """
         self._check_speed(speed)
-        if speed == 0.0:
-            return self._static_power
-        return self.dynamic_power(speed) + self._static_power
+        return self._power(speed)
 
     def energy_per_cycle(self, speed: float) -> float:
         """Energy to retire one cycle at *speed*: ``P(s) / s`` (J/cycle)."""
@@ -166,7 +169,28 @@ class PowerModel(ABC):
     def clamp_speed(self, speed: float) -> float:
         """Clamp *speed* into the available range ``[s_min, s_max]``."""
         require_nonnegative("speed", speed)
-        return min(max(speed, self._s_min), self._s_max)
+        return self._clamp_speed(speed)
+
+    # ------------------------------------------------------------------ #
+    # Unchecked forms, for callers that validated their input already    #
+    # ------------------------------------------------------------------ #
+
+    def _power(self, speed: float) -> float:
+        """:meth:`power` for a speed already inside the available range."""
+        if speed == 0.0:
+            return self._static_power
+        return self._dynamic_power(speed) + self._static_power
+
+    def _clamp_speed(self, speed: float) -> float:
+        """:meth:`clamp_speed` for a speed already known to be >= 0.
+
+        Spelled out rather than ``min(max(speed, s_min), s_max)`` (which
+        it equals, ties and signed zeros included) because it runs once
+        per energy evaluation.
+        """
+        if self._s_min > speed:
+            speed = self._s_min
+        return self._s_max if self._s_max < speed else speed
 
     # ------------------------------------------------------------------ #
     # Helpers                                                            #

@@ -117,9 +117,8 @@ class CMOSPowerModel(PowerModel):
     # PowerModel interface                                               #
     # ------------------------------------------------------------------ #
 
-    def dynamic_power(self, speed: float) -> float:
+    def _dynamic_power(self, speed: float) -> float:
         """Switching plus short-circuit power at *speed*."""
-        require_nonnegative("speed", speed)
         if speed == 0.0:
             return 0.0
         v_dd = self.voltage_of_speed(speed)

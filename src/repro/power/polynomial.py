@@ -72,9 +72,8 @@ class PolynomialPowerModel(PowerModel):
         """Dynamic power exponent."""
         return self._alpha
 
-    def dynamic_power(self, speed: float) -> float:
+    def _dynamic_power(self, speed: float) -> float:
         """``Pd(s) = beta1 * s**alpha``."""
-        require_nonnegative("speed", speed)
         return self._beta1 * speed**self._alpha
 
     def critical_speed(self, *, tol: float = 1e-12) -> float:

@@ -24,6 +24,9 @@ from dataclasses import dataclass
 from repro._validation import require_nonnegative, require_positive
 from repro.power.base import PowerModel
 
+#: Horizon-relative length below which a mapped slice is rounding noise.
+_SLIVER_RTOL = 1e-13
+
 
 @dataclass(frozen=True)
 class Job:
@@ -136,6 +139,10 @@ def yds_schedule(jobs: Iterable[Job]) -> YdsSchedule:
         raise ValueError("job names must be unique")
 
     original_windows = {j.name: (j.arrival, j.deadline) for j in remaining}
+    # Mapping collapsed instants back through the carves rounds by a few
+    # ulps of the horizon, so the tolerance scales with it; pieces shorter
+    # than that are rounding noise, not execution.
+    sliver = _SLIVER_RTOL * max(1.0, max(j.deadline for j in remaining))
     slices: list[ScheduledSlice] = []
     intensities: list[float] = []
 
@@ -166,12 +173,12 @@ def yds_schedule(jobs: Iterable[Job]) -> YdsSchedule:
         pieces: list[tuple[float, float]] = []
         cursor = lo
         for a, b in carved:
-            if b <= cursor + 1e-15 or a >= hi - 1e-15:
+            if b <= cursor + sliver or a >= hi - sliver:
                 continue
-            if a > cursor + 1e-15:
+            if a > cursor + sliver:
                 pieces.append((cursor, a))
             cursor = max(cursor, b)
-        if cursor < hi - 1e-15:
+        if cursor < hi - sliver:
             pieces.append((cursor, hi))
         return pieces
 

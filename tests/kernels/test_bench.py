@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro.kernels.bench as bench
-from repro.kernels import kernel_names
+from repro.kernels import kernel_names, use_kernel
 from repro.kernels.bench import SCHEMA_VERSION, run_bench
 
 #: Keys every measured (non-skipped) cell must carry.
@@ -144,6 +144,33 @@ class TestDeterminism:
         for c in cells:
             by_cell.setdefault((c["solver"], c["n"]), set()).add(c["cost_total"])
         assert all(len(v) == 1 for v in by_cell.values()), by_cell
+
+
+#: The committed baseline ``repro bench --seed 0`` wrote.
+COMMITTED = Path(__file__).resolve().parents[2] / "BENCH_kernels.json"
+
+
+@pytest.mark.parametrize("kernel", kernel_names())
+@pytest.mark.parametrize(
+    "solver, n",
+    [
+        ("greedy_marginal", 100),
+        ("dp_cycles", 100),
+        ("dp_penalty", 100),
+        ("branch_and_bound", 20),  # the n=100 request is capped to 20
+    ],
+)
+def test_costs_match_the_committed_baseline(solver, n, kernel):
+    # The kernels could drift together and still agree with each other;
+    # the committed file pins the absolute bits.
+    committed = {
+        (c["solver"], c["n"], c["kernel"]): c["cost_total"]
+        for c in json.loads(COMMITTED.read_text())["results"]
+        if not c.get("skipped")
+    }
+    with use_kernel(kernel):
+        cell = bench._bench_cell(solver, n, seed=0, smoke=False)
+    assert cell["cost_total"] == committed[(solver, n, kernel)]
 
 
 class TestAtomicWrite:

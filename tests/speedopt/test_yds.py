@@ -96,3 +96,30 @@ class TestStructuralInvariants:
             for x in np.linspace(0, 1, 2001)
         )
         assert s.energy(model) == pytest.approx(best, rel=1e-6)
+
+
+class TestRoundingSlivers:
+    # Four of the jobs `repro run fig_r12 --quick --seed 902043140` draws.
+    # Round 1 carves [7.52.., 12.19..]; in round 2 j4's EDF finish lands
+    # 4e-15 past that carve's collapsed start, and the overshoot used to
+    # map to a 4e-15 slice at t = 12.19, far outside j4's window.
+    JOBS = [
+        Job("j0", 0.1929238114371627, 4.803460479999109, 2.5459588886325943),
+        Job("j1", 7.521627147618424, 12.19113689350701, 2.065182757728441),
+        Job("j2", 8.472902059847664, 10.557903796268658, 1.1088568773271334),
+        Job("j4", 2.8439081932584784, 8.650314957895901, 2.1262241631728855),
+    ]
+
+    def test_overshoot_past_a_carve_maps_to_no_slice(self):
+        s = yds_schedule(self.JOBS)
+        assert s.feasible(self.JOBS)
+        windows = {j.name: (j.arrival, j.deadline) for j in self.JOBS}
+        for piece in s.slices:
+            a, d = windows[piece.job]
+            assert a <= piece.start < piece.end <= d
+
+    def test_fig_r12_seed_runs(self):
+        from repro.experiments import fig_r12
+
+        table = fig_r12.run(quick=True, seed=902043140)
+        assert len(table.rows) == 2
