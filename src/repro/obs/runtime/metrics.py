@@ -2,9 +2,8 @@
 
 The solve service records metrics from the asyncio loop thread, from
 ``run_in_executor`` callbacks, and (via shipped snapshots) from pool
-worker processes, and future sharded serving (ROADMAP item 2) needs to
-aggregate several of these registries into one exposition.  So the
-design constraints are:
+worker processes, and the shard router aggregates several of these
+registries into one fleet exposition.  So the design constraints are:
 
 * every mutation is lock-protected (one lock per metric — the service
   hot path touches two or three metrics per request, and a registry
@@ -42,10 +41,8 @@ __all__ = [
 _METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-# Quarter-decade log-spaced latency bounds from 100us to ~56s — the
-# same grid service/metrics.py uses, duplicated here so obs.runtime
-# stays dependency-free (the service depends on obs, never the
-# reverse).
+# Quarter-decade log-spaced latency bounds from 100us to ~56s: constant
+# memory per series no matter how much traffic a server sees.
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = tuple(
     10.0 ** (exp / 4.0) for exp in range(-16, 8)
 ) + (math.inf,)
@@ -79,12 +76,17 @@ class _Metric:
         self._lock = threading.Lock()
 
     def _key(self, labels: Mapping[str, str]) -> tuple[str, ...]:
-        if set(labels) != set(self.labelnames):
-            raise ValueError(
-                f"{self.name}: expected labels {self.labelnames!r}, "
-                f"got {tuple(sorted(labels))!r}"
-            )
-        return tuple(str(labels[label]) for label in self.labelnames)
+        # Equal sizes plus every declared name present means equal label
+        # sets, without building two sets on every served request.
+        if len(labels) == len(self.labelnames):
+            try:
+                return tuple([str(labels[label]) for label in self.labelnames])
+            except KeyError:
+                pass
+        raise ValueError(
+            f"{self.name}: expected labels {self.labelnames!r}, "
+            f"got {tuple(sorted(labels))!r}"
+        )
 
     def _labels_dict(self, key: tuple[str, ...]) -> dict[str, str]:
         return dict(zip(self.labelnames, key))
@@ -171,8 +173,8 @@ class Gauge(Counter):
 class Histogram(_Metric):
     """Cumulative-bucket histogram per label set.
 
-    Buckets are fixed at construction; the default grid matches the
-    service latency histogram (quarter-decade, 100us..~56s, +Inf).
+    Buckets are fixed at construction; the default is the latency grid
+    (quarter-decade, 100us..~56s, +Inf).
     """
 
     kind = "histogram"
@@ -247,10 +249,15 @@ class Histogram(_Metric):
                 cell[2] += int(row["count"])
 
     def quantile(self, q: float, **labels: str) -> float:
-        """Upper bucket-bound estimate of quantile ``q`` for a series.
+        """Interpolated estimate of quantile *q* for one series.
 
-        Mirrors the edge-case contract of the service histogram: empty
-        series -> 0.0, the +Inf bucket reports the top finite bound.
+        *q* is clamped into ``[0, 1]``; an empty series reports 0.  The
+        result is always finite and never below the lower edge of the
+        bucket it lands in: ``q=0`` gives the lower edge of the first
+        occupied bucket, ``q=1`` the upper edge of the last, and samples
+        in the +Inf bucket report the top finite bound itself rather
+        than an extrapolated value — there is no upper edge to
+        interpolate toward.
         """
         key = self._key(labels)
         with self._lock:
@@ -258,15 +265,16 @@ class Histogram(_Metric):
             if cell is None or cell[2] == 0:
                 return 0.0
             counts, _, count = cell
-            q = min(max(q, 0.0), 1.0)
-            rank = max(1, math.ceil(q * count))
+            target = min(max(q, 0.0), 1.0) * count
             seen = 0
-            for i, n in enumerate(counts):
+            for i, bound in enumerate(self.bounds):
+                n = counts[i]
+                if n > 0 and seen + n >= target:
+                    lo = 0.0 if i == 0 else self.bounds[i - 1]
+                    if math.isinf(bound):
+                        return lo
+                    return lo + (bound - lo) * (target - seen) / n
                 seen += n
-                if seen >= rank:
-                    if math.isinf(self.bounds[i]):
-                        return self.bounds[i - 1] if i else 0.0
-                    return self.bounds[i]
         return self.bounds[-2]  # pragma: no cover - defensive
 
     def collect(self) -> Family:

@@ -25,7 +25,6 @@ from repro.service.admission import AdmissionController, AdmissionDecision
 from repro.service.batching import BatchEntry, MicroBatcher
 from repro.service.cache import DiskTier, ResultCache
 from repro.service.loadgen import PassStats, run_load
-from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.models import (
     SOLVER_NAMES,
     RequestError,
@@ -48,14 +47,12 @@ __all__ = [
     "DiskTier",
     "FileBudget",
     "GlobalBudget",
-    "LatencyHistogram",
     "LocalFleet",
     "MicroBatcher",
     "PassStats",
     "RequestError",
     "ResultCache",
     "SOLVER_NAMES",
-    "ServiceMetrics",
     "ShardRouter",
     "SolveRequest",
     "SolveService",

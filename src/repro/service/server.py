@@ -39,6 +39,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import time
 from collections import OrderedDict
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -56,7 +57,6 @@ from repro.service.http import (
     read_request,
     write_response,
 )
-from repro.service.metrics import ServiceMetrics
 from repro.service.models import RequestError, parse_solve_request
 from repro.service.telemetry import _FULL_POWER_W, RuntimeTelemetry
 
@@ -157,7 +157,6 @@ class SolveService:
             disk_max_bytes=cache_max_bytes,
             counters=self._registry,
         )
-        self._metrics = ServiceMetrics()
         self.telemetry = RuntimeTelemetry(
             slos=slos,
             access_log=access_log,
@@ -382,7 +381,7 @@ class SolveService:
                 self._emit("service.errors", internal=1)
                 status, payload = 500, {"status": "error", "error": str(exc)}
         seconds = loop.time() - started
-        self._metrics.observe(endpoint, status, seconds)
+        self.telemetry.record_request(endpoint, status, seconds)
         self.telemetry.observe_request(
             endpoint=endpoint,
             method=method,
@@ -436,7 +435,7 @@ class SolveService:
             "status": "draining" if self._draining else "ok",
             "inflight_units": controller.inflight_units if controller else 0.0,
             "utilisation": controller.utilisation if controller else 0.0,
-            "uptime_s": self._metrics.as_dict()["uptime_s"],
+            "uptime_s": time.time() - self.telemetry.started_at,
         }
         if self.shard_id is not None:
             health["shard"] = self.shard_id
@@ -456,7 +455,7 @@ class SolveService:
                 "draining": self._draining,
                 "shard": self.shard_id,
             },
-            "requests": self._metrics.as_dict(),
+            "requests": self.telemetry.requests_dict(),
             "admission": self._controller.stats() if self._controller else {},
             "cache": self._cache.stats(),
             "batch": {
@@ -473,7 +472,6 @@ class SolveService:
 
     def _exposition_kwargs(self) -> dict:
         return {
-            "metrics": self._metrics,
             "counters": self._registry.snapshot(),
             "admission": (
                 self._controller.stats() if self._controller else {}
@@ -529,7 +527,7 @@ class SolveService:
         controller = self._controller
         counters = self._registry.snapshot()
         return {
-            "requests": self._metrics.total_requests,
+            "requests": self.telemetry.total_requests(),
             "solve_total": counters.get("service.solve.total", 0),
             "cached": counters.get("service.solve.cached", 0),
             "admitted": controller.admitted_total if controller else 0,

@@ -1,11 +1,13 @@
 """Runtime telemetry for the solve service.
 
 :class:`RuntimeTelemetry` is the server's adapter onto
-:mod:`repro.obs.runtime`: it owns the metrics registry, the rolling
-SLO tracker, the time-series ring the sampler task fills, the
-structured access log, and the per-request ``last_request`` label
-table — and it assembles the Prometheus text exposition from all of
-them plus the server's pre-existing JSON metrics sources.
+:mod:`repro.obs.runtime`: it owns the metrics registry (per-endpoint
+request counts and latency histograms included), the rolling SLO
+tracker, the time-series ring the sampler task fills, the structured
+access log, and the per-request ``last_request`` label table.  Both
+expositions render from that one registry: the Prometheus text (plus
+families derived from the server's admission, cache and counter
+state) and the JSON ``requests`` section of ``/metrics?format=json``.
 
 Request-id conventions
 ----------------------
@@ -27,6 +29,7 @@ excluded from SLO samples entirely.  200s contribute a latency sample;
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from typing import Any, Mapping, Sequence
@@ -36,7 +39,6 @@ from repro.obs.runtime.prometheus import CONTENT_TYPE, render
 from repro.obs.runtime.slo import DEFAULT_SLOS, SloObjective, SloTracker
 from repro.obs.runtime.timeseries import TimeSeriesRing
 from repro.power import xscale_power_model
-from repro.service.metrics import ServiceMetrics
 
 __all__ = ["CONTENT_TYPE", "RuntimeTelemetry"]
 
@@ -69,7 +71,18 @@ class RuntimeTelemetry:
         self.access_log = access_log  # anything with .emit(dict)
         self.slo = SloTracker(tuple(slos) if slos else DEFAULT_SLOS)
         self.ring = TimeSeriesRing(ring_capacity)
+        self.started_at = time.time()
         self.registry = MetricsRegistry()
+        self._c_requests = self.registry.counter(
+            "repro_http_requests_total",
+            "Requests served, by endpoint and status.",
+            ("endpoint", "status"),
+        )
+        self._h_duration = self.registry.histogram(
+            "repro_request_duration_seconds",
+            "Server-side request latency, by endpoint.",
+            ("endpoint",),
+        )
         self._g_queue = self.registry.gauge(
             "repro_queue_depth", "Requests admitted but not yet dispatched."
         )
@@ -88,11 +101,30 @@ class RuntimeTelemetry:
             "Error-budget burn rate: (1 - attainment) / (1 - target).",
             ("objective",),
         )
-        # (endpoint, status) -> (req_id, unix time); replace semantics.
+        # Guards the label table, and pairs the two request families so
+        # a reader never sees a status counted without its latency.
         self._lock = threading.Lock()
+        # (endpoint, status) -> (req_id, unix time); replace semantics.
         self._last: dict[tuple[str, str], tuple[str, float]] = {}
 
     # -- per-request path ----------------------------------------------
+
+    def record_request(
+        self, endpoint: str, status: int, seconds: float
+    ) -> None:
+        """Count one served request and its latency, per endpoint.
+
+        Every endpoint is recorded here, so this stays apart from
+        :meth:`observe_request`, whose non-``/solve`` path must remain
+        near free.
+        """
+        with self._lock:
+            self._c_requests.inc(endpoint=endpoint, status=str(status))
+            self._h_duration.observe(seconds, endpoint=endpoint)
+
+    def total_requests(self) -> int:
+        """Requests served across all endpoints."""
+        return int(self._c_requests.total())
 
     def observe_request(
         self,
@@ -153,6 +185,38 @@ class RuntimeTelemetry:
 
     # -- exposition -----------------------------------------------------
 
+    def requests_dict(self) -> dict[str, Any]:
+        """The ``requests`` section of ``/metrics?format=json``."""
+        endpoints: dict[str, Any] = {}
+        hist = self._h_duration
+        with self._lock:
+            for row in self._c_requests.series():
+                labels = row["labels"]
+                entry = endpoints.setdefault(
+                    labels["endpoint"], {"statuses": {}}
+                )
+                entry["statuses"][labels["status"]] = int(row["value"])
+            for row in hist.series():
+                endpoint = row["labels"]["endpoint"]
+                endpoints[endpoint]["latency"] = {
+                    "count": row["count"],
+                    "sum_s": row["sum"],
+                    "p50_ms": hist.quantile(0.5, endpoint=endpoint) * 1e3,
+                    "p99_ms": hist.quantile(0.99, endpoint=endpoint) * 1e3,
+                    "buckets": {
+                        ("+inf" if math.isinf(b) else f"{b:.6g}"): n
+                        for b, n in zip(hist.bounds, row["counts"])
+                        if n
+                    },
+                }
+        return {
+            "uptime_s": time.time() - self.started_at,
+            "total_requests": sum(
+                entry["latency"]["count"] for entry in endpoints.values()
+            ),
+            "endpoints": endpoints,
+        }
+
     def runtime_dict(
         self, *, queue_depth: int, energy_j: float
     ) -> dict[str, Any]:
@@ -184,7 +248,6 @@ class RuntimeTelemetry:
     def export_registry(
         self,
         *,
-        metrics: ServiceMetrics,
         counters: Mapping[str, float],
         admission: Mapping[str, Any],
         cache: Mapping[str, Any],
@@ -205,11 +268,12 @@ class RuntimeTelemetry:
         self._refresh_slo_gauges()
         self._g_queue.set(float(queue_depth))
         self._g_energy.set(float(energy_j))
+        with self._lock:
+            snapshot = self.registry.snapshot()
         registry = MetricsRegistry()
-        registry.merge(self.registry.snapshot())
+        registry.merge(snapshot)
         registry.merge(
             self._exposition_snapshot(
-                metrics=metrics,
                 counters=counters,
                 admission=admission,
                 cache=cache,
@@ -222,7 +286,6 @@ class RuntimeTelemetry:
     def render_prometheus(
         self,
         *,
-        metrics: ServiceMetrics,
         counters: Mapping[str, float],
         admission: Mapping[str, Any],
         cache: Mapping[str, Any],
@@ -233,7 +296,6 @@ class RuntimeTelemetry:
     ) -> str:
         """Full Prometheus text exposition for ``GET /metrics``."""
         registry = self.export_registry(
-            metrics=metrics,
             counters=counters,
             admission=admission,
             cache=cache,
@@ -247,7 +309,6 @@ class RuntimeTelemetry:
     def _exposition_snapshot(
         self,
         *,
-        metrics: ServiceMetrics,
         counters: Mapping[str, float],
         admission: Mapping[str, Any],
         cache: Mapping[str, Any],
@@ -268,40 +329,6 @@ class RuntimeTelemetry:
             ]
 
         snap: dict[str, Any] = {}
-        snap["repro_http_requests_total"] = {
-            "type": "counter",
-            "help": "Requests served, by endpoint and status.",
-            "labelnames": ["endpoint", "status"],
-            "series": [],
-        }
-        bounds = metrics.bucket_bounds()
-        snap["repro_request_duration_seconds"] = {
-            "type": "histogram",
-            "help": "Server-side request latency, by endpoint.",
-            "labelnames": ["endpoint"],
-            "buckets": [
-                "+Inf" if bound == float("inf") else bound
-                for bound in bounds
-            ],
-            "series": [],
-        }
-        for endpoint, statuses, counts, count, sum_s in (
-            metrics.endpoint_series()
-        ):
-            snap["repro_http_requests_total"]["series"].extend(
-                value_rows(
-                    ({"endpoint": endpoint, "status": str(code)}, n)
-                    for code, n in sorted(statuses.items())
-                )
-            )
-            snap["repro_request_duration_seconds"]["series"].append(
-                {
-                    "labels": {"endpoint": endpoint},
-                    "counts": list(counts),
-                    "sum": sum_s,
-                    "count": count,
-                }
-            )
         # The outcomes partition service.solve.total (the pinned
         # invariant: total == cached+admitted+rejected+invalid+
         # unavailable), so the family's sum over its disjoint outcome
@@ -432,7 +459,7 @@ class RuntimeTelemetry:
             "type": "gauge",
             "help": "Seconds since the server started.",
             "labelnames": [],
-            "series": value_rows([({}, time.time() - metrics.started_at)]),
+            "series": value_rows([({}, time.time() - self.started_at)]),
         }
         with self._lock:
             items = sorted(self._last.items())

@@ -33,8 +33,12 @@ if np is None:  # pragma: no cover - exercised by the no-numpy CI job
         "core/test_twope.py",
         "energy/test_convexity_regression.py",
         "experiments",
+        "hetero/test_assign.py",
+        "hetero/test_mk.py",
+        "hetero/test_stochastic.py",
         "integration/test_end_to_end.py",
         "integration/test_torture.py",
+        "io/test_hetero_roundtrip.py",
         "io/test_multiproc_roundtrip.py",
         "multiproc/test_partition.py",
         "multiproc/test_pooled.py",

@@ -1,38 +1,52 @@
-"""Exact-value tests for the /metrics latency histogram quantiles."""
+"""Exact-value tests for the served request-latency histogram.
+
+Served requests are recorded into the registry's
+``repro_request_duration_seconds`` histogram on the default latency
+grid; these pin its interpolated quantiles at the grid's edges and the
+JSON ``requests`` section :class:`RuntimeTelemetry` renders from it.
+"""
 
 import math
+import sys
 import threading
 
 import pytest
 
-from repro.service.metrics import _BUCKET_BOUNDS, LatencyHistogram, ServiceMetrics
+from repro.obs.runtime import Histogram
+from repro.obs.runtime.metrics import DEFAULT_LATENCY_BUCKETS as BOUNDS
+from repro.service.telemetry import RuntimeTelemetry
 
-TOP = _BUCKET_BOUNDS[-2]  # largest finite bound, 10**(7/4) ~ 56.23 s
+TOP = BOUNDS[-2]  # largest finite bound, 10**(7/4) ~ 56.23 s
 
 
 def edges(i):
     """(lower, upper) edges of bucket *i*."""
-    lo = 0.0 if i == 0 else _BUCKET_BOUNDS[i - 1]
-    return lo, _BUCKET_BOUNDS[i]
+    lo = 0.0 if i == 0 else BOUNDS[i - 1]
+    return lo, BOUNDS[i]
+
+
+def latency_histogram(*samples):
+    hist = Histogram("repro_lat_seconds", "help")
+    for value in samples:
+        hist.observe(value)
+    return hist
 
 
 class TestQuantileEdgeCases:
     def test_empty_histogram_reports_zero(self):
-        hist = LatencyHistogram()
+        hist = latency_histogram()
         for q in (0.0, 0.5, 1.0, -1.0, 2.0):
             assert hist.quantile(q) == 0.0
 
     def test_single_sample_q0_is_the_lower_edge(self):
-        hist = LatencyHistogram()
-        hist.observe(1e-3)  # exactly the upper bound of its bucket
-        lo, hi = edges(_BUCKET_BOUNDS.index(1e-3))
+        hist = latency_histogram(1e-3)  # exactly its bucket's upper bound
+        lo, hi = edges(BOUNDS.index(1e-3))
         assert hist.quantile(0.0) == pytest.approx(lo)
         assert hist.quantile(1.0) == pytest.approx(hi)
         assert lo < hist.quantile(0.5) < hi
 
     def test_out_of_range_q_is_clamped(self):
-        hist = LatencyHistogram()
-        hist.observe(1e-3)
+        hist = latency_histogram(1e-3)
         assert hist.quantile(-0.5) == hist.quantile(0.0)
         assert hist.quantile(2.0) == hist.quantile(1.0)
 
@@ -40,19 +54,15 @@ class TestQuantileEdgeCases:
         # Samples beyond ~56 s land in the +inf bucket: there is no
         # upper edge to interpolate toward, so the top finite bound is
         # the answer — never inf, nan, or a fabricated extrapolation.
-        hist = LatencyHistogram()
-        hist.observe(100.0)
+        hist = latency_histogram(100.0)
         for q in (0.0, 0.5, 1.0):
             value = hist.quantile(q)
             assert value == TOP
             assert math.isfinite(value)
 
     def test_mixed_overflow_keeps_low_quantiles_in_their_bucket(self):
-        hist = LatencyHistogram()
-        for _ in range(9):
-            hist.observe(1e-3)
-        hist.observe(1000.0)
-        lo, hi = edges(_BUCKET_BOUNDS.index(1e-3))
+        hist = latency_histogram(*[1e-3] * 9, 1000.0)
+        lo, hi = edges(BOUNDS.index(1e-3))
         assert lo <= hist.quantile(0.5) <= hi
         assert hist.quantile(1.0) == TOP
 
@@ -60,10 +70,9 @@ class TestQuantileEdgeCases:
         # The q=0 / tiny-q path used to interpolate below the lower
         # edge; every quantile must stay inside [lower edge, upper edge]
         # of the bucket it lands in.
-        hist = LatencyHistogram()
-        for value in (2e-4, 3e-4, 5e-3, 0.2, 70.0):
-            hist.observe(value)
-        occupied = [i for i, c in enumerate(hist.counts) if c]
+        hist = latency_histogram(2e-4, 3e-4, 5e-3, 0.2, 70.0)
+        counts = hist.series()[0]["counts"]
+        occupied = [i for i, c in enumerate(counts) if c]
         floor = edges(occupied[0])[0]
         for q in [i / 100.0 for i in range(101)]:
             value = hist.quantile(q)
@@ -71,9 +80,7 @@ class TestQuantileEdgeCases:
             assert value >= floor
 
     def test_quantile_is_monotone_in_q(self):
-        hist = LatencyHistogram()
-        for value in (1e-4, 5e-4, 2e-3, 0.05, 1.0, 30.0, 120.0):
-            hist.observe(value)
+        hist = latency_histogram(1e-4, 5e-4, 2e-3, 0.05, 1.0, 30.0, 120.0)
         qs = [i / 50.0 for i in range(51)]
         values = [hist.quantile(q) for q in qs]
         assert values == sorted(values)
@@ -81,38 +88,34 @@ class TestQuantileEdgeCases:
     def test_midpoint_interpolation_exact_value(self):
         # Four samples in one bucket: q=0.5 targets sample 2 of 4, so
         # the interpolated position is lo + (hi - lo) * 2/4.
-        hist = LatencyHistogram()
-        i = _BUCKET_BOUNDS.index(1e-2)
-        lo, hi = edges(i)
-        for _ in range(4):
-            hist.observe(hi)
+        lo, hi = edges(BOUNDS.index(1e-2))
+        hist = latency_histogram(*[hi] * 4)
         assert hist.quantile(0.5) == pytest.approx(lo + (hi - lo) * 0.5)
         assert hist.quantile(0.25) == pytest.approx(lo + (hi - lo) * 0.25)
 
     def test_zero_latency_lands_in_the_first_bucket(self):
-        hist = LatencyHistogram()
-        hist.observe(0.0)
+        hist = latency_histogram(0.0)
         assert hist.quantile(0.0) == 0.0
-        assert hist.quantile(1.0) == pytest.approx(_BUCKET_BOUNDS[0])
+        assert hist.quantile(1.0) == pytest.approx(BOUNDS[0])
 
 
 class TestDumps:
     def test_as_dict_is_finite_with_overflow_traffic(self):
-        hist = LatencyHistogram()
-        hist.observe(100.0)
-        dump = hist.as_dict()
+        telemetry = RuntimeTelemetry()
+        telemetry.record_request("/solve", 200, 100.0)
+        dump = telemetry.requests_dict()["endpoints"]["/solve"]["latency"]
         assert dump["count"] == 1
         assert math.isfinite(dump["p50_ms"])
         assert math.isfinite(dump["p99_ms"])
         assert dump["buckets"] == {"+inf": 1}
 
     def test_service_metrics_rolls_up_endpoints(self):
-        metrics = ServiceMetrics()
-        metrics.observe("/solve", 200, 0.01)
-        metrics.observe("/solve", 429, 0.001)
-        metrics.observe("/healthz", 200, 1000.0)
-        dump = metrics.as_dict()
-        assert metrics.total_requests == 3
+        telemetry = RuntimeTelemetry()
+        telemetry.record_request("/solve", 200, 0.01)
+        telemetry.record_request("/solve", 429, 0.001)
+        telemetry.record_request("/healthz", 200, 1000.0)
+        dump = telemetry.requests_dict()
+        assert telemetry.total_requests() == dump["total_requests"] == 3
         assert dump["endpoints"]["/solve"]["statuses"] == {"200": 1, "429": 1}
         assert math.isfinite(
             dump["endpoints"]["/healthz"]["latency"]["p99_ms"]
@@ -120,49 +123,60 @@ class TestDumps:
 
 
 class TestThreadSafety:
-    """Regression wall for the observe/read/merge races.
+    """Regression wall for the record/read races.
 
-    ``observe`` runs on the asyncio loop thread while the sampler task,
-    the ThreadedServer test harness, and future shard aggregation read
-    and merge concurrently — every sample must be accounted for.
+    ``record_request`` runs on the asyncio loop thread while the
+    sampler task, the ThreadedServer test harness, and scrapes read
+    concurrently — every sample must be accounted for.
     """
 
     def test_concurrent_observers_lose_no_samples(self):
-        metrics = ServiceMetrics()
+        telemetry = RuntimeTelemetry()
         threads, per_thread = 8, 500
         barrier = threading.Barrier(threads)
 
         def hammer(k):
             barrier.wait()
             for i in range(per_thread):
-                metrics.observe("/solve", 200 if i % 3 else 429, 0.001 * k)
+                telemetry.record_request(
+                    "/solve", 200 if i % 3 else 429, 0.001 * k
+                )
 
         workers = [
             threading.Thread(target=hammer, args=(k,)) for k in range(threads)
         ]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-        assert metrics.total_requests == threads * per_thread
-        dump = metrics.as_dict()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force interleaving inside records
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert telemetry.total_requests() == threads * per_thread
+        dump = telemetry.requests_dict()
         statuses = dump["endpoints"]["/solve"]["statuses"]
-        assert sum(statuses.values()) == threads * per_thread
+        assert statuses == {
+            "200": threads * (per_thread - 167),
+            "429": threads * 167,
+        }
         assert dump["endpoints"]["/solve"]["latency"]["count"] == (
             threads * per_thread
         )
 
     def test_concurrent_reads_during_writes_stay_consistent(self):
-        metrics = ServiceMetrics()
+        telemetry = RuntimeTelemetry()
         stop = threading.Event()
         failures = []
 
         def reader():
             while not stop.is_set():
-                dump = metrics.as_dict()
+                dump = telemetry.requests_dict()
                 for endpoint, entry in dump["endpoints"].items():
-                    # statuses and the histogram are snapshotted under
-                    # the same locks, so the totals can never disagree.
+                    # both families are read under the lock that pairs
+                    # their writes, so the totals can never disagree.
                     if sum(entry["statuses"].values()) != entry["latency"][
                         "count"
                     ]:
@@ -171,50 +185,8 @@ class TestThreadSafety:
         watcher = threading.Thread(target=reader)
         watcher.start()
         for i in range(2000):
-            metrics.observe("/solve", 200, 1e-3)
+            telemetry.record_request("/solve", 200, 1e-3)
         stop.set()
-        watcher.join()
+        watcher.join(timeout=60)
+        assert not watcher.is_alive()
         assert not failures
-
-    def test_merge_sums_shards_and_keeps_earliest_start(self):
-        a, b = ServiceMetrics(), ServiceMetrics()
-        a.started_at, b.started_at = 100.0, 50.0
-        a.observe("/solve", 200, 0.01)
-        a.observe("/solve", 429, 0.001)
-        b.observe("/solve", 200, 0.02)
-        b.observe("/healthz", 200, 0.001)
-        a.merge(b)
-        dump = a.as_dict()
-        assert a.total_requests == 4
-        assert a.started_at == 50.0
-        assert dump["endpoints"]["/solve"]["statuses"] == {"200": 2, "429": 1}
-        assert dump["endpoints"]["/solve"]["latency"]["count"] == 3
-        assert "/healthz" in dump["endpoints"]  # unseen endpoint created
-        # the source shard is untouched
-        assert b.total_requests == 2
-
-    def test_histogram_merge_is_exact(self):
-        a, b = LatencyHistogram(), LatencyHistogram()
-        for v in (1e-4, 2e-3, 0.5):
-            a.observe(v)
-        for v in (1e-4, 70.0):
-            b.observe(v)
-        a.merge(b)
-        counts, count, sum_s = a.snapshot()
-        assert count == 5
-        assert sum_s == pytest.approx(1e-4 + 2e-3 + 0.5 + 1e-4 + 70.0)
-        assert sum(counts) == 5
-
-    def test_endpoint_series_rows_are_stable_snapshots(self):
-        metrics = ServiceMetrics()
-        metrics.observe("/solve", 200, 0.01)
-        metrics.observe("/healthz", 200, 0.001)
-        rows = metrics.endpoint_series()
-        assert [row[0] for row in rows] == ["/healthz", "/solve"]  # sorted
-        endpoint, statuses, counts, count, sum_s = rows[1]
-        assert statuses == {200: 1}
-        assert count == 1 and sum(counts) == 1
-        assert len(counts) == len(ServiceMetrics.bucket_bounds())
-        # mutating the returned row must not touch the live metrics
-        counts[0] += 100
-        assert metrics.endpoint_series()[1][2] != counts
