@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from typing import Any
 
 __all__ = [
+    "EXACT_SOLVERS",
+    "INLINE_UNITS",
     "MULTIPROC_SOLVERS",
     "RequestError",
     "SOLVER_NAMES",
@@ -61,6 +63,21 @@ MULTIPROC_SOLVERS = (
 )
 
 SOLVER_NAMES = UNIPROC_SOLVERS + MULTIPROC_SOLVERS
+
+#: Exact solvers, whose work estimate is a shape rather than a price:
+#: ``branch_and_bound`` at n = 9 with tied densities is priced 204 units
+#: (~0.24 ms at a measured 854k units/s) and takes 52 ms.  They never
+#: take the inline venue until their estimates are measured honest.
+EXACT_SOLVERS = frozenset(
+    {"exhaustive", "branch_and_bound", "pareto_exact", "exhaustive_multiproc"}
+)
+
+#: Largest estimated solve (work units) the server runs inline on its
+#: event loop instead of shipping it to the pool: about twice the
+#: :func:`repro.service.worker.calibrate` reference solve
+#: (``greedy_marginal`` at n = 12, 144 units), so an inline solve costs
+#: a fraction of the pool round-trip it skips.
+INLINE_UNITS = 256.0
 
 #: Asymptotic work units per solver: ``fn(n, eps, m) -> float``.  Units
 #: are abstract "operations"; the service calibrates a worker's
@@ -152,8 +169,22 @@ class SolveRequest:
             self.n, self.algorithm, eps=self.eps, processors=self.processors
         )
 
+    @property
+    def inline(self) -> bool:
+        """Whether the server solves this request where it lands.
+
+        Only sync requests of heuristic solvers priced at most
+        :data:`INLINE_UNITS` qualify: async callers asked for a ticket,
+        and an exact solver's price can be orders of magnitude low.
+        """
+        return (
+            self.mode == "sync"
+            and self.algorithm not in EXACT_SOLVERS
+            and self.cost_units <= INLINE_UNITS
+        )
+
     def worker_payload(self) -> dict[str, Any]:
-        """The picklable payload shipped to the worker pool."""
+        """The picklable payload a solve runs from, pooled or inline."""
         return {
             "req_id": self.req_id,
             "instance": self.instance,

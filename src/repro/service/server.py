@@ -12,10 +12,14 @@ REJECT-MIN loop in miniature:
    request's estimated work against the pool's measured capacity with a
    real :class:`~repro.core.rejection.online.OnlinePolicy` — saturation
    produces ``429``, not timeouts;
-4. admitted requests are micro-batched
-   (:mod:`repro.service.batching`) onto the persistent process pool
-   shared with the experiment runner
-   (:func:`repro.runner.pool.get_executor`).
+4. an admitted request picks its venue
+   (:attr:`~repro.service.models.SolveRequest.inline`): a cheap sync
+   heuristic solve runs inline on the event loop, since it costs less
+   than the pool round-trip it would skip; every other request is
+   micro-batched (:mod:`repro.service.batching`) onto the persistent
+   process pool shared with the experiment runner
+   (:func:`repro.runner.pool.get_executor`).  Both venues settle
+   through one path (lease release, counters, spans, cache, status).
 
 ``GET /healthz`` reports liveness.  ``GET /metrics`` serves Prometheus
 text exposition; ``GET /metrics?format=json`` serves the JSON dump
@@ -57,7 +61,11 @@ from repro.service.http import (
     read_request,
     write_response,
 )
-from repro.service.models import RequestError, parse_solve_request
+from repro.service.models import (
+    RequestError,
+    SolveRequest,
+    parse_solve_request,
+)
 from repro.service.telemetry import _FULL_POWER_W, RuntimeTelemetry
 
 __all__ = ["SolveService"]
@@ -83,7 +91,8 @@ class SolveService:
         Admission window — how many seconds of measured throughput the
         controller is willing to hold as backlog.
     max_batch, max_wait_s:
-        Micro-batching knobs (see :class:`MicroBatcher`).
+        Micro-batching knobs (see :class:`MicroBatcher`); they apply
+        to pool-bound requests only, inline solves skip the batcher.
     cache_entries:
         Result-cache LRU bound.
     slos:
@@ -597,6 +606,8 @@ class SolveService:
                             },
                         )
                     )
+        if request.inline:
+            return self._solve_inline(request, key)
         entry = BatchEntry(
             req_id=request.req_id,
             payload=request.worker_payload(),
@@ -612,6 +623,28 @@ class SolveService:
             return 202, {"status": "accepted", "id": request.req_id}
         status, payload = await entry.future
         return status, payload
+
+    def _solve_inline(
+        self, request: SolveRequest, cache_key: str
+    ) -> tuple[int, dict]:
+        """Solve an admitted request on the event-loop thread.
+
+        The venue rule lives in :attr:`SolveRequest.inline`: the solve
+        is priced under one pool round-trip, so shipping it would cost
+        more than running it.  No ``await`` separates admission from
+        release, so the lease is held for exactly the solve.  It runs
+        on the loop's own thread, not a helper thread, because the
+        trace and counter sinks the solve swaps are process-global.
+        """
+        self._controller.dispatched(request.req_id)
+        payload = request.worker_payload()
+        payload["trace"] = active_sink() is not None
+        # A one-request batch span keeps the traced per-batch round-trip
+        # (batch minus worker time) meaningful for this venue too.
+        with span("service.batch", requests=1, venue="inline"):
+            result = worker_mod.solve_payload(payload)
+        self._emit("service.solve", inline=1)
+        return self._settle(request.req_id, cache_key, result)
 
     def _result(self, req_id: str) -> tuple[int, dict]:
         future = self._tickets.get(req_id)
@@ -658,43 +691,41 @@ class SolveService:
                             for e in entries
                         ]
         for entry, result in zip(entries, results):
-            self._controller.release(entry.req_id)
-            counters = result.get("counters")
-            if counters:
-                self._registry.merge(counters)
             # Worker-captured spans re-emit in batch order, exactly like
             # pooled trials merge in seed order — deterministic given the
             # batch composition.
-            for record in result.get("spans") or ():
-                emit_record(record)
-            if entry.future.done():
-                continue
-            if result["ok"]:
-                solution = result["solution"]
-                if entry.cache_key is not None:
-                    self._cache.put(entry.cache_key, solution)
-                entry.future.set_result(
-                    (
-                        200,
-                        {
-                            "status": "done",
-                            "id": entry.req_id,
-                            "cache": "miss",
-                            "solution": solution,
-                        },
-                    )
-                )
-            else:
-                kind = result.get("error_kind", "solver")
-                status = 400 if kind == "bad_request" else 500
-                self._emit("service.solve", failed=1)
-                entry.future.set_result(
-                    (
-                        status,
-                        {
-                            "status": "error",
-                            "id": entry.req_id,
-                            "error": result.get("error", "solve failed"),
-                        },
-                    )
-                )
+            reply = self._settle(entry.req_id, entry.cache_key, result)
+            if not entry.future.done():
+                entry.future.set_result(reply)
+
+    def _settle(
+        self, req_id: str, cache_key: str | None, result: dict
+    ) -> tuple[int, dict]:
+        """Account for one finished solve and build its reply.
+
+        Releases the lease, merges the solve's counters, re-emits its
+        spans and caches a success, whichever venue ran it.
+        """
+        self._controller.release(req_id)
+        counters = result.get("counters")
+        if counters:
+            self._registry.merge(counters)
+        for record in result.get("spans") or ():
+            emit_record(record)
+        if result["ok"]:
+            solution = result["solution"]
+            if cache_key is not None:
+                self._cache.put(cache_key, solution)
+            return 200, {
+                "status": "done",
+                "id": req_id,
+                "cache": "miss",
+                "solution": solution,
+            }
+        kind = result.get("error_kind", "solver")
+        self._emit("service.solve", failed=1)
+        return 400 if kind == "bad_request" else 500, {
+            "status": "error",
+            "id": req_id,
+            "error": result.get("error", "solve failed"),
+        }

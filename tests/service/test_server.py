@@ -105,7 +105,10 @@ class TestSolvePath:
                     "statuses"
                 ] == {"200": 3, "400": 1, "503": 1}
                 assert metrics["service"]["policy"] == "accept_if_feasible"
-                assert metrics["batch"]["dispatched"] >= 1
+                # Both misses are cheap greedy solves: solved inline,
+                # never batched.
+                assert counters["service.solve.inline"] == 2
+                assert metrics["batch"]["dispatched"] == 0
                 # The in-flight /metrics request is counted after its
                 # payload is built, so it sees the six before it.
                 assert counters["service.http.requests"] == 6
@@ -310,14 +313,21 @@ class TestGracefulDrain:
         async def body():
             # A huge assembly window parks the request in the batcher;
             # stop(drain=True) must still flush and answer it with 200.
+            # n=20 (400 units) is above the inline bound, so the request
+            # takes the pool route.
             svc, host, port = await _start(max_wait_s=5.0)
-            request = make_bodies(0, 1)[0]
-            client = asyncio.create_task(
-                http_json(host, port, "POST", "/solve", request)
-            )
-            while not svc._queued:
-                await asyncio.sleep(0.005)
-            await svc.stop(drain=True)
+            try:
+                request = make_bodies(0, 1, n_min=20, n_max=20)[0]
+                client = asyncio.create_task(
+                    http_json(host, port, "POST", "/solve", request)
+                )
+                for _ in range(200):
+                    if svc._queued:
+                        break
+                    await asyncio.sleep(0.005)
+                assert svc._queued, "request never reached the batcher"
+            finally:
+                await svc.stop(drain=True)
             status, payload = await client
             assert status == 200
             assert payload["status"] == "done"

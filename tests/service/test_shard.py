@@ -395,10 +395,11 @@ class TestDrain:
     def test_stop_drains_without_dropping_in_flight_requests(self):
         async def body():
             # A long batching window parks the request in-flight; the
-            # drain must wait it out and deliver the 200.
+            # drain must wait it out and deliver the 200.  n=20 (400
+            # units) is above the inline bound, so it is batched.
             fleet = await _start_fleet(max_wait_s=0.3, max_batch=64)
             try:
-                request = make_bodies(23, 1)[0]
+                request = make_bodies(23, 1, n_min=20, n_max=20)[0]
                 in_flight = asyncio.create_task(
                     http_json(fleet.host, fleet.port, "POST", "/solve", request)
                 )

@@ -145,7 +145,7 @@ class TestRequestIdEndToEnd:
             r["attrs"].get("req_id")
             for r in spans_by_name["service.solve.worker"]
         }
-        assert ok_id in worker_ids  # crossed the process pool and back
+        assert ok_id in worker_ids  # reached a solver (here: inline)
         assert rej_id not in worker_ids  # rejected: never reached a worker
 
         # (d) metric labels, in both expositions.
