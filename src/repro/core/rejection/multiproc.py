@@ -182,6 +182,8 @@ def _improvement_pass(
         # (delta, kind, processor, task); delta < 0 improves.
         best: tuple[float, str, int, int] | None = None
         improved_any = False
+        # g(loads[j]) per processor, kept current for the re-admit moves.
+        bases: list[float] = []
         for j, bucket in enumerate(buckets):
             base = g.energy(loads[j])
             for i in list(bucket):
@@ -198,6 +200,7 @@ def _improvement_pass(
                         loads[j] = max(loads[j] - task.cycles, 0.0)
                         base = g.energy(loads[j])
                         improved_any = True
+            bases.append(base)
         for i in list(rejected):
             task = problem.tasks[i]
             target = None
@@ -205,7 +208,7 @@ def _improvement_pass(
             for j in range(problem.m):
                 if not fits(loads[j] + task.cycles, cap):
                     continue
-                marginal = g.energy(loads[j] + task.cycles) - g.energy(loads[j])
+                marginal = g.energy(loads[j] + task.cycles) - bases[j]
                 delta = marginal - task.penalty
                 if delta < -1e-12 and (target is None or delta < target_delta):
                     target, target_delta = j, delta
@@ -218,6 +221,7 @@ def _improvement_pass(
                 rejected.remove(i)
                 buckets[target].append(i)
                 loads[target] += task.cycles
+                bases[target] = g.energy(loads[target])
                 improved_any = True
         if single_best:
             if best is None:

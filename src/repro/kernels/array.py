@@ -30,6 +30,7 @@ from repro.kernels.base import (
     Kernel,
     energy_many,
     improves,
+    staircase_applies,
     suffix_shed_cost,
 )
 
@@ -175,7 +176,18 @@ class NumpyKernel(Kernel):
             return -1, np.inf
         levels = np.flatnonzero(feasible)
         clamped = np.minimum(np.maximum(workloads[levels], 0.0), capacity)
-        costs = self.energy_table(energy_fn, clamped) + levels * price
+        # Price the staircase (levels shedding more than every earlier
+        # one); its first energy, g(W_max), decides the guard.
+        shed = arr[levels]
+        stair = np.empty(len(levels), dtype=bool)
+        stair[0] = True
+        np.greater(shed[1:], np.maximum.accumulate(shed[:-1]), out=stair[1:])
+        energies = self.energy_table(energy_fn, clamped[stair])
+        if staircase_applies(price, energies[0]):
+            levels = levels[stair]
+        else:
+            energies = self.energy_table(energy_fn, clamped)
+        costs = energies + levels * price
         best = int(np.argmin(costs))
         return int(levels[best]), float(costs[best])
 

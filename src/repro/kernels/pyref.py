@@ -18,6 +18,7 @@ from repro.kernels.base import (
     Kernel,
     energy_many,
     improves,
+    staircase_applies,
     suffix_shed_cost,
 )
 
@@ -159,13 +160,22 @@ class PythonKernel(Kernel):
         energy = energy_fn.energy
         best = -1
         best_cost = _INF
+        # Staircase filter: decided at the first feasible level; while it
+        # applies, ``ceiling`` is the most cycles any earlier level shed.
+        staircase = None
+        ceiling = -_INF
         for p, value in enumerate(row):
-            if not math.isfinite(value):
+            if not math.isfinite(value) or value <= ceiling:
                 continue
             workload = total - value
             if not self.fits(workload, capacity):
                 continue
-            cost = energy(min(max(workload, 0.0), capacity)) + p * price
+            level_energy = energy(min(max(workload, 0.0), capacity))
+            if staircase is None:
+                staircase = staircase_applies(price, level_energy)
+            if staircase:
+                ceiling = value
+            cost = level_energy + p * price
             if cost < best_cost:
                 best, best_cost = p, cost
         return best, best_cost

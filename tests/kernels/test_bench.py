@@ -157,6 +157,7 @@ COMMITTED = Path(__file__).resolve().parents[2] / "BENCH_kernels.json"
         ("greedy_marginal", 100),
         ("dp_cycles", 100),
         ("dp_penalty", 100),
+        ("fptas", 100),
         ("branch_and_bound", 20),  # the n=100 request is capped to 20
     ],
 )

@@ -129,6 +129,57 @@ def test_best_penalty_level_returns_minus_one_when_nothing_fits(kern):
     assert cost == math.inf
 
 
+class _PricedCubic(_Cubic):
+    """:class:`_Cubic` that records every workload it prices."""
+
+    def __init__(self) -> None:
+        self.priced: list[float] = []
+
+    def energy(self, w: float) -> float:
+        self.priced.append(w)
+        return super().energy(w)
+
+
+def test_best_penalty_level_plateau_prices_only_its_first_level(kern):
+    g = _PricedCubic()
+    level, cost = kern.best_penalty_level(
+        [-math.inf, 2.0, 2.0, 2.0], 3.0, 1.0, g, 0.25
+    )
+    assert (level, cost) == (1, 1.25)  # g(1) + 1 * 0.25
+    assert g.priced == [1.0]
+
+
+def test_best_penalty_level_skips_a_dominated_level_across_gaps(kern):
+    # Total 3, capacity 1: a level is feasible once it sheds >= 2.  Level
+    # 5 sheds 2.0 <= level 1's 2.5, past a gap (2, 4) and an infeasible
+    # level (3), so it is never priced; level 6 sheds more and is.
+    g = _PricedCubic()
+    row = [0.0, 2.5, -math.inf, 0.5, -math.inf, 2.0, 3.0]
+    level, cost = kern.best_penalty_level(row, 3.0, 1.0, g, 0.25)
+    assert (level, cost) == (1, 0.375)  # g(0.5) + 0.25; level 6 costs 1.5
+    assert sorted(g.priced) == [0.0, 0.5]
+
+
+@pytest.mark.parametrize(
+    "price, priced",
+    [
+        # Above STAIRCASE_RTOL * g(2) = 2**-37 the staircase applies.
+        (math.nextafter(2.0**-37, 1.0), [0.0, 1.0, 2.0]),
+        # At or below the guard every feasible level is priced.
+        (2.0**-37, [0.0, 1.0, 1.5, 2.0]),
+        (math.nextafter(2.0**-37, 0.0), [0.0, 1.0, 1.5, 2.0]),
+    ],
+)
+def test_best_penalty_level_staircase_guard(kern, price, priced):
+    # Level 0 is the first feasible level: W_max = 2, g(W_max) = 8.
+    g = _PricedCubic()
+    row = [1.0, 2.0, 1.5, 3.0]
+    level, cost = kern.best_penalty_level(row, 3.0, 2.0, g, price)
+    # The full scan's answer either way: level 3 sheds everything.
+    assert (level, cost) == (3, 3 * price)
+    assert sorted(set(g.priced)) == priced
+
+
 def test_marginal_best_prefers_first_on_exact_tie(kern):
     # Two identical candidates: index 0 must be chosen on every kernel.
     idx = kern.marginal_best(1.0, [0.5, 0.5], [0.01, 0.01], _Cubic())
