@@ -24,7 +24,7 @@ Usage::
     repro stats trace.jsonl                  # digest a span trace
     repro stats results/manifests/fig_r1-0123456789ab.json
 
-    repro serve --port 8722 --workers 2          # batching solve server
+    repro serve --port 8722 --workers 2          # the solve server
     repro serve --policy threshold --theta 1.0   # admission control (429s)
     repro bench-serve --requests 200 --seed 0    # seeded load generator
 
@@ -299,12 +299,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="run the batching solve server",
+        help="run the solve server",
         description=(
             "Serve solve requests over HTTP/JSON with paper-faithful "
             "admission control: each request is priced as a frame task "
             "against the measured worker-pool capacity, and an online "
-            "rejection policy decides accept (solve, micro-batched) or "
+            "rejection policy decides accept (solve) or "
             "429 (reject). Endpoints: POST /solve, GET /result/<id>, "
             "GET /healthz, GET /metrics. See docs/service.md."
         ),
@@ -372,15 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1.0,
         metavar="S",
         help="admission window: seconds of throughput held as backlog",
-    )
-    serve.add_argument(
-        "--max-batch", type=int, default=8, help="largest micro-batch"
-    )
-    serve.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=5.0,
-        help="micro-batch assembly window in milliseconds",
     )
     serve.add_argument(
         "--cache-entries",
@@ -1107,8 +1098,6 @@ def _cmd_serve(args) -> int:
             capacity_units=args.capacity,
             rate_units_per_s=args.rate,
             window_s=args.window,
-            max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms / 1e3,
             cache_entries=args.cache_entries,
             slos=slos,
             access_log=access_sink,

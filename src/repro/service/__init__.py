@@ -1,14 +1,14 @@
-"""repro.service — a batching solve server with admission control.
+"""repro.service — a solve server with admission control.
 
 The serving layer maps each incoming solve request onto the paper's own
 task model (estimated work = cycles, client weight = rejection penalty)
 and runs a real :class:`~repro.core.rejection.online.OnlinePolicy` as
 the admission controller: overload produces principled ``429`` rejection
 — density-ordered shedding, exactly like the offline heuristics — and
-never unbounded queueing.  Admitted requests are micro-batched onto the
-persistent worker pool shared with the experiment runner, and repeated
-instances are answered from a content-addressed cache keyed like the
-runner's on-disk cache.
+never unbounded queueing.  Admitted requests are solved inline when
+cheap, else dispatched one by one onto the persistent worker pool
+shared with the experiment runner, and repeated instances are answered
+from a content-addressed cache keyed like the runner's on-disk cache.
 
 At fleet scale (``repro serve --shards N``) the same admission stays
 *global*: per-shard controllers lease capacity from one fleet-wide
@@ -22,7 +22,6 @@ fleet saturation sweep).  See ``docs/service.md``.
 """
 
 from repro.service.admission import AdmissionController, AdmissionDecision
-from repro.service.batching import BatchEntry, MicroBatcher
 from repro.service.cache import DiskTier, ResultCache
 from repro.service.loadgen import PassStats, run_load
 from repro.service.models import (
@@ -43,12 +42,10 @@ from repro.service.shard import (
 __all__ = [
     "AdmissionController",
     "AdmissionDecision",
-    "BatchEntry",
     "DiskTier",
     "FileBudget",
     "GlobalBudget",
     "LocalFleet",
-    "MicroBatcher",
     "PassStats",
     "RequestError",
     "ResultCache",

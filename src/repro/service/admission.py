@@ -56,7 +56,7 @@ class AdmissionDecision:
     Attributes
     ----------
     admitted:
-        Whether the request may enter the batch queue.
+        Whether the request may enter the dispatch queue.
     reason:
         ``"admitted"``, or why not: ``"policy"`` (the online policy
         declined), ``"capacity"`` (does not fit and shedding could not

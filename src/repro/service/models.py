@@ -223,6 +223,10 @@ def parse_solve_request(body: Any, req_id: str) -> SolveRequest:
         raise RequestError(
             f"'instance.processors' must be an integer, got {processors!r}"
         )
+    if processors < 1:
+        raise RequestError(
+            f"'instance.processors' must be >= 1, got {processors}"
+        )
     algorithm = body.get("algorithm", "fptas" if processors == 1 else "ltf_reject")
     if algorithm not in SOLVER_NAMES:
         raise RequestError(

@@ -1,4 +1,4 @@
-"""The batching solve server (``repro serve``).
+"""The solve server (``repro serve``).
 
 A zero-dependency asyncio HTTP/JSON server that turns the reproduction
 into something that can take traffic.  The request path is the paper's
@@ -15,15 +15,17 @@ REJECT-MIN loop in miniature:
 4. an admitted request picks its venue
    (:attr:`~repro.service.models.SolveRequest.inline`): a cheap sync
    heuristic solve runs inline on the event loop, since it costs less
-   than the pool round-trip it would skip; every other request is
-   micro-batched (:mod:`repro.service.batching`) onto the persistent
-   process pool shared with the experiment runner
-   (:func:`repro.runner.pool.get_executor`).  Both venues settle
-   through one path (lease release, counters, spans, cache, status).
+   than the pool round-trip it would skip; every other request waits
+   for one of :data:`DISPATCH_SLOTS_PER_WORKER` × ``workers`` dispatch
+   slots, then goes on its own to the persistent process pool shared
+   with the experiment runner (:func:`repro.runner.pool.get_executor`).
+   While it waits it is still *queued*, so admission can still shed it.
+   Both venues settle through one path (lease release, counters, spans,
+   cache, status).
 
 ``GET /healthz`` reports liveness.  ``GET /metrics`` serves Prometheus
 text exposition; ``GET /metrics?format=json`` serves the JSON dump
-(admission / cache / batching statistics, per-endpoint latency
+(admission and cache statistics, per-endpoint latency
 histograms, the full :mod:`repro.obs` counter registry with worker-side
 solver counters merged in, and the runtime-telemetry section: SLO
 attainment, the sampler's time-series ring, and the last-request id
@@ -53,7 +55,6 @@ from repro.obs.trace import active_sink, emit_record, span
 from repro.runner.pool import evict_executor, get_executor
 from repro.service import worker as worker_mod
 from repro.service.admission import AdmissionController
-from repro.service.batching import BatchEntry, MicroBatcher
 from repro.service.cache import ResultCache
 from repro.service.http import (
     MAX_BODY_BYTES,
@@ -68,11 +69,20 @@ from repro.service.models import (
 )
 from repro.service.telemetry import _FULL_POWER_W, RuntimeTelemetry
 
-__all__ = ["SolveService"]
+__all__ = ["DISPATCH_SLOTS_PER_WORKER", "SolveService"]
+
+#: Pool-bound requests in flight per worker: one solving and one in the
+#: pipe behind it.  Requests past the gate wait in ``_queued``, where
+#: admission can still shed them, like the simulator's ready queue; with
+#: no gate nothing would ever be queued, so nothing could be shed.  On a
+#: 2-core machine (2 workers, 8 closed-loop clients, greedy n = 20-24
+#: requests) one slot per worker ran 10-25% below no gate, while two per
+#: worker came within about 10% of it.
+DISPATCH_SLOTS_PER_WORKER = 2
 
 
 class SolveService:
-    """One server instance: admission + batching + cache + metrics.
+    """One server instance: admission + pool dispatch + cache + metrics.
 
     Parameters
     ----------
@@ -90,9 +100,6 @@ class SolveService:
     window_s:
         Admission window — how many seconds of measured throughput the
         controller is willing to hold as backlog.
-    max_batch, max_wait_s:
-        Micro-batching knobs (see :class:`MicroBatcher`); they apply
-        to pool-bound requests only, inline solves skip the batcher.
     cache_entries:
         Result-cache LRU bound.
     slos:
@@ -133,8 +140,6 @@ class SolveService:
         capacity_units: float | None = None,
         rate_units_per_s: float | None = None,
         window_s: float = 1.0,
-        max_batch: int = 8,
-        max_wait_s: float = 0.005,
         cache_entries: int = 4096,
         slos=None,
         access_log=None,
@@ -154,8 +159,6 @@ class SolveService:
         self._capacity_override = capacity_units
         self._rate_override = rate_units_per_s
         self.window_s = float(window_s)
-        self._max_batch = max_batch
-        self._max_wait_s = max_wait_s
         self.shard_id = None if shard_id is None else str(shard_id)
         self._budget = budget
         self._ambient_counters = bool(ambient_counters)
@@ -174,12 +177,15 @@ class SolveService:
         self._sampler_task: asyncio.Task | None = None
         self._counting = None
         self._controller: AdmissionController | None = None
-        self._batcher: MicroBatcher | None = None
+        self._gate: asyncio.Semaphore | None = None
         self._server: asyncio.base_events.Server | None = None
         self._reuseport_server: asyncio.base_events.Server | None = None
-        self._queued: dict[str, BatchEntry] = {}
+        #: Pool-bound requests waiting for a dispatch slot (sheddable).
+        self._queued: dict[str, asyncio.Future] = {}
+        self._dispatches: set[asyncio.Task] = set()
         self._tickets: OrderedDict[str, asyncio.Future] = OrderedDict()
-        self._writers: set[asyncio.StreamWriter] = set()
+        #: Open connections and the handler task serving each.
+        self._writers: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._active_requests = 0
         self._draining = False
         self._stopped = False
@@ -250,12 +256,9 @@ class SolveService:
             shard_id=self.shard_id if self.shard_id is not None else "0",
             counters=self._registry,
         )
-        self._batcher = MicroBatcher(
-            self._dispatch,
-            max_batch=self._max_batch,
-            max_wait_s=self._max_wait_s,
+        self._gate = asyncio.Semaphore(
+            DISPATCH_SLOTS_PER_WORKER * self.workers
         )
-        self._batcher.start()
         self._server = await asyncio.start_server(
             self._handle_conn, host, port, limit=MAX_BODY_BYTES
         )
@@ -277,10 +280,13 @@ class SolveService:
         """Stop serving; with *drain*, finish every in-flight request.
 
         New ``/solve`` requests are answered 503 from the moment drain
-        begins; queued and running batches complete and their (sync)
-        responses are written before connections are closed.  The worker
-        pool itself is left warm — it is process-global and shut down at
-        interpreter exit.
+        begins.  With *drain* every queued and running pool request is
+        solved and its (sync) response written before connections are
+        closed; without it, requests still waiting for a dispatch slot
+        are answered 503 ``"shutting down"`` and only the running ones
+        finish.  Either way every request is answered exactly once.  The
+        worker pool itself is left warm — it is process-global and shut
+        down at interpreter exit.
         """
         if self._stopped:
             return
@@ -293,16 +299,34 @@ class SolveService:
             self._server.close()
         if self._reuseport_server is not None:
             self._reuseport_server.close()
-        if self._batcher is not None:
-            await self._batcher.close(drain=drain)
-        if drain:
-            # Handlers still writing responses for just-resolved futures.
-            for _ in range(1000):
-                if self._active_requests == 0:
-                    break
-                await asyncio.sleep(0.01)
+        if not drain:
+            for req_id, future in self._queued.items():
+                if not future.done():
+                    future.set_result(
+                        (
+                            503,
+                            {
+                                "status": "error",
+                                "id": req_id,
+                                "error": "shutting down",
+                            },
+                        )
+                    )
+            self._queued.clear()
+        if self._dispatches:
+            await asyncio.gather(*self._dispatches, return_exceptions=True)
+        # Handlers still writing responses for just-resolved futures.
+        for _ in range(1000):
+            if self._active_requests == 0:
+                break
+            await asyncio.sleep(0.01)
+        handlers = list(self._writers.values())
         for writer in list(self._writers):
             writer.close()
+        if handlers:
+            # Let every handler see its connection close and exit, so
+            # none is left pending when the caller closes the loop.
+            await asyncio.wait(handlers, timeout=10.0)
         if self._server is not None:
             await self._server.wait_closed()
         if self._reuseport_server is not None:
@@ -316,7 +340,7 @@ class SolveService:
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._writers.add(writer)
+        self._writers[writer] = asyncio.current_task()
         try:
             while True:
                 try:
@@ -356,7 +380,7 @@ class SolveService:
         ):
             pass
         finally:
-            self._writers.discard(writer)
+            self._writers.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -452,7 +476,6 @@ class SolveService:
 
     def metrics_dict(self) -> dict:
         """The ``/metrics?format=json`` payload (also used by tests/CI)."""
-        batcher = self._batcher
         return {
             "service": {
                 "host": self.host,
@@ -467,11 +490,6 @@ class SolveService:
             "requests": self.telemetry.requests_dict(),
             "admission": self._controller.stats() if self._controller else {},
             "cache": self._cache.stats(),
-            "batch": {
-                "dispatched": len(batcher.batch_log) if batcher else 0,
-                "max_batch": self._max_batch,
-                "max_wait_s": self._max_wait_s,
-            },
             "counters": self._registry.snapshot(),
             "runtime": self.telemetry.runtime_dict(
                 queue_depth=len(self._queued),
@@ -486,11 +504,6 @@ class SolveService:
                 self._controller.stats() if self._controller else {}
             ),
             "cache": self._cache.stats(),
-            "batch": {
-                "dispatched": (
-                    len(self._batcher.batch_log) if self._batcher else 0
-                )
-            },
             "info": {
                 "policy": (
                     self._controller.policy.name if self._controller else None
@@ -593,35 +606,31 @@ class SolveService:
         self._emit("service.solve", admitted=1)
         for victim_id in decision.shed:
             victim = self._queued.pop(victim_id, None)
-            if victim is not None:
-                victim.shed = True
-                if not victim.future.done():
-                    victim.future.set_result(
-                        (
-                            429,
-                            {
-                                "status": "rejected",
-                                "id": victim_id,
-                                "reason": "shed",
-                            },
-                        )
+            if victim is not None and not victim.done():
+                victim.set_result(
+                    (
+                        429,
+                        {
+                            "status": "rejected",
+                            "id": victim_id,
+                            "reason": "shed",
+                        },
                     )
+                )
         if request.inline:
             return self._solve_inline(request, key)
-        entry = BatchEntry(
-            req_id=request.req_id,
-            payload=request.worker_payload(),
-            future=asyncio.get_running_loop().create_future(),
-            cache_key=key,
-        )
-        self._queued[request.req_id] = entry
-        await self._batcher.put(entry)
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        self._queued[request.req_id] = future
+        task = loop.create_task(self._solve_pooled(request, key, future))
+        self._dispatches.add(task)
+        task.add_done_callback(self._dispatches.discard)
         if request.mode == "async":
-            self._tickets[request.req_id] = entry.future
+            self._tickets[request.req_id] = future
             while len(self._tickets) > 10_000:
                 self._tickets.popitem(last=False)
             return 202, {"status": "accepted", "id": request.req_id}
-        status, payload = await entry.future
+        status, payload = await future
         return status, payload
 
     def _solve_inline(
@@ -655,48 +664,66 @@ class SolveService:
         status, payload = future.result()
         return status, payload
 
-    # -- batch dispatch -------------------------------------------------
+    # -- pool dispatch --------------------------------------------------
 
-    async def _dispatch(self, entries: list[BatchEntry]) -> None:
-        for entry in entries:
-            self._controller.dispatched(entry.req_id)
-            self._queued.pop(entry.req_id, None)
-        capture_spans = active_sink() is not None
-        for entry in entries:
-            entry.payload["trace"] = capture_spans
-        payloads = [entry.payload for entry in entries]
+    async def _solve_pooled(
+        self, request: SolveRequest, cache_key: str, future: asyncio.Future
+    ) -> None:
+        """Wait for a dispatch slot, solve on the pool, resolve *future*.
+
+        Until the slot is granted the request stays queued: a shed or a
+        ``stop(drain=False)`` answers *future* and the solve is skipped.
+        """
+        async with self._gate:
+            if future.done():
+                return
+            self._queued.pop(request.req_id, None)
+            self._controller.dispatched(request.req_id)
+            self._emit("service.batch", dispatched=1, requests=1)
+            payload = request.worker_payload()
+            payload["trace"] = active_sink() is not None
+            with span("service.batch", requests=1):
+                result = await self._pool_round_trip(payload)
+            try:
+                reply = self._settle(request.req_id, cache_key, result)
+            except Exception as exc:  # noqa: BLE001 - the waiter needs a reply
+                self._emit("service.errors", internal=1)
+                reply = 500, {
+                    "status": "error",
+                    "id": request.req_id,
+                    "error": str(exc),
+                }
+            if not future.done():
+                future.set_result(reply)
+
+    async def _pool_round_trip(self, payload: dict) -> dict:
+        """``solve_payload`` on the pool; a pool failure becomes a result.
+
+        A broken pool is evicted and the request retried once on a
+        fresh one; any other pool exception answers 500.
+        """
         loop = asyncio.get_running_loop()
-        results = None
-        with span("service.batch", requests=len(entries)):
-            for attempt in (1, 2):
-                try:
-                    results = await loop.run_in_executor(
-                        get_executor(self.workers),
-                        worker_mod.solve_batch,
-                        payloads,
-                    )
-                    break
-                except BrokenProcessPool:
-                    evict_executor(self.workers)
-                    self._emit("service.batch", pool_rebuilds=1)
-                    if attempt == 2:
-                        results = [
-                            {
-                                "req_id": e.req_id,
-                                "ok": False,
-                                "error": "worker pool crashed twice",
-                                "error_kind": "solver",
-                                "counters": None,
-                            }
-                            for e in entries
-                        ]
-        for entry, result in zip(entries, results):
-            # Worker-captured spans re-emit in batch order, exactly like
-            # pooled trials merge in seed order — deterministic given the
-            # batch composition.
-            reply = self._settle(entry.req_id, entry.cache_key, result)
-            if not entry.future.done():
-                entry.future.set_result(reply)
+        error = "worker pool crashed twice"
+        for _ in range(2):
+            try:
+                return await loop.run_in_executor(
+                    get_executor(self.workers),
+                    worker_mod.solve_payload,
+                    payload,
+                )
+            except BrokenProcessPool:
+                evict_executor(self.workers)
+                self._emit("service.batch", pool_rebuilds=1)
+            except Exception as exc:  # noqa: BLE001 - answered as a 500
+                error = str(exc) or type(exc).__name__
+                break
+        return {
+            "req_id": payload["req_id"],
+            "ok": False,
+            "error": error,
+            "error_kind": "solver",
+            "counters": None,
+        }
 
     def _settle(
         self, req_id: str, cache_key: str | None, result: dict

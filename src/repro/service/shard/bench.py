@@ -9,7 +9,7 @@ acceptance-ratio sweeps.
 Protocol
 --------
 1. **Probe**: a short closed-loop pass against a 1-shard fleet measures
-   sustainable end-to-end throughput (HTTP + batching + pool included —
+   sustainable end-to-end throughput (HTTP + admission + pool included —
    honest against the whole stack, unlike a bare worker calibration).
 2. **Sweep**: for every ``shards × factor`` point, a fresh fleet with a
    fleet-wide :class:`~repro.service.shard.budget.GlobalBudget` takes

@@ -251,7 +251,6 @@ class RuntimeTelemetry:
         counters: Mapping[str, float],
         admission: Mapping[str, Any],
         cache: Mapping[str, Any],
-        batch: Mapping[str, Any],
         info: Mapping[str, Any],
         queue_depth: int,
         energy_j: float,
@@ -277,7 +276,6 @@ class RuntimeTelemetry:
                 counters=counters,
                 admission=admission,
                 cache=cache,
-                batch=batch,
                 info=info,
             )
         )
@@ -289,7 +287,6 @@ class RuntimeTelemetry:
         counters: Mapping[str, float],
         admission: Mapping[str, Any],
         cache: Mapping[str, Any],
-        batch: Mapping[str, Any],
         info: Mapping[str, Any],
         queue_depth: int,
         energy_j: float,
@@ -299,7 +296,6 @@ class RuntimeTelemetry:
             counters=counters,
             admission=admission,
             cache=cache,
-            batch=batch,
             info=info,
             queue_depth=queue_depth,
             energy_j=energy_j,
@@ -312,7 +308,6 @@ class RuntimeTelemetry:
         counters: Mapping[str, float],
         admission: Mapping[str, Any],
         cache: Mapping[str, Any],
-        batch: Mapping[str, Any],
         info: Mapping[str, Any],
     ) -> dict[str, Any]:
         """The derived families in registry-snapshot form.
@@ -432,12 +427,6 @@ class RuntimeTelemetry:
             "help": "Result-cache entries currently held.",
             "labelnames": [],
             "series": value_rows([({}, cache.get("entries", 0))]),
-        }
-        snap["repro_batches_dispatched_total"] = {
-            "type": "counter",
-            "help": "Micro-batches dispatched to the worker pool.",
-            "labelnames": [],
-            "series": value_rows([({}, batch.get("dispatched", 0))]),
         }
         snap["repro_service_info"] = {
             "type": "gauge",

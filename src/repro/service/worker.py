@@ -2,8 +2,9 @@
 
 Everything here is module-level and operates on plain picklable dicts —
 the same contract :mod:`repro.runner.pool` imposes on trial functions —
-so the service can ship batches to the persistent
-``ProcessPoolExecutor`` it shares with the experiment runner.
+so the service can ship each pool-bound request to the persistent
+``ProcessPoolExecutor`` it shares with the experiment runner (the
+inline venue calls :func:`solve_payload` on the event loop instead).
 
 Per-request solver counters are captured with a fresh
 :mod:`repro.obs.counters` registry (exactly like pooled trials) and
@@ -24,7 +25,7 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 from repro.obs import counters as obs_counters
 from repro.obs import trace as obs_trace
 
-__all__ = ["calibrate", "solve_batch", "solve_payload"]
+__all__ = ["calibrate", "solve_payload"]
 
 
 def solve_payload(payload: dict[str, Any]) -> dict[str, Any]:
@@ -39,8 +40,9 @@ def solve_payload(payload: dict[str, Any]) -> dict[str, Any]:
     ``payload["trace"]`` and the solve runs under a
     ``service.solve.worker`` span (captured in a worker-local
     :class:`~repro.obs.trace.MemorySink`, shipped back in ``"spans"``,
-    and re-emitted by the server in batch order — the request id rides
-    in the span attrs, so a scraped trace links ingest to worker).
+    and re-emitted by the server when the request settles — the request
+    id rides in the span attrs, so a scraped trace links ingest to
+    worker).
     """
     from repro.io import solution_to_dict
     from repro.service.models import RequestError
@@ -130,11 +132,6 @@ def _solve_one(payload: dict[str, Any]):
 _MULTIPROC = frozenset(
     {"ltf_reject", "rand_reject", "global_greedy_reject", "exhaustive_multiproc"}
 )
-
-
-def solve_batch(payloads: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Solve a micro-batch sequentially inside one worker round-trip."""
-    return [solve_payload(payload) for payload in payloads]
 
 
 def calibrate(repeats: int = 20) -> float:

@@ -3,16 +3,20 @@
 The asyncio tests run their coroutine bodies through ``asyncio.run``
 (no pytest-asyncio dependency); ``threaded_server`` hosts a real
 :class:`SolveService` in a background thread with its own event loop,
-for tests that exercise the synchronous client side (``run_load``).
+for tests that exercise the synchronous client side (``run_load``);
+``park_pool`` holds pool-bound requests queued or in flight for as
+long as a test needs to look at them.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import pytest
 
+from repro.runner.pool import get_executor
 from repro.service import SolveService
 
 #: Generous capacity/rate so admission never interferes unless a test
@@ -23,6 +27,21 @@ BIG = 1e12
 def run(coro, timeout: float = 60.0):
     """Run *coro* to completion with an overall watchdog."""
     return asyncio.run(asyncio.wait_for(coro, timeout))
+
+
+def park_pool(workers: int, seconds: float) -> list:
+    """Occupy every worker of the shared pool with a *seconds* sleep.
+
+    The service dispatches to the same ``get_executor(workers)``, so
+    pool-bound requests sent meanwhile run only after the sleeps: the
+    first ``DISPATCH_SLOTS_PER_WORKER * workers`` of them wait in the
+    pool, the rest stay queued (sheddable) in the service.  Call it
+    before starting the server: a pool forked after the listener is
+    bound inherits the listening socket, and a closed server then
+    keeps queueing connections nobody accepts instead of refusing them.
+    """
+    executor = get_executor(workers)
+    return [executor.submit(time.sleep, seconds) for _ in range(workers)]
 
 
 class ThreadedServer:

@@ -1,7 +1,7 @@
 """The inline venue: cheap sync solves run on the server's event loop.
 
 An admitted sync request of a heuristic solver priced at most
-``INLINE_UNITS`` skips the micro-batcher and the process pool.  These
+``INLINE_UNITS`` skips the dispatch queue and the process pool.  These
 tests pin that rule and check that the venue changes nothing a client
 or the bookkeeping can see: the same solutions, the same typed errors,
 leases returned, and the ``service.solve.total`` partition intact.
@@ -67,9 +67,7 @@ def _tied_density_body(n: int, algorithm: str) -> dict:
 
 
 async def _start(**kwargs) -> tuple[SolveService, str, int]:
-    settings = dict(
-        workers=1, rate_units_per_s=1e9, capacity_units=BIG, max_wait_s=0.0
-    )
+    settings = dict(workers=1, rate_units_per_s=1e9, capacity_units=BIG)
     settings.update(kwargs)
     svc = SolveService(**settings)
     host, port = await svc.start()
@@ -270,7 +268,6 @@ class TestBookkeeping:
                 workers=1,
                 rate_units_per_s=1e9,
                 capacity_units=BIG,
-                max_wait_s=0.0,
                 budget=budget,
             )
             await fleet.start()

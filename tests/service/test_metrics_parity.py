@@ -21,9 +21,7 @@ from tests.service.test_telemetry import assert_valid_exposition
 _LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:\\.|[^"\\])*)"')
 
 #: capacity 50: an n=6 greedy request (36 units) fits, n=8 (64) never.
-_SETTINGS = dict(
-    workers=1, rate_units_per_s=1e9, capacity_units=50.0, max_wait_s=0.005
-)
+_SETTINGS = dict(workers=1, rate_units_per_s=1e9, capacity_units=50.0)
 
 
 def _series(text: str, name: str) -> list[tuple[dict[str, str], float]]:

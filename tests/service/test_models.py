@@ -112,6 +112,8 @@ class TestParseSolveRequest:
             ({"instance": {"tasks": []}}, "non-empty list"),
             ({"instance": {"tasks": [{}], "processors": 1.5}}, "integer"),
             ({"instance": {"tasks": [{}], "processors": True}}, "integer"),
+            ({"instance": {"tasks": [{}], "processors": 0}}, ">= 1"),
+            ({"instance": {"tasks": [{}], "processors": -3}}, ">= 1"),
         ],
     )
     def test_malformed_bodies(self, body, pattern):

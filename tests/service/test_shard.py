@@ -17,12 +17,12 @@ import asyncio
 
 import pytest
 
-from repro.service import LocalFleet
+from repro.service import LocalFleet, models
 from repro.service.loadgen import http_exchange, http_json, make_bodies
 from repro.service.models import estimate_cost
 from repro.service.shard import GlobalBudget, reuseport_available
 
-from tests.service.conftest import BIG, run
+from tests.service.conftest import BIG, park_pool, run
 
 #: The fleet counter invariant's parts (pinned by test_server for one
 #: shard; re-pinned here fleet-wide).
@@ -31,11 +31,7 @@ PARTS = ("cached", "admitted", "rejected", "invalid", "unavailable")
 
 async def _start_fleet(**kwargs) -> LocalFleet:
     settings = dict(
-        shards=2,
-        workers=1,
-        rate_units_per_s=1e9,
-        capacity_units=BIG,
-        max_wait_s=0.005,
+        shards=2, workers=1, rate_units_per_s=1e9, capacity_units=BIG
     )
     settings.update(kwargs)
     fleet = LocalFleet(**settings)
@@ -278,6 +274,29 @@ class TestFleetMetrics:
 
         run(body())
 
+    def test_pool_dispatches_count_on_their_shard(self, monkeypatch):
+        # Every solve goes to the pool; each shard must count its own
+        # dispatches, so the venue partition holds fleet-wide.
+        monkeypatch.setattr(models, "INLINE_UNITS", 0.0)
+
+        async def body():
+            fleet = await _start_fleet()
+            try:
+                for request in make_bodies(31, 6):
+                    status, payload = await http_json(
+                        fleet.host, fleet.port, "POST", "/solve", request
+                    )
+                    assert status == 200, payload
+                return [svc._registry.snapshot() for svc in fleet.services]
+            finally:
+                await fleet.stop()
+
+        shards = run(body())
+        for counters in shards:
+            assert counters["service.solve.admitted"] == 3
+            assert counters["service.batch.requests"] == 3
+        assert sum(c["service.batch.requests"] for c in shards) == 6
+
     def test_prometheus_exposition_decomposes_by_shard_label(self):
         async def body():
             fleet = await _start_fleet()
@@ -320,13 +339,12 @@ class TestGlobalBudget:
         async def body():
             # Six async n=6 requests at 36 units each against an
             # 80-unit fleet budget: the first two lease 72 units, every
-            # later offer would overdraw, and a long batching window
-            # keeps the leases held while the refusals happen — fully
+            # later offer would overdraw, and the parked pool keeps the
+            # leases held while the refusals happen — fully
             # deterministic, no timing races.
             budget = GlobalBudget(80.0)
-            fleet = await _start_fleet(
-                budget=budget, max_wait_s=0.5, max_batch=64
-            )
+            park_pool(1, 0.5)
+            fleet = await _start_fleet(budget=budget)
             try:
                 unit_cost = estimate_cost(6, "greedy_marginal")
                 assert unit_cost == 36.0
@@ -394,10 +412,11 @@ class TestGlobalBudget:
 class TestDrain:
     def test_stop_drains_without_dropping_in_flight_requests(self):
         async def body():
-            # A long batching window parks the request in-flight; the
-            # drain must wait it out and deliver the 200.  n=20 (400
-            # units) is above the inline bound, so it is batched.
-            fleet = await _start_fleet(max_wait_s=0.3, max_batch=64)
+            # The parked pool holds the request in flight; the drain
+            # must wait it out and deliver the 200.  n=20 (400 units) is
+            # above the inline bound, so it goes to the pool.
+            park_pool(1, 0.3)
+            fleet = await _start_fleet()
             try:
                 request = make_bodies(23, 1, n_min=20, n_max=20)[0]
                 in_flight = asyncio.create_task(
@@ -427,11 +446,7 @@ class TestReuseport:
     def test_shards_share_a_kernel_balanced_data_port(self):
         async def body():
             fleet = LocalFleet(
-                shards=2,
-                workers=1,
-                rate_units_per_s=1e9,
-                capacity_units=BIG,
-                max_wait_s=0.005,
+                shards=2, workers=1, rate_units_per_s=1e9, capacity_units=BIG
             )
             await fleet.start(reuseport_port=0)
             try:

@@ -56,9 +56,7 @@ def assert_valid_exposition(text: str) -> dict[str, float]:
 
 
 async def _start(**kwargs):
-    settings = dict(
-        workers=1, rate_units_per_s=1e9, capacity_units=BIG, max_wait_s=0.005
-    )
+    settings = dict(workers=1, rate_units_per_s=1e9, capacity_units=BIG)
     settings.update(kwargs)
     svc = SolveService(**settings)
     host, port = await svc.start()
