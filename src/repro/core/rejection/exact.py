@@ -143,12 +143,10 @@ def branch_and_bound(problem: RejectionProblem) -> RejectionSolution:
     cycles = [problem.tasks[i].cycles for i in order]
     penalties = [problem.tasks[i].penalty for i in order]
     densities = [p / c for p, c in zip(penalties, cycles)]
-    # Plain-float prefix sums: the bound objective feeds these into the
-    # scalar energy function, which must never see np.float64 (its ``**``
-    # is not bit-equal to CPython's).  The values themselves are
-    # identical on either kernel (left-to-right accumulation).
-    cum_c = [float(x) for x in kern.prefix_sums(cycles)]
-    cum_p = [float(x) for x in kern.prefix_sums(penalties)]
+    # Plain-float prefix sums (on every kernel): the bound objective
+    # feeds these into the scalar energy function.
+    cum_c = kern.prefix_sums(cycles)
+    cum_p = kern.prefix_sums(penalties)
 
     incumbent = greedy_marginal(problem)
     best_cost = incumbent.cost

@@ -29,13 +29,8 @@ from __future__ import annotations
 
 from repro.core.rejection.problem import RejectionProblem, RejectionSolution
 from repro.kernels import get_kernel
-from repro.kernels.base import improves
 from repro.obs import counters as obs_counters
 from repro.obs.trace import span
-
-# Backwards-compatible aliases (the tolerance and predicate moved to the
-# kernel layer so both backends share them).
-_improves = improves
 
 
 def _acceptable_indices(problem: RejectionProblem) -> list[int]:

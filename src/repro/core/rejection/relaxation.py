@@ -120,11 +120,10 @@ def fractional_relaxation(problem: RejectionProblem) -> FractionalRelaxation:
     w_lo = 0.0
 
     # Prefix sums: rejecting the first k tasks (density order) sheds
-    # cum_c[k] cycles at cum_p[k] penalty.  Both kernels accumulate
-    # strictly left to right, so the floats match the scalar loop bit
-    # for bit.
-    cum_c = [float(v) for v in kern.prefix_sums(cycles)]
-    cum_p = [float(v) for v in kern.prefix_sums(penalties)]
+    # cum_c[k] cycles at cum_p[k] penalty, accumulated strictly left to
+    # right as plain floats on every kernel.
+    cum_c = kern.prefix_sums(cycles)
+    cum_p = kern.prefix_sums(penalties)
 
     def shed_cost(rejected_cycles: float) -> float:
         """Min fractional penalty to shed *rejected_cycles* (piecewise lin)."""

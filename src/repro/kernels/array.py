@@ -1,8 +1,13 @@
-"""NumPy array kernel.
+"""NumPy array kernel: the reference kernel plus the overrides that pay.
 
-Vectorises the row/frontier/sweep primitives of the kernel interface
-while reproducing the pure-python reference bit for bit (the contract in
-:mod:`repro.kernels.base`):
+NumPy's per-call overhead exceeds a short python loop, so
+:class:`NumpyKernel` inherits :class:`~repro.kernels.pyref.PythonKernel`
+and overrides only what the crossover sweep in ``docs/kernels.md``
+("Where numpy pays") shows faster.  Sequence-returning ops are
+vectorised at every size, so callers always get an ``ndarray``;
+``marginal_best`` runs the inherited loop below :data:`VECTOR_MIN_LEN`
+candidates.  Every override reproduces the
+reference bit for bit (the contract in :mod:`repro.kernels.base`):
 
 * reductions use ``np.add.accumulate`` / elementwise float64 ops, which
   round exactly like the reference's left-to-right loops;
@@ -25,14 +30,17 @@ import numpy as np
 from repro._validation import CAPACITY_RTOL
 from repro.kernels.base import (
     IMPROVE_RTOL,
-    SHED_ATOL,
     FrontierStep,
-    Kernel,
     energy_many,
-    improves,
     staircase_applies,
-    suffix_shed_cost,
 )
+from repro.kernels.pyref import PythonKernel
+
+#: ``marginal_best`` runs the inherited reference loop on fewer
+#: candidates than this: below it numpy's per-call overhead costs more
+#: than the loop it replaces.  The op receives plain Python floats, so
+#: both branches return the same bits.
+VECTOR_MIN_LEN = 24
 
 
 def _as_array(values: Sequence[float]) -> np.ndarray:
@@ -41,8 +49,8 @@ def _as_array(values: Sequence[float]) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-class NumpyKernel(Kernel):
-    """NumPy-vectorised implementation of the kernel interface."""
+class NumpyKernel(PythonKernel):
+    """The reference kernel with NumPy-vectorised ops where they pay."""
 
     name = "numpy"
 
@@ -55,33 +63,6 @@ class NumpyKernel(Kernel):
 
     def cumsum(self, values: Sequence[float]) -> np.ndarray:
         return np.add.accumulate(_as_array(values))
-
-    def prefix_sums(self, values: Sequence[float]) -> np.ndarray:
-        arr = _as_array(values)
-        out = np.empty(len(arr) + 1)
-        out[0] = 0.0
-        np.add.accumulate(arr, out=out[1:])
-        return out
-
-    def density_order(
-        self, cycles: Sequence[float], penalties: Sequence[float]
-    ) -> list[int]:
-        densities = _as_array(penalties) / _as_array(cycles)
-        return [int(i) for i in np.argsort(densities, kind="stable")]
-
-    def prefix_reject_count(
-        self, cycles: Sequence[float], workload: float, capacity: float
-    ) -> tuple[int, float]:
-        bound = capacity * (1 + CAPACITY_RTOL)
-        if workload <= bound:
-            return 0, workload
-        remaining = workload - self.cumsum(cycles)
-        hits = np.flatnonzero(remaining <= bound)
-        if len(hits) == 0:
-            last = float(remaining[-1]) if len(remaining) else workload
-            return len(cycles), last
-        k = int(hits[0])
-        return k + 1, float(remaining[k])
 
     def energy_table(
         self, energy_fn, workloads: Sequence[float]
@@ -101,8 +82,8 @@ class NumpyKernel(Kernel):
         penalties: Sequence[float],
         energy_fn,
     ) -> int:
-        if len(cycles) == 0:
-            return -1
+        if len(cycles) < VECTOR_MIN_LEN:
+            return super().marginal_best(workload, cycles, penalties, energy_fn)
         current = energy_fn.energy(workload)
         shrunk = np.maximum(workload - _as_array(cycles), 0.0)
         savings = current - self.energy_table(energy_fn, shrunk)
@@ -280,46 +261,5 @@ class NumpyKernel(Kernel):
         best = int(np.argmin(costs))
         return int(masks[best]), float(costs[best])
 
-    def bound_breakpoint_min(
-        self,
-        cum_c: Sequence[float],
-        cum_p: Sequence[float],
-        densities: Sequence[float],
-        start: int,
-        base_workload: float,
-        base_penalty: float,
-        w_hi: float,
-        suffix_total: float,
-        capacity: float,
-        energy_fn,
-    ) -> float:
-        cc = _as_array(cum_c)
-        cp = _as_array(cum_p)
-        dens = _as_array(densities)
-        n = len(dens)
-        offset = cc[start]
-        w = suffix_total - (cc[start:] - offset)
-        ok = (w >= 0.0) & (w <= w_hi + 1e-12)
-        if not ok.any():  # pragma: no cover - k = n always yields w = 0
-            return np.inf
-        wc = np.minimum(w[ok], w_hi)
-        rejected = suffix_total - wc
-        # Vectorised suffix_shed_cost (same arithmetic, elementwise).
-        shed = np.zeros(len(rejected))
-        positive = rejected > 0.0
-        if positive.any():
-            rej = rejected[positive]
-            target = (rej - SHED_ATOL) + offset
-            j = np.maximum(np.searchsorted(cc, target, side="left"), start + 1)
-            full = j > n
-            k = np.minimum(j, n) - 1
-            partial = (cp[k] - cp[start]) + (rej - (cc[k] - offset)) * dens[k]
-            shed[positive] = np.where(full, cp[n] - cp[start], partial)
-        energies = self.energy_table(
-            energy_fn, np.minimum(base_workload + wc, capacity)
-        )
-        return float(np.min(base_penalty + energies + shed))
 
-
-# Re-exported for symmetry with the reference backend's helpers.
-__all__ = ["NumpyKernel", "improves", "suffix_shed_cost"]
+__all__ = ["NumpyKernel"]

@@ -8,7 +8,8 @@ Two backends implement it:
 
 * :mod:`repro.kernels.pyref` — the pure-python reference; always
   available, dependency-free, and the semantic ground truth.
-* :mod:`repro.kernels.array` — NumPy-vectorised rows; optional, and
+* :mod:`repro.kernels.array` — the reference plus NumPy-vectorised
+  overrides for the ops and input sizes where they pay; optional, and
   differentially tested to return **bit-identical** results.
 
 Exact-equivalence contract
@@ -49,6 +50,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro._validation import CAPACITY_RTOL
 
@@ -174,14 +176,14 @@ class Kernel(ABC):
     def cumsum(self, values: Sequence[float]) -> Sequence[float]:
         """Strict left-to-right prefix sums (``out[i] = out[i-1] + v[i]``)."""
 
-    def prefix_sums(self, values: Sequence[float]) -> Sequence[float]:
+    def prefix_sums(self, values: Sequence[float]) -> list[float]:
         """:meth:`cumsum` with a leading 0 (length ``n + 1``).
 
         The branch-and-bound shed-cost tables index these as
-        ``cum[k] - cum[start]``.
+        ``cum[k] - cum[start]`` and feed them to the scalar energy
+        function, so every backend returns plain floats.
         """
-        cum = self.cumsum(values)
-        return [0.0, *cum]
+        return list(accumulate(values, initial=0.0))
 
     @abstractmethod
     def density_order(
@@ -232,22 +234,23 @@ class Kernel(ABC):
 
         The scan is inherently sequential (each decision conditions the
         next workload) and evaluates at most ``count + 2`` energies, so
-        the lazy reference implementation is shared by both backends.
+        both backends share this lazy loop over plain floats; ``shed``
+        is ``cum[k]``, accumulated left to right as the scan advances.
         """
-        # float() casts keep np.float64 out of ``energy`` (whose ``**``
-        # is not bit-equal to CPython's) when the cumsum is an ndarray.
-        cum = self.cumsum(cycles)
-        current = energy_fn.energy(max(float(workload), 0.0))
+        energy = energy_fn.energy
+        current = energy(max(workload, 0.0))
+        remaining = workload
+        shed = 0.0
         count = 0
-        for k in range(len(cycles)):
-            after = energy_fn.energy(max(float(workload - cum[k]), 0.0))
-            if not improves(current - after, float(penalties[k])):
+        for c, p in zip(cycles, penalties):
+            shed = shed + c
+            after = energy(max(workload - shed, 0.0))
+            if not improves(current - after, p):
                 break
             count += 1
             current = after
-        if count == 0:
-            return 0, workload
-        return count, float(workload - cum[count - 1])
+            remaining = workload - shed
+        return count, remaining
 
     @abstractmethod
     def marginal_best(

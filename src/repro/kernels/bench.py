@@ -53,8 +53,9 @@ __all__ = ["BENCH_SOLVERS", "SCHEMA_VERSION", "run_bench"]
 #: Bump on any change to the BENCH_kernels.json layout.
 SCHEMA_VERSION = 1
 
-#: Instance sizes of the full run (paper-scale trajectory).
-SIZES = (100, 1_000, 10_000)
+#: Instance sizes of the full run: the served request band (loadgen
+#: bodies carry 6-12 tasks) and the paper-scale trajectory.
+SIZES = (12, 100, 1_000, 10_000)
 
 #: Instance sizes of ``--smoke`` (CI: seconds, not minutes).
 SMOKE_SIZES = (20, 50)

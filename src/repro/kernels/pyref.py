@@ -5,7 +5,8 @@ The dependency-free backend every environment gets: plain lists,
 floating-point operation order the NumPy backend must reproduce
 (:mod:`repro.kernels.base` documents the contract).  It is the semantic
 ground truth the differential test wall measures
-:class:`repro.kernels.array.NumpyKernel` against.
+:class:`repro.kernels.array.NumpyKernel` against, and that kernel's base
+class: it overrides only the ops where vectorising pays.
 """
 
 from __future__ import annotations

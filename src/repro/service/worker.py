@@ -120,10 +120,12 @@ def _solve_one(payload: dict[str, Any]):
     if algorithm == "rand_reject":
         if np is None:  # pragma: no cover - no-numpy CI job
             raise RequestError("rand_reject requires numpy on the server")
-        # Deterministic: derive the stream from the instance content so
-        # identical payloads produce identical (cacheable) results in
-        # every worker process.
-        key = cache_key("service:rand_reject", payload["instance"])
+        # Deterministic: derive the stream from the instance content alone
+        # (no code fingerprint), so identical payloads produce identical
+        # results in every worker process and across source edits.
+        key = cache_key(
+            "service:rand_reject", payload["instance"], code_version=""
+        )
         seed = int(key[:8], 16)
         return solver(problem, rng=np.random.default_rng(seed))
     return solver(problem)

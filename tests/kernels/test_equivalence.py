@@ -171,3 +171,69 @@ def test_cross_kernel_ops_bitwise_on_random_rows():
                 b_out, b_take = nu.dp_relax_min(row, shift, 0.75)
                 assert [float(x) for x in b_out] == a_out
                 assert [bool(t) for t in b_take] == [bool(t) for t in a_take]
+
+
+# --------------------------------------------------------------------- #
+# The vectorisation gate                                                #
+# --------------------------------------------------------------------- #
+#
+# The hypothesis instances above have at most 9 tasks, so the numpy
+# kernel's marginal_best runs the inherited reference loop on them.
+# This holds the vectorised branch to the same bits on inputs that
+# straddle the gate, over every serialisable energy-function family.
+
+
+def _marginal_args(rng, n):
+    fn = strategies.random_energy_fn(rng)
+    cap = fn.max_workload
+    raw = rng.uniform(0.5, 2.0, size=n)
+    cycles = (raw * (float(rng.uniform(0.8, 1.6)) * cap / raw.sum())).tolist()
+    workload = min(sum(cycles), cap)
+    # Penalties around each candidate's own saving; a lift above 1.25
+    # puts every penalty above its saving, so -1 occurs as well.
+    g = fn.energy
+    lift = float(rng.uniform(0.6, 1.6))
+    pens = [
+        (g(workload) - g(max(workload - c, 0.0)))
+        * lift
+        * float(rng.uniform(0.8, 1.2))
+        for c in cycles
+    ]
+    return workload, cycles, pens, fn
+
+
+@needs_numpy
+@pytest.mark.parametrize("seed", range(8))
+def test_marginal_best_bitwise_across_the_gate(seed, monkeypatch):
+    """gate - 1, gate, gate + 1 and a long input; the vectorised branch
+    runs exactly from the gate up."""
+    from repro.kernels.array import VECTOR_MIN_LEN
+    from repro.kernels.pyref import PythonKernel
+
+    reference = PythonKernel.marginal_best
+    routed = []
+
+    def spy(self, *args):
+        routed.append(self.name)
+        return reference(self, *args)
+
+    monkeypatch.setattr(PythonKernel, "marginal_best", spy)
+    with use_kernel("python") as py, use_kernel("numpy") as nu:
+        for n in (VECTOR_MIN_LEN - 1, VECTOR_MIN_LEN, VECTOR_MIN_LEN + 1, 200):
+            args = _marginal_args(np.random.default_rng([seed, n]), n)
+            routed.clear()
+            got = nu.marginal_best(*args)
+            assert routed == (["numpy"] if n < VECTOR_MIN_LEN else [])
+            want = py.marginal_best(*args)
+            assert got == want and type(got) is type(want)
+
+
+@needs_numpy
+@pytest.mark.parametrize("seed", [0, 1])
+def test_served_bodies_solve_identically_on_both_kernels(seed):
+    """``greedy_marginal`` on the loadgen request stream (6-12 tasks)."""
+    from repro.io import instance_from_dict
+    from repro.service.loadgen import make_bodies
+
+    for body in make_bodies(seed, 200):
+        _assert_equivalent(greedy_marginal, instance_from_dict(body["instance"]))

@@ -193,6 +193,15 @@ def test_marginal_best_rejects_fp_noise_improvements(kern):
     assert kern.marginal_best(1.0, [0.5], [saving], g) == -1
 
 
+def test_marginal_best_corners_hold_above_the_vectorisation_gate(kern):
+    # 32 candidates: past the numpy kernel's gate (VECTOR_MIN_LEN), so
+    # its vectorised branch, not the inherited loop, meets both corners.
+    g = _Cubic()
+    assert kern.marginal_best(1.0, [0.5] * 32, [0.01] * 32, g) == 0
+    saving = g.energy(1.0) - g.energy(0.5)
+    assert kern.marginal_best(1.0, [0.5] * 32, [saving] * 32, g) == -1
+
+
 def test_improving_prefix_stops_at_first_non_improving(kern):
     g = _Cubic()
     # Rejecting the first task (cycles 0.5, penalty ~0) improves; the

@@ -173,6 +173,23 @@ class TestSolvePath:
 
         run(body())
 
+    def test_rand_reject_answer_ignores_the_code_fingerprint(self, monkeypatch):
+        # The stream is seeded from the instance alone: a source edit (a
+        # new fingerprint) must not change the served answer.
+        import repro.runner.cache as runner_cache
+
+        payload = {
+            "instance": instance_to_dict(_multiproc_problem(n=40, m=2)),
+            "algorithm": "rand_reject",
+        }
+        solutions = []
+        for fingerprint in ("0" * 64, "1" * 64, "f" * 64):
+            monkeypatch.setattr(runner_cache, "_FINGERPRINT", fingerprint)
+            reply = worker_mod.solve_payload(payload)
+            assert reply["ok"], reply
+            solutions.append(reply["solution"])
+        assert solutions[0] == solutions[1] == solutions[2]
+
     def test_worker_rejects_bad_instance_payload_with_400(self):
         async def body():
             svc, host, port = await _start()
