@@ -18,17 +18,20 @@ Algorithms:
   baseline), no improvement pass.
 * :func:`global_greedy_reject` — LTF seed plus a *global* improvement
   loop picking the single best rejection anywhere in the system.
-* :func:`exhaustive_multiproc` — optimal by enumerating all
-  ``(M+1)^n`` assignments (tiny instances; the oracle for Fig R7's
-  normalisation at small n and for the property tests).
+* :func:`exhaustive_multiproc` — optimal over all ``(M+1)^n``
+  assignments (tiny instances; the oracle for Fig R7's normalisation at
+  small n and for the property tests).  :func:`exhaustive_assignment`
+  walks them depth-first, pruning a subtree at its first overloaded
+  processor and evaluating ``g`` once per distinct load; the guard
+  still counts the raw ``(M+1)^n``.
 * :func:`pooled_lower_bound` — Jensen-pooled fractional relaxation, the
   scalable normaliser.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 try:  # NumPy is optional: it only appears in rng type annotations here.
@@ -36,7 +39,7 @@ try:  # NumPy is optional: it only appears in rng type annotations here.
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     np = None  # annotations are strings (PEP 563); never evaluated
 
-from repro._validation import fits
+from repro._validation import capacity_limit, fits
 from repro.core.rejection.problem import CostBreakdown
 from repro.core.rejection.relaxation import fractional_lower_bound
 from repro.energy.base import EnergyFunction
@@ -286,13 +289,79 @@ def global_greedy_reject(
     return _finish(problem, buckets, rejected, "global_greedy_reject")
 
 
+def exhaustive_assignment(
+    tasks: FrameTaskSet,
+    fns: Sequence[EnergyFunction],
+    caps: Sequence[float],
+) -> tuple[list[list[int]], list[int]]:
+    """The first optimum over all ``(C+1)^n`` choices, as (buckets, rejected).
+
+    Choice 0 rejects a task and choice ``c`` puts it on core ``c-1``
+    (curve ``fns[c-1]``, capacity ``caps[c-1]``); a choice costs
+    ``penalty + sum(g_c(W_c))``.  A depth-first walk over tasks in index
+    order, trying choices in code order, reaches the leaves in
+    ``itertools.product`` order, so the strict ``<`` keeps the first
+    minimum.  The running loads and penalty add the same floats in the
+    same order as a per-leaf sum, a subtree is pruned at its first
+    capacity violation, and each core's ``g`` is looked up in a memo
+    per distinct (curve, load) when its load changes.
+    """
+    sizes = [t.cycles for t in tasks]
+    penalties = [t.penalty for t in tasks]
+    n, cores = len(sizes), range(len(fns))
+    limits = [capacity_limit(cap) for cap in caps]
+    by_fn: dict[EnergyFunction, dict[float, float]] = {fn: {} for fn in fns}
+    memos = [by_fn[fn] for fn in fns]
+    loads = [0.0] * len(fns)
+    energies = [fn.energy(0.0) for fn in fns]
+    choice = [0] * n
+    best_cost = math.inf
+    best: tuple[int, ...] | None = None
+
+    def walk(i: int, penalty: float) -> None:
+        nonlocal best_cost, best
+        if i == n:
+            cost = penalty + sum(energies)
+            if cost < best_cost:
+                best_cost, best = cost, tuple(choice)
+            return
+        choice[i] = 0
+        walk(i + 1, penalty + penalties[i])
+        for c in cores:
+            before = loads[c]
+            load = before + sizes[i]
+            if load > limits[c]:
+                continue
+            energy = memos[c].get(load)
+            if energy is None:
+                energy = memos[c][load] = fns[c].energy(load)
+            saved = energies[c]
+            loads[c], energies[c] = load, energy
+            choice[i] = c + 1
+            walk(i + 1, penalty)
+            loads[c], energies[c] = before, saved
+
+    walk(0, 0.0)
+    if best is None:  # pragma: no cover - all-reject always feasible
+        raise AssertionError("no feasible assignment found")
+    buckets: list[list[int]] = [[] for _ in fns]
+    rejected: list[int] = []
+    for i, c in enumerate(best):
+        if c == 0:
+            rejected.append(i)
+        else:
+            buckets[c - 1].append(i)
+    return buckets, rejected
+
+
 def exhaustive_multiproc(
     problem: MultiprocRejectionProblem,
 ) -> MultiprocRejectionSolution:
-    """Optimal assignment by enumeration over ``(M+1)^n`` choices.
+    """Optimal assignment over all ``(M+1)^n`` choices.
 
     Identical processors make most assignments symmetric, but the guard
-    is on the raw count; use only for oracle-sized instances.
+    is on the raw count; use only for oracle-sized instances.  The walk
+    is :func:`exhaustive_assignment`'s.
     """
     count = (problem.m + 1) ** problem.n
     if count > MAX_ENUM_ASSIGNMENTS:
@@ -300,38 +369,11 @@ def exhaustive_multiproc(
             f"{count} assignments exceed the enumeration guard "
             f"({MAX_ENUM_ASSIGNMENTS}); use the heuristics or shrink n"
         )
-    sizes = [t.cycles for t in problem.tasks]
-    g = problem.energy_fn
-    cap = problem.capacity
-    best_cost = math.inf
-    best_choice: tuple[int, ...] | None = None
-    for choice in itertools.product(range(problem.m + 1), repeat=problem.n):
-        loads = [0.0] * problem.m
-        penalty = 0.0
-        feasible = True
-        for i, c in enumerate(choice):
-            if c == 0:
-                penalty += problem.tasks[i].penalty
-            else:
-                loads[c - 1] += sizes[i]
-                if not fits(loads[c - 1], cap):
-                    feasible = False
-                    break
-        if not feasible:
-            continue
-        cost = penalty + sum(g.energy(w) for w in loads)
-        if cost < best_cost:
-            best_cost = cost
-            best_choice = choice
-    if best_choice is None:  # pragma: no cover - all-reject always feasible
-        raise AssertionError("no feasible assignment found")
-    buckets: list[list[int]] = [[] for _ in range(problem.m)]
-    rejected: list[int] = []
-    for i, c in enumerate(best_choice):
-        if c == 0:
-            rejected.append(i)
-        else:
-            buckets[c - 1].append(i)
+    buckets, rejected = exhaustive_assignment(
+        problem.tasks,
+        [problem.energy_fn] * problem.m,
+        [problem.capacity] * problem.m,
+    )
     return _finish(problem, buckets, rejected, "exhaustive_multiproc")
 
 

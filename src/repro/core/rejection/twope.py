@@ -14,19 +14,24 @@ with a *workload-dependent* PE (energy ∝ utilisation, the companion's
 ``(P2·L)·U2`` model); a workload-independent PE is the special case
 ``pe_power·D`` charged iff any task lands there (also supported).
 
-Algorithms: :func:`exhaustive_twope` (3ⁿ oracle) and
-:func:`greedy_twope` (density-ordered marginal placement with a
-rejection-repair pass).
+Algorithms: :func:`exhaustive_twope` (the 3ⁿ oracle, walked depth-first
+with infeasible subtrees pruned and ``g`` evaluated once per distinct DVS
+load; its guard counts the raw 3ⁿ) and :func:`greedy_twope`
+(density-ordered marginal placement with a rejection-repair pass).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro._validation import fits, require_nonnegative, require_positive
+from repro._validation import (
+    capacity_limit,
+    fits,
+    require_nonnegative,
+    require_positive,
+)
 from repro.core.rejection.problem import CostBreakdown
 from repro.energy.base import EnergyFunction
 from repro.obs import counters as obs_counters
@@ -193,7 +198,17 @@ def _solution(problem: TwoPeProblem, placement, algorithm: str) -> TwoPeSolution
 
 
 def exhaustive_twope(problem: TwoPeProblem) -> TwoPeSolution:
-    """Optimal placement by 3ⁿ enumeration (oracle-sized instances)."""
+    """Optimal placement over all 3ⁿ placements (oracle-sized instances).
+
+    A depth-first walk over tasks in index order, trying REJECT, DVS, PE
+    at each task, so leaves arrive in ``itertools.product`` order and
+    the strict ``<`` keeps the first minimum.  The running DVS load, PE
+    utilisation and penalty add the same floats in the same order as a
+    per-leaf sum, and a subtree is pruned at its first capacity
+    violation.  Each side's energy is priced where its load changes and
+    carried down to the leaves, ``g`` once per distinct DVS load (at most
+    2ⁿ).  The guard still counts the raw 3ⁿ.
+    """
     count = 3**problem.n
     if count > MAX_ENUM:
         raise ValueError(
@@ -201,40 +216,48 @@ def exhaustive_twope(problem: TwoPeProblem) -> TwoPeSolution:
         )
     g = problem.energy_fn
     cap = problem.dvs_capacity
-    horizon = g.deadline
+    limit = capacity_limit(cap)
+    tasks = problem.tasks
+    n = problem.n
+    pe_energy = problem.pe_energy
+    energies: dict[float, float] = {}  # g per distinct DVS load
+    placement = [REJECT] * n
     best_cost = math.inf
-    best = None
-    obs_counters.emit("exhaustive_twope", calls=1, placements=count)
-    with span("solve.exhaustive_twope", n=problem.n):
-        for placement in itertools.product(
-            (REJECT, DVS, PE), repeat=problem.n
-        ):
-            dvs = pe = penalty = 0.0
-            any_pe = False
-            ok = True
-            for task, where in zip(problem.tasks, placement):
-                if where == DVS:
-                    dvs += task.cycles
-                    if not fits(dvs, cap):
-                        ok = False
-                        break
-                elif where == PE:
-                    pe += task.pe_utilization
-                    any_pe = True
-                    if pe > 1.0 + 1e-12:
-                        ok = False
-                        break
-                else:
-                    penalty += task.penalty
-            if not ok:
-                continue
-            cost = (
-                g.energy(min(dvs, cap))
-                + problem.pe_energy(pe, any_pe)
-                + penalty
-            )
+    best: tuple[int, ...] | None = None
+
+    def walk(
+        i: int, dvs: float, energy: float, pe: float, pe_cost: float, penalty: float
+    ) -> None:
+        nonlocal best_cost, best
+        if i == n:
+            cost = energy + pe_cost + penalty
             if cost < best_cost:
-                best_cost, best = cost, placement
+                best_cost, best = cost, tuple(placement)
+            return
+        task = tasks[i]
+        placement[i] = REJECT
+        walk(i + 1, dvs, energy, pe, pe_cost, penalty + task.penalty)
+        load = dvs + task.cycles
+        if load <= limit:
+            placement[i] = DVS
+            loaded = energies.get(load)
+            if loaded is None:
+                loaded = energies[load] = g.energy(min(load, cap))
+            walk(i + 1, load, loaded, pe, pe_cost, penalty)
+        util = pe + task.pe_utilization
+        if util <= 1.0 + 1e-12:
+            placement[i] = PE
+            walk(i + 1, dvs, energy, util, pe_energy(util, True), penalty)
+
+    energies[0.0] = g.energy(0.0)
+    with span("solve.exhaustive_twope", n=n):
+        walk(0, 0.0, energies[0.0], 0.0, pe_energy(0.0, False), 0.0)
+    obs_counters.emit(
+        "exhaustive_twope",
+        calls=1,
+        placements=count,
+        energy_evals=len(energies),
+    )
     if best is None:  # pragma: no cover - all-reject is always valid
         raise AssertionError("no valid placement")
     return _solution(problem, best, "exhaustive_twope")

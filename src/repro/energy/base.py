@@ -12,6 +12,7 @@ rely on exactly that, and the property-based tests enforce it.
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -106,11 +107,30 @@ class EnergyFunction(ABC):
     ----------
     deadline:
         The horizon ``D`` (frame deadline or hyper-period length).
+
+    Every concrete ``__init__`` ends with :meth:`_fix_limit`; until it
+    runs, the class default ``_limit`` admits no workload, so the
+    public entry points take the full check of :meth:`_check_workload`.
     """
+
+    #: The largest float workload :meth:`_check_workload` admits.
+    _limit = -1.0
 
     def __init__(self, deadline: float) -> None:
         require_positive("deadline", deadline)
         self._deadline = float(deadline)
+
+    def _fix_limit(self) -> None:
+        """Fix ``_limit`` from :attr:`max_workload`; the last step of ``__init__``.
+
+        Capped at the largest finite float, since ``inf`` is never a
+        workload: the fast paths then need no separate ``inf`` test.
+        """
+        # Written during construction, never lazily (no cached_property):
+        # on CPython 3.11 an attribute added to the instance dict after
+        # __init__ slows every later self._model/self._deadline read in
+        # _energy, which costs more than the limit saves.
+        self._limit = min(capacity_limit(self.max_workload), sys.float_info.max)
 
     @property
     def deadline(self) -> float:
@@ -125,8 +145,12 @@ class EnergyFunction(ABC):
     def energy(self, workload: float) -> float:
         """Minimum energy (J) to retire *workload* cycles by the deadline.
 
-        Raises ValueError when the workload is infeasible.
+        Raises ValueError when the workload is infeasible.  A plain float
+        within ``[0, _limit]`` skips :meth:`_check_workload`, which would
+        return it unchanged.
         """
+        if type(workload) is float and 0.0 <= workload <= self._limit:
+            return self._energy(workload)
         return self._energy(self._check_workload(workload))
 
     def energy_many(self, workloads: Iterable[float]) -> list[float]:
@@ -137,14 +161,10 @@ class EnergyFunction(ABC):
         through this one call, so the fast path of
         :meth:`_check_workload` is inlined here with the limit hoisted.
         """
-        limit = capacity_limit(self.max_workload)
+        limit = self._limit
         energy, check = self._energy, self._check_workload
         return [
-            energy(
-                w
-                if type(w) is float and 0.0 <= w <= limit and w != math.inf
-                else check(w)
-            )
+            energy(w if type(w) is float and 0.0 <= w <= limit else check(w))
             for w in workloads
         ]
 
@@ -183,11 +203,7 @@ class EnergyFunction(ABC):
         A plain float is accepted by one range test, which admits exactly
         the floats the full checks below admit.
         """
-        if (
-            type(workload) is float
-            and 0.0 <= workload <= capacity_limit(self.max_workload)
-            and workload != math.inf
-        ):
+        if type(workload) is float and 0.0 <= workload <= self._limit:
             return workload
         require_nonnegative("workload", workload)
         if not fits(workload, self.max_workload):

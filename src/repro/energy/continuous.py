@@ -46,6 +46,7 @@ class ContinuousEnergyFunction(EnergyFunction):
         self._floor = (
             power_model.static_power * self._deadline if include_static_floor else 0.0
         )
+        self._fix_limit()
 
     @property
     def power_model(self) -> PowerModel:

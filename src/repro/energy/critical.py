@@ -54,6 +54,7 @@ class CriticalSpeedEnergyFunction(EnergyFunction):
         self._model = power_model
         self._dormant = dormant if dormant is not None else DormantMode()
         self._s_star = power_model.critical_speed()
+        self._fix_limit()
 
     @property
     def power_model(self) -> PowerModel:

@@ -68,6 +68,7 @@ class DiscreteEnergyFunction(EnergyFunction):
             )
         else:
             self._critical_level = levels.s_min
+        self._fix_limit()
 
     @property
     def power_model(self) -> PowerModel:

@@ -16,8 +16,10 @@ Algorithms (mirroring the homogeneous roster in
   routed to a core **type** by marginal pooled (fluid) energy — the
   decision a global scheduler would make — then realised as a
   partitioned LTF packing inside each type, with overflow rejected.
-* :func:`exhaustive_hetero` — optimal by enumerating ``(C+1)^n``
-  per-core assignments (oracle-sized instances only).
+* :func:`exhaustive_hetero` — optimal over all ``(C+1)^n`` per-core
+  assignments (oracle-sized instances only), walked depth-first with
+  overloaded subtrees pruned and ``g`` evaluated once per distinct
+  (type, load); the guard still counts the raw ``(C+1)^n``.
 * :func:`hetero_pooled_lower_bound` — fractional relaxation over the
   inf-convolution of the per-type Jensen pools: a valid lower bound
   that also optimises the LP/HP workload split.
@@ -25,12 +27,12 @@ Algorithms (mirroring the homogeneous roster in
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from repro._validation import fits
+from repro.core.rejection.multiproc import exhaustive_assignment
 from repro.core.rejection.problem import CostBreakdown, RejectionProblem
 from repro.core.rejection.relaxation import (
     _minimize_convex,
@@ -349,11 +351,14 @@ def typed_global_reject(problem: HeteroRejectionProblem) -> HeteroRejectionSolut
 
 
 def exhaustive_hetero(problem: HeteroRejectionProblem) -> HeteroRejectionSolution:
-    """Optimal assignment by enumeration over ``(C+1)^n`` choices.
+    """Optimal assignment over all ``(C+1)^n`` choices.
 
     ``C`` is the flattened core count; choice 0 rejects a task, choice
-    ``c`` places it on core ``c-1``.  First minimum in enumeration order
-    wins ties, making the oracle deterministic.
+    ``c`` places it on core ``c-1``.  The depth-first walk of
+    :func:`~repro.core.rejection.multiproc.exhaustive_assignment` keeps
+    the first minimum in ``itertools.product`` order, making the oracle
+    deterministic, and evaluates each type's ``g`` once per distinct
+    load.  The guard still counts the raw ``(C+1)^n``.
     """
     count = (problem.m + 1) ** problem.n
     if count > MAX_ENUM_ASSIGNMENTS:
@@ -361,38 +366,9 @@ def exhaustive_hetero(problem: HeteroRejectionProblem) -> HeteroRejectionSolutio
             f"{count} assignments exceed the enumeration guard "
             f"({MAX_ENUM_ASSIGNMENTS}); use the heuristics or shrink n"
         )
-    sizes = [t.cycles for t in problem.tasks]
-    fns = problem.core_energy_fns
-    caps = problem.core_caps
-    best_cost = math.inf
-    best_choice: tuple[int, ...] | None = None
-    for choice in itertools.product(range(problem.m + 1), repeat=problem.n):
-        loads = [0.0] * problem.m
-        penalty = 0.0
-        feasible = True
-        for i, c in enumerate(choice):
-            if c == 0:
-                penalty += problem.tasks[i].penalty
-            else:
-                loads[c - 1] += sizes[i]
-                if not fits(loads[c - 1], caps[c - 1]):
-                    feasible = False
-                    break
-        if not feasible:
-            continue
-        cost = penalty + sum(fn.energy(w) for fn, w in zip(fns, loads))
-        if cost < best_cost:
-            best_cost = cost
-            best_choice = choice
-    if best_choice is None:  # pragma: no cover - all-reject always feasible
-        raise AssertionError("no feasible assignment found")
-    buckets: list[list[int]] = [[] for _ in range(problem.m)]
-    rejected: list[int] = []
-    for i, c in enumerate(best_choice):
-        if c == 0:
-            rejected.append(i)
-        else:
-            buckets[c - 1].append(i)
+    buckets, rejected = exhaustive_assignment(
+        problem.tasks, problem.core_energy_fns, problem.core_caps
+    )
     return _finish(problem, buckets, rejected, "exhaustive_hetero")
 
 
@@ -417,6 +393,7 @@ class SplitPooledEnergyFunction(EnergyFunction):
         super().__init__(pool_a.deadline)
         self._a = pool_a
         self._b = pool_b
+        self._fix_limit()
 
     @property
     def max_workload(self) -> float:

@@ -49,6 +49,7 @@ class PooledEnergyFunction(EnergyFunction):
         super().__init__(per_processor.deadline)
         self._inner = per_processor
         self._m = int(m)
+        self._fix_limit()
 
     @property
     def m(self) -> int:

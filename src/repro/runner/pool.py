@@ -28,10 +28,16 @@ run.
 
 Executors are created lazily, keyed by worker count, reused across
 sweep points and experiments in the same process, and shut down at
-interpreter exit.  A worker death (``BrokenProcessPool``) evicts the
-poisoned executor, rebuilds it, and retries the batch once before
-raising, so one crash never disables the pool for the rest of the
-process.
+interpreter exit.  A batch smaller than ``jobs`` still runs on the
+``jobs``-worker executor, so mixed batch sizes share one pool.  A
+worker death (``BrokenProcessPool``) evicts the poisoned executor,
+rebuilds it, and retries the batch once before raising, so one crash
+never disables the pool for the rest of the process.
+
+Workers forked after a server in this process bound its port close
+their inherited copy of the listening socket
+(:func:`register_listeners`), so a stopped server's port refuses
+connections instead of queueing them in a worker that never accepts.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from __future__ import annotations
 import atexit
 import functools
 import os
+import socket
 import time
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -52,12 +59,18 @@ __all__ = [
     "evict_executor",
     "get_executor",
     "map_trials",
+    "register_listeners",
     "shutdown_pools",
     "trial_seeds",
+    "unregister_listeners",
 ]
 
 #: Live executors, keyed by worker count.
 _EXECUTORS: dict[int, ProcessPoolExecutor] = {}
+
+#: File descriptors of the listening sockets servers in this process
+#: have bound and not yet closed.
+_LISTENERS: set[int] = set()
 
 
 def trial_seeds(seed: int, trials: int) -> list[tuple[int, int]]:
@@ -75,6 +88,44 @@ def shutdown_pools() -> None:
 atexit.register(shutdown_pools)
 
 
+def register_listeners(sockets: Iterable) -> None:
+    """Have pool workers forked from now on close these listening sockets.
+
+    A forked worker holds every fd its parent had open; while it holds a
+    listening socket, the kernel keeps accepting connections on the port
+    after the server closed it, and nobody serves them.
+    """
+    _LISTENERS.update(sock.fileno() for sock in sockets)
+
+
+def unregister_listeners(sockets: Iterable) -> None:
+    """Undo :func:`register_listeners`; call it before closing the sockets."""
+    _LISTENERS.difference_update(sock.fileno() for sock in sockets)
+
+
+def _close_inherited_listeners() -> None:
+    """Pool initializer: close the registered listeners a fork inherited.
+
+    Only a descriptor that is still a listening socket is closed, so a
+    stale entry can never close a pipe the worker needs.  Under the
+    spawn and forkserver start methods nothing is inherited and the set
+    is empty.
+    """
+    for fd in _LISTENERS:
+        try:
+            sock = socket.socket(fileno=fd)
+        except OSError:  # closed, or not a socket
+            continue
+        try:
+            listening = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ACCEPTCONN)
+        except OSError:
+            listening = 0
+        if listening:
+            sock.close()
+        else:
+            sock.detach()
+
+
 def get_executor(jobs: int) -> ProcessPoolExecutor:
     """The persistent executor for *jobs* workers (created on first use).
 
@@ -89,7 +140,9 @@ def get_executor(jobs: int) -> ProcessPoolExecutor:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     executor = _EXECUTORS.get(jobs)
     if executor is None:
-        executor = ProcessPoolExecutor(max_workers=jobs)
+        executor = ProcessPoolExecutor(
+            max_workers=jobs, initializer=_close_inherited_listeners
+        )
         _EXECUTORS[jobs] = executor
     return executor
 
@@ -201,9 +254,8 @@ def map_trials(
             for seed_tuple in seed_list
         ]
 
-    workers = min(jobs, len(seed_list))
     if collector is not None:
-        collector.record_pool(workers)
+        collector.record_pool(min(jobs, len(seed_list)))
     call = functools.partial(
         _timed_call,
         trial_fn,
@@ -220,11 +272,11 @@ def map_trials(
         results = []
         try:
             # executor.map preserves input order: the deterministic merge.
-            for item in get_executor(workers).map(call, seed_list):
+            for item in get_executor(jobs).map(call, seed_list):
                 results.append(item)
             break
         except BrokenProcessPool as exc:
-            evict_executor(workers)
+            evict_executor(jobs)
             if attempt == 2:
                 raise RuntimeError(
                     f"map_trials({getattr(trial_fn, '__name__', trial_fn)!r}) "

@@ -52,7 +52,12 @@ from pathlib import Path
 
 from repro.obs import counters as obs_counters
 from repro.obs.trace import active_sink, emit_record, span
-from repro.runner.pool import evict_executor, get_executor
+from repro.runner.pool import (
+    evict_executor,
+    get_executor,
+    register_listeners,
+    unregister_listeners,
+)
 from repro.service import worker as worker_mod
 from repro.service.admission import AdmissionController
 from repro.service.cache import ResultCache
@@ -272,9 +277,19 @@ class SolveService:
                 limit=MAX_BODY_BYTES,
                 reuse_port=True,
             )
+        for server in self._listeners():
+            register_listeners(server.sockets)
         self.telemetry.sample(self._sample_state())  # seed the ring
         self._sampler_task = loop.create_task(self._sampler())
         return self.host, self.port
+
+    def _listeners(self) -> list[asyncio.base_events.Server]:
+        """The bound asyncio servers (main, plus the reuse-port one)."""
+        return [
+            server
+            for server in (self._server, self._reuseport_server)
+            if server is not None
+        ]
 
     async def stop(self, drain: bool = True) -> None:
         """Stop serving; with *drain*, finish every in-flight request.
@@ -295,10 +310,9 @@ class SolveService:
         if self._sampler_task is not None:
             self._sampler_task.cancel()
             self._sampler_task = None
-        if self._server is not None:
-            self._server.close()
-        if self._reuseport_server is not None:
-            self._reuseport_server.close()
+        for server in self._listeners():
+            unregister_listeners(server.sockets)
+            server.close()
         if not drain:
             for req_id, future in self._queued.items():
                 if not future.done():
@@ -327,10 +341,8 @@ class SolveService:
             # Let every handler see its connection close and exit, so
             # none is left pending when the caller closes the loop.
             await asyncio.wait(handlers, timeout=10.0)
-        if self._server is not None:
-            await self._server.wait_closed()
-        if self._reuseport_server is not None:
-            await self._reuseport_server.wait_closed()
+        for server in self._listeners():
+            await server.wait_closed()
         if self._counting is not None:
             self._counting.__exit__(None, None, None)
             self._counting = None

@@ -61,6 +61,7 @@ if np is None:  # pragma: no cover - exercised by the no-numpy CI job
         "verify/test_strategies.py",
     ]
 
+from repro._validation import CAPACITY_RTOL, capacity_limit
 from repro.core.rejection import RejectionProblem
 from repro.energy import (
     ContinuousEnergyFunction,
@@ -180,3 +181,43 @@ def rejection_problems(draw, min_tasks: int = 1, max_tasks: int = 7):
     tasks = draw(frame_task_sets(min_tasks=min_tasks, max_tasks=max_tasks))
     energy_fn = draw(energy_functions())
     return RejectionProblem(tasks=tasks, energy_fn=energy_fn)
+
+
+#: The pairs of :func:`capacity_band_cycles` that sum to the limit,
+#: inside the tolerance band, and just beyond it.
+BAND_PAIRS = ((0, 1), (2, 3), (2, 4))
+
+
+def capacity_band_cycles(rng, cap: float) -> list[float]:
+    """Five task sizes whose pair sums straddle ``capacity_limit(cap)``.
+
+    Sizes 0 + 1 sum to exactly the limit, 2 + 3 land inside the
+    ``CAPACITY_RTOL`` band above *cap*, and 2 + 4 land just beyond the
+    limit (:data:`BAND_PAIRS`).
+    """
+    limit = capacity_limit(cap)
+    head = float(rng.uniform(0.2, 0.8)) * cap
+    sizes = [
+        cap / 2,
+        limit - cap / 2,
+        head,
+        (cap - head) + cap * CAPACITY_RTOL / 2,
+        (cap - head) + 2 * cap * CAPACITY_RTOL,
+    ]
+    assert sizes[0] + sizes[1] == limit
+    assert cap < sizes[2] + sizes[3] <= limit < sizes[2] + sizes[4]
+    return sizes
+
+
+def band_penalties(seed: int) -> list[float]:
+    """Penalties that make one :data:`BAND_PAIRS` pair the one to accept.
+
+    Every task costs 5 to reject and the pair picked by *seed* 6, so an
+    optimum keeps that pair on one processor when it fits.  A solver that
+    misjudges a load at or a hair above the capacity then picks another
+    placement.
+    """
+    penalties = [5.0] * 5
+    for i in BAND_PAIRS[seed % len(BAND_PAIRS)]:
+        penalties[i] = 6.0
+    return penalties

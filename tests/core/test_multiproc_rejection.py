@@ -1,5 +1,8 @@
 """Tests for multiprocessor rejection."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +16,13 @@ from repro.core.rejection import (
     pooled_lower_bound,
     rand_reject,
 )
-from repro.energy import ContinuousEnergyFunction
-from repro.power import PolynomialPowerModel, xscale_power_model
+from repro._validation import fits
+from repro.energy import ContinuousEnergyFunction, CriticalSpeedEnergyFunction
+from repro.multiproc.partition import Partition
+from repro.power import DormantMode, PolynomialPowerModel, xscale_power_model
 from repro.tasks import FrameTask, FrameTaskSet, frame_instance
 
-from tests.conftest import frame_task_sets
+from tests.conftest import band_penalties, capacity_band_cycles, frame_task_sets
 
 
 def make_problem(tasks, m=2, s_max=1.0):
@@ -139,3 +144,101 @@ class TestBehaviour:
         a = rand_reject(problem, np.random.default_rng(1))
         b = rand_reject(problem, np.random.default_rng(1))
         assert a.partition == b.partition
+
+
+def _product_choice(problem):
+    """The per-leaf ``itertools.product`` enumeration, as a reference.
+
+    Returns the first minimum choice tuple in product order (0 rejects,
+    ``c`` places on processor ``c-1``).
+    """
+    sizes = [t.cycles for t in problem.tasks]
+    g = problem.energy_fn
+    best_cost, best = math.inf, None
+    for choice in itertools.product(range(problem.m + 1), repeat=problem.n):
+        loads = [0.0] * problem.m
+        penalty = 0.0
+        feasible = True
+        for i, c in enumerate(choice):
+            if c == 0:
+                penalty += problem.tasks[i].penalty
+            else:
+                loads[c - 1] += sizes[i]
+                if not fits(loads[c - 1], problem.capacity):
+                    feasible = False
+                    break
+        if not feasible:
+            continue
+        cost = penalty + sum(g.energy(w) for w in loads)
+        if cost < best_cost:
+            best_cost, best = cost, choice
+    return best
+
+
+def _choice_of(solution):
+    """The choice tuple a solution's partition encodes."""
+    choice = [0] * solution.problem.n
+    for c, bucket in enumerate(solution.partition.assignments):
+        for i in bucket:
+            choice[i] = c + 1
+    return tuple(choice)
+
+
+def _cost_of(problem, choice):
+    """The validated cost of a choice tuple."""
+    partition = Partition(
+        assignments=tuple(
+            tuple(i for i, c in enumerate(choice) if c == j + 1)
+            for j in range(problem.m)
+        ),
+        unassigned=tuple(i for i, c in enumerate(choice) if c == 0),
+    )
+    return problem.solution(partition, algorithm="reference").cost
+
+
+def _family(kind, rng, seed):
+    """A seeded task set of one family (processor capacity 1.0)."""
+    tasks = list(frame_instance(rng, n_tasks=int(rng.integers(3, 7)), load=1.8))
+    if kind == "ties":  # duplicated tasks: many choices cost the same
+        tasks = tasks[:3] * 2
+    elif kind == "capacity_band":  # loads at and a hair above the capacity
+        tasks = [
+            FrameTask(name=f"b{i}", cycles=c, penalty=rho)
+            for i, (c, rho) in enumerate(
+                zip(capacity_band_cycles(rng, 1.0), band_penalties(seed))
+            )
+        ]
+    elif kind == "all_reject":  # penalties far below any energy
+        tasks = [
+            FrameTask(name=t.name, cycles=t.cycles, penalty=1e-9 * t.penalty)
+            for t in tasks
+        ]
+    return FrameTaskSet(
+        FrameTask(name=f"t{i}", cycles=t.cycles, penalty=t.penalty)
+        for i, t in enumerate(tasks)
+    )
+
+
+FAMILIES = ("random", "ties", "capacity_band", "all_reject")
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", FAMILIES)
+@pytest.mark.parametrize("seed", range(6))
+def test_depth_first_oracle_matches_the_product_enumeration(seed, kind, m):
+    rng = np.random.default_rng([seed, FAMILIES.index(kind), m])
+    tasks = _family(kind, rng, seed)
+    model = PolynomialPowerModel(beta0=0.2, beta1=1.52, alpha=3.0, s_max=1.0)
+    for g in (
+        ContinuousEnergyFunction(model, deadline=1.0),
+        CriticalSpeedEnergyFunction(
+            model, 1.0, dormant=DormantMode(t_sw=0.2, e_sw=0.05)
+        ),
+    ):
+        problem = MultiprocRejectionProblem(tasks=tasks, energy_fn=g, m=m)
+        reference = _product_choice(problem)
+        solution = exhaustive_multiproc(problem)
+        assert _choice_of(solution) == reference
+        assert solution.cost.hex() == _cost_of(problem, reference).hex()
+        if kind == "all_reject":
+            assert solution.rejected == frozenset(range(problem.n))

@@ -1,8 +1,12 @@
 """Typed assignment solvers: bounds, feasibility, determinism."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from repro._validation import fits
 from repro.hetero.assign import (
     MAX_ENUM_ASSIGNMENTS,
     HeteroRejectionProblem,
@@ -13,10 +17,13 @@ from repro.hetero.assign import (
     typed_ltf_reject,
 )
 from repro.hetero.mk import MKSpec
-from repro.hetero.platform import lp_hp_platform
+from repro.hetero.platform import lp_hp_platform, parse_cores_spec
+from repro.multiproc.partition import Partition
 from repro.multiproc.pooled import PooledEnergyFunction
 from repro.tasks import frame_instance
 from repro.tasks.model import FrameTask, FrameTaskSet
+
+from tests.conftest import band_penalties, capacity_band_cycles
 
 TOL = 1e-9
 SOLVERS = [typed_ltf_reject, typed_global_reject, exhaustive_hetero]
@@ -148,3 +155,93 @@ def test_flattened_view_matches_the_platform():
     assert problem.core_caps == (0.5, 0.5, 0.5, 1.0, 1.0)
     assert problem.fits(0, 0.5) and not problem.fits(0, 0.6)
     assert problem.fits(4, 1.0) and not problem.fits(4, 1.1)
+
+
+def _product_choice(problem):
+    """The per-leaf ``itertools.product`` enumeration, as a reference.
+
+    Returns the first minimum choice tuple in product order (0 rejects,
+    ``c`` places on flattened core ``c-1``).
+    """
+    sizes = [t.cycles for t in problem.tasks]
+    fns, caps = problem.core_energy_fns, problem.core_caps
+    best_cost, best = math.inf, None
+    for choice in itertools.product(range(problem.m + 1), repeat=problem.n):
+        loads = [0.0] * problem.m
+        penalty = 0.0
+        feasible = True
+        for i, c in enumerate(choice):
+            if c == 0:
+                penalty += problem.tasks[i].penalty
+            else:
+                loads[c - 1] += sizes[i]
+                if not fits(loads[c - 1], caps[c - 1]):
+                    feasible = False
+                    break
+        if not feasible:
+            continue
+        cost = penalty + sum(fn.energy(w) for fn, w in zip(fns, loads))
+        if cost < best_cost:
+            best_cost, best = cost, choice
+    return best
+
+
+def _partition_of(problem, choice):
+    return Partition(
+        assignments=tuple(
+            tuple(i for i, c in enumerate(choice) if c == j + 1)
+            for j in range(problem.m)
+        ),
+        unassigned=tuple(i for i, c in enumerate(choice) if c == 0),
+    )
+
+
+def _family(kind, seed):
+    """A seeded (task set, platform) pair of one family."""
+    tasks = list(small_problem(seed, n=int(4 + seed % 3), load=1.3).tasks)
+    platform = lp_hp_platform(2, 1)
+    rng = np.random.default_rng(seed)
+    if kind == "ties":  # duplicated tasks: many choices cost the same
+        tasks = tasks[:3] * 2
+    elif kind == "capacity_band":  # loads at and a hair above one core's cap
+        # A single LP (cap 0.5) or HP (cap 1.0) core, so a band pair must
+        # share it to be accepted.
+        platform = lp_hp_platform(1, 0) if seed % 2 else lp_hp_platform(0, 1)
+        (cap,) = HeteroRejectionProblem(tasks=tasks, platform=platform).core_caps
+        tasks = [
+            FrameTask(name=f"b{i}", cycles=c, penalty=rho)
+            for i, (c, rho) in enumerate(
+                zip(capacity_band_cycles(rng, cap), band_penalties(seed))
+            )
+        ]
+    elif kind == "hp_first":  # the dearer type's g is priced first
+        platform = parse_cores_spec("hp:1,lp:2")
+    elif kind == "all_reject":  # penalties far below any energy
+        tasks = [
+            FrameTask(name=t.name, cycles=t.cycles, penalty=1e-9 * t.penalty)
+            for t in tasks
+        ]
+    tasks = FrameTaskSet(
+        FrameTask(name=f"t{i}", cycles=t.cycles, penalty=t.penalty)
+        for i, t in enumerate(tasks)
+    )
+    return tasks, platform
+
+
+FAMILIES = ("random", "ties", "capacity_band", "hp_first", "all_reject")
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+@pytest.mark.parametrize("seed", range(6))
+def test_depth_first_oracle_matches_the_product_enumeration(seed, kind):
+    tasks, platform = _family(kind, seed)
+    problem = HeteroRejectionProblem(tasks=tasks, platform=platform)
+    reference = _product_choice(problem)
+    solution = exhaustive_hetero(problem)
+    assert solution.partition == _partition_of(problem, reference)
+    expected = problem.solution(
+        _partition_of(problem, reference), algorithm="reference"
+    ).cost
+    assert solution.cost.hex() == expected.hex()
+    if kind == "all_reject":
+        assert solution.rejected == frozenset(range(problem.n))

@@ -1,4 +1,4 @@
-"""map_trials survives worker deaths (BrokenProcessPool recovery).
+"""map_trials survives worker deaths and keeps one pool per ``jobs``.
 
 The trial functions live at module level so worker processes can import
 them by reference; each is a pure function of ``(seed_tuple, params)``.
@@ -8,6 +8,8 @@ import os
 
 import pytest
 
+from repro.runner import pool
+from repro.runner.metrics import RunMetrics, collecting
 from repro.runner.pool import map_trials, shutdown_pools, trial_seeds
 
 
@@ -67,3 +69,14 @@ def test_pool_is_usable_after_a_failed_batch():
 
 def test_serial_path_is_untouched():
     assert map_trials(_ok, trial_seeds(0, 3), jobs=1) == [0, 2, 4]
+
+
+def test_mixed_batch_sizes_share_one_executor():
+    with collecting(RunMetrics(experiment="mixed")) as metrics:
+        for trials in (4, 3, 2):
+            assert map_trials(_ok, trial_seeds(0, trials), jobs=4) == [
+                2 * t for t in range(trials)
+            ]
+    assert list(pool._EXECUTORS) == [4]
+    # The reported width is still the batch's, not the pool's.
+    assert metrics.pool_jobs == [4, 3, 2]

@@ -35,10 +35,7 @@ def park_pool(workers: int, seconds: float) -> list:
     The service dispatches to the same ``get_executor(workers)``, so
     pool-bound requests sent meanwhile run only after the sleeps: the
     first ``DISPATCH_SLOTS_PER_WORKER * workers`` of them wait in the
-    pool, the rest stay queued (sheddable) in the service.  Call it
-    before starting the server: a pool forked after the listener is
-    bound inherits the listening socket, and a closed server then
-    keeps queueing connections nobody accepts instead of refusing them.
+    pool, the rest stay queued (sheddable) in the service.
     """
     executor = get_executor(workers)
     return [executor.submit(time.sleep, seconds) for _ in range(workers)]

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.rejection.online import ThresholdPolicy
 from repro.io import instance_to_dict
+from repro.runner.pool import _EXECUTORS, evict_executor
 from repro.service import SolveService
 from repro.service import worker as worker_mod
 from repro.service.loadgen import http_json, make_bodies
@@ -346,6 +347,27 @@ async def _until(predicate, what: str) -> None:
 def _pool_bodies(seed: int, count: int) -> list[dict]:
     """Greedy n=20 bodies: 400 units, above the inline bound."""
     return make_bodies(seed, count, n_min=20, n_max=20)
+
+
+class TestListenerInheritance:
+    def test_stopped_server_refuses_connections_after_the_pool_forked(self):
+        async def body():
+            # No pool yet: it forks on the first pool-bound request, after
+            # the bind, so its workers inherit the listening socket.
+            evict_executor(1)
+            svc, host, port = await _start()
+            try:
+                status, payload = await http_json(
+                    host, port, "POST", "/solve", _pool_bodies(5, 1)[0]
+                )
+                assert status == 200, payload
+                assert 1 in _EXECUTORS
+            finally:
+                await svc.stop()
+            with pytest.raises(ConnectionRefusedError):
+                await asyncio.open_connection(host, port)
+
+        run(body())
 
 
 class TestGracefulDrain:
