@@ -44,6 +44,8 @@ import os
 import sys
 from pathlib import Path
 
+from repro._validation import require_nonnegative, require_positive
+from repro.core.rejection.online import POLICY_CHOICES, policy_from_spec
 from repro.kernels import (
     ENV_VAR as KERNEL_ENV_VAR,
     KERNEL_CHOICES,
@@ -63,35 +65,71 @@ except ImportError:  # pragma: no cover - minimal environment without numpy
     def experiment_description(name: str) -> str:
         return ""
 
-#: Algorithms reachable from ``repro solve``; fptas additionally honours
-#: ``--eps``.
-SOLVERS = {
-    "exhaustive": "exhaustive",
-    "branch_and_bound": "branch_and_bound",
-    "pareto_exact": "pareto_exact",
-    "fptas": "fptas",
-    "greedy_marginal": "greedy_marginal",
-    "greedy_density": "greedy_density",
-    "lp_rounding": "lp_rounding",
-    "accept_all_repair": "accept_all_repair",
-}
+#: Algorithms reachable from ``repro solve`` (functions of
+#: :mod:`repro.core.rejection`); fptas additionally honours ``--eps``.
+SOLVERS = (
+    "exhaustive",
+    "branch_and_bound",
+    "pareto_exact",
+    "fptas",
+    "greedy_marginal",
+    "greedy_density",
+    "lp_rounding",
+    "accept_all_repair",
+)
 
 #: Heterogeneous-platform algorithms reachable from ``repro solve``
 #: (the instance must carry a platform, or one is given via --platform).
 HETERO_SOLVERS = ("exhaustive_hetero", "typed_global", "typed_ltf")
 
-#: ``--policy`` spellings shared by ``repro serve`` and ``repro sim``.
-#: Mirrors :data:`repro.core.rejection.online.POLICY_CHOICES` without
-#: importing the solver stack at parser-build time (kept in sync by
-#: ``tests/test_cli.py``).
-_POLICY_CHOICES = ("accept", "threshold", "reject_all", "mk")
-
 
 class _Parser(argparse.ArgumentParser):
-    """Argparse with PR-2-style one-line errors on stderr + exit 2."""
+    """Argparse whose errors are one stderr line and exit status 2."""
 
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
         self.exit(2, f"{self.prog}: {message}\n")
+
+
+class _Refusal(Exception):
+    """Bad input found by a command: :func:`main` prints it and exits 2."""
+
+
+def _bounded(check, bound: str) -> type[argparse.Action]:
+    """An argparse action that stores a value only when *check* accepts it.
+
+    *check* is a :mod:`repro._validation` ``require_*`` helper.  A value
+    it refuses (for a list flag, any entry) is the parser's one-line
+    exit-2 error ``FLAG must be BOUND, got VALUE``, raised while the
+    command line is parsed, so before any command starts.
+    """
+
+    class _Bounded(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            for value in values if isinstance(values, tuple) else (values,):
+                try:
+                    check(option_string, value)
+                except ValueError:
+                    parser.error(f"{option_string} must be {bound}, got {value}")
+            setattr(namespace, self.dest, values)
+
+    return _Bounded
+
+
+_POSITIVE = _bounded(require_positive, "> 0 and finite")
+_NONNEGATIVE = _bounded(require_nonnegative, ">= 0 and finite")
+
+
+def _number_list(kind):
+    """``type=`` for a non-empty comma-separated list of *kind* values."""
+
+    def parse(text: str) -> tuple:
+        values = tuple(kind(part) for part in text.split(",") if part)
+        if not values:
+            raise ValueError(text)
+        return values
+
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse's error
+    return parse
 
 
 def _version_string() -> str:
@@ -122,7 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--kernel",
         choices=KERNEL_CHOICES,
-        default=None,
         help="array-kernel backend for the solvers "
         "(default: $REPRO_KERNEL, else auto = numpy when available)",
     )
@@ -130,9 +167,56 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="command", required=True, parser_class=_Parser
     )
 
-    sub.add_parser("list", help="list available experiments")
+    # Flag groups shared by several subcommands.
+    policy_flags = argparse.ArgumentParser(add_help=False)
+    policy_flags.add_argument(
+        "--policy",
+        default="accept",
+        choices=POLICY_CHOICES,
+        help="admission policy (threshold = marginal-energy rule, "
+        "mk = (m,k)-firm skip contract around the threshold rule)",
+    )
+    policy_flags.add_argument(
+        "--theta",
+        type=float,
+        default=1.0,
+        action=_POSITIVE,
+        help="threshold/mk policy acceptance parameter (> 0)",
+    )
+    policy_flags.add_argument(
+        "--reserve",
+        action="store_true",
+        help="threshold/mk policy: price marginals at the capacity-filling "
+        "anchor (holds headroom back under overload)",
+    )
+    policy_flags.add_argument(
+        "--mk-m",
+        type=int,
+        default=1,
+        metavar="M",
+        help="mk policy: minimum accepts per window (default 1)",
+    )
+    policy_flags.add_argument(
+        "--mk-k",
+        type=int,
+        default=2,
+        metavar="K",
+        help="mk policy: window length (default 2; requires 1 <= M <= K)",
+    )
+    server_flags = argparse.ArgumentParser(add_help=False)
+    server_flags.add_argument(
+        "--host", default="127.0.0.1", help="server address"
+    )
+    server_flags.add_argument(
+        "--port", type=int, default=8722, help="server port"
+    )
+
+    sub.add_parser("list", help="list available experiments").set_defaults(
+        handler=_cmd_list
+    )
 
     run = sub.add_parser("run", help="run one experiment (or 'all')")
+    run.set_defaults(handler=_cmd_run)
     run.add_argument(
         "experiment",
         help=f"one of {', '.join(ALL_EXPERIMENTS)} or 'all'",
@@ -143,12 +227,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reduced trial counts for a fast smoke run",
     )
     run.add_argument(
-        "--seed", type=int, default=None, help="override the experiment seed"
+        "--seed", type=int, help="override the experiment seed"
     )
     run.add_argument(
         "--csv",
         type=Path,
-        default=None,
         metavar="DIR",
         help="also write each table as DIR/<name>.csv",
     )
@@ -156,6 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
+        action=_POSITIVE,
         metavar="N",
         help="worker processes for trial fan-out (1 = serial, no pool)",
     )
@@ -172,7 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--trace-out",
         type=Path,
-        default=None,
         metavar="FILE",
         help="append span records (JSONL) for the run to FILE",
     )
@@ -185,36 +268,52 @@ def _build_parser() -> argparse.ArgumentParser:
     generate = sub.add_parser(
         "generate", help="write a random rejection instance as JSON"
     )
+    generate.set_defaults(handler=_cmd_generate)
     generate.add_argument("output", type=Path, help="destination .json path")
-    generate.add_argument("--n", type=int, default=12, help="number of tasks")
     generate.add_argument(
-        "--load", type=float, default=1.5, help="system load Σc/(s_max·D)"
+        "--n", type=int, default=12, action=_POSITIVE, help="number of tasks"
     )
-    generate.add_argument("--seed", type=int, default=0, help="RNG seed")
+    generate.add_argument(
+        "--load",
+        type=float,
+        default=1.5,
+        action=_POSITIVE,
+        help="system load Σc/(s_max·D)",
+    )
+    generate.add_argument(
+        "--seed", type=int, default=0, action=_NONNEGATIVE, help="RNG seed"
+    )
     generate.add_argument(
         "--penalty-model",
         default="energy",
         choices=("uniform", "proportional", "inverse", "energy"),
     )
     generate.add_argument(
-        "--penalty-scale", type=float, default=2.0, help="penalty multiplier"
+        "--penalty-scale",
+        type=float,
+        default=2.0,
+        action=_POSITIVE,
+        help="penalty multiplier",
     )
 
     solve = sub.add_parser("solve", help="solve a JSON instance")
+    solve.set_defaults(handler=_cmd_solve)
     solve.add_argument("instance", type=Path, help="instance .json path")
     solve.add_argument(
         "--algorithm",
-        default=None,
         choices=sorted([*SOLVERS, *HETERO_SOLVERS]),
         help="which algorithm to run (default: fptas, or typed_ltf on a "
         "heterogeneous-platform instance)",
     )
     solve.add_argument(
-        "--eps", type=float, default=0.1, help="FPTAS accuracy parameter"
+        "--eps",
+        type=float,
+        default=0.1,
+        action=_POSITIVE,
+        help="FPTAS accuracy parameter",
     )
     solve.add_argument(
         "--platform",
-        default=None,
         metavar="SPEC",
         help="solve the instance's tasks on a heterogeneous platform, "
         "e.g. 'lp:2,hp:1' (replaces the instance's energy function or "
@@ -224,7 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "-o",
         "--output",
         type=Path,
-        default=None,
         help="write the solution as JSON here (default: print summary)",
     )
     solve.add_argument(
@@ -243,14 +341,18 @@ def _build_parser() -> argparse.ArgumentParser:
             "as reproducer JSON replayable with 'repro solve'."
         ),
     )
+    verify.set_defaults(handler=_cmd_verify)
     verify.add_argument(
         "--budget",
         type=int,
         default=200,
+        action=_POSITIVE,
         metavar="N",
         help="number of random instances to check (default 200)",
     )
-    verify.add_argument("--seed", type=int, default=0, help="root RNG seed")
+    verify.add_argument(
+        "--seed", type=int, default=0, action=_NONNEGATIVE, help="root RNG seed"
+    )
     verify.add_argument(
         "--quick",
         action="store_true",
@@ -271,7 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--trace-out",
         type=Path,
-        default=None,
         metavar="FILE",
         help="append per-trial/per-oracle span records (JSONL) to FILE",
     )
@@ -286,6 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "aggregated solver counters."
         ),
     )
+    stats.set_defaults(handler=_cmd_stats)
     stats.add_argument(
         "source", type=Path, help="trace .jsonl or manifest .json path"
     )
@@ -299,6 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
+        parents=[policy_flags],
         help="run the solve server",
         description=(
             "Serve solve requests over HTTP/JSON with paper-faithful "
@@ -309,52 +412,23 @@ def _build_parser() -> argparse.ArgumentParser:
             "GET /healthz, GET /metrics. See docs/service.md."
         ),
     )
+    serve.set_defaults(handler=_cmd_serve)
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
         "--port", type=int, default=8722, help="bind port (0 = ephemeral)"
     )
     serve.add_argument(
-        "--workers", type=int, default=2, metavar="N", help="solver processes"
-    )
-    serve.add_argument(
-        "--policy",
-        default="accept",
-        choices=_POLICY_CHOICES,
-        help="admission policy (threshold = marginal-energy rule, "
-        "mk = (m,k)-firm skip contract around the threshold rule)",
-    )
-    serve.add_argument(
-        "--theta",
-        type=float,
-        default=1.0,
-        help="threshold/mk policy acceptance parameter (> 0)",
-    )
-    serve.add_argument(
-        "--reserve",
-        action="store_true",
-        help="threshold/mk policy: price marginals at the capacity-filling "
-        "anchor (holds headroom back under overload)",
-    )
-    serve.add_argument(
-        "--mk-m",
-        type=int,
-        default=1,
-        metavar="M",
-        dest="mk_m",
-        help="mk policy: minimum accepts per window (default 1)",
-    )
-    serve.add_argument(
-        "--mk-k",
+        "--workers",
         type=int,
         default=2,
-        metavar="K",
-        dest="mk_k",
-        help="mk policy: window length (default 2; requires 1 <= M <= K)",
+        action=_POSITIVE,
+        metavar="N",
+        help="solver processes",
     )
     serve.add_argument(
         "--capacity",
         type=float,
-        default=None,
+        action=_POSITIVE,
         metavar="UNITS",
         help="admission capacity in work units "
         "(default: measured worker throughput x workers x window)",
@@ -362,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--rate",
         type=float,
-        default=None,
+        action=_POSITIVE,
         metavar="UNITS_PER_S",
         help="single-worker service rate override (default: measured)",
     )
@@ -370,6 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--window",
         type=float,
         default=1.0,
+        action=_POSITIVE,
         metavar="S",
         help="admission window: seconds of throughput held as backlog",
     )
@@ -377,12 +452,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-entries",
         type=int,
         default=4096,
+        action=_POSITIVE,
         help="result-cache LRU bound",
     )
     serve.add_argument(
         "--shards",
         type=int,
         default=1,
+        action=_POSITIVE,
         metavar="N",
         help="run an N-shard fleet behind a front-door router "
         "(per-shard admission leases from one fleet-wide budget; "
@@ -390,7 +467,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shard-id",
-        default=None,
         metavar="ID",
         help="serve as one shard of a multi-process fleet (request ids "
         "gain an s<ID>- prefix; combine with --budget-file/--cache-dir)",
@@ -398,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--budget",
         type=float,
-        default=None,
+        action=_POSITIVE,
         metavar="UNITS",
         help="fleet-wide admission budget in work units (default with "
         "--shards: shards x --capacity when --capacity is given)",
@@ -406,7 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--budget-file",
         type=Path,
-        default=None,
         metavar="FILE",
         help="share the budget ledger across processes through FILE "
         "(file-locked JSON; requires --budget)",
@@ -414,7 +489,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-dir",
         type=Path,
-        default=None,
         metavar="DIR",
         help="disk tier for the result cache (default with --shards: "
         "results/.cache/service; single server: disabled)",
@@ -422,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-max-bytes",
         type=int,
-        default=None,
+        action=_POSITIVE,
         metavar="BYTES",
         help="disk-tier byte budget (LRU-by-mtime pruning)",
     )
@@ -435,16 +509,13 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--trace-out",
         type=Path,
-        default=None,
         metavar="FILE",
-        help="append request/batch span records (JSONL) to FILE",
+        help="append request span records (JSONL) to FILE",
     )
     serve.add_argument(
         "--access-log",
         type=Path,
-        default=None,
         metavar="FILE",
-        dest="access_log",
         help="append one structured JSON line per request to FILE "
         "(method, endpoint, status, latency, request id)",
     )
@@ -452,8 +523,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sample-interval",
         type=float,
         default=1.0,
+        action=_POSITIVE,
         metavar="S",
-        dest="sample_interval",
         help="runtime time-series sampling period in seconds (default 1)",
     )
     serve.add_argument(
@@ -489,6 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     top = sub.add_parser(
         "top",
+        parents=[server_flags],
         help="live dashboard for a running solve server",
         description=(
             "Poll GET /metrics?format=json on a repro serve instance and "
@@ -498,12 +570,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "frame and exits (CI-friendly)."
         ),
     )
-    top.add_argument("--host", default="127.0.0.1", help="server address")
-    top.add_argument("--port", type=int, default=8722, help="server port")
+    top.set_defaults(handler=_cmd_top)
     top.add_argument(
         "--interval",
         type=float,
         default=1.0,
+        action=_POSITIVE,
         metavar="S",
         help="refresh period in seconds (default 1)",
     )
@@ -524,6 +596,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "are directly comparable."
         ),
     )
+    bench_k.set_defaults(handler=_cmd_bench)
     bench_k.add_argument("--seed", type=int, default=0, help="instance-stream seed")
     bench_k.add_argument(
         "--out",
@@ -540,7 +613,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_k.add_argument(
         "--solver",
         action="append",
-        default=None,
         metavar="NAME",
         dest="solvers",
         help="bench only this solver (repeatable; default: all)",
@@ -548,6 +620,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser(
         "sim",
+        parents=[policy_flags],
         help="discrete-event arrival simulation with online rejection",
         description=(
             "Run a seeded arrival stream (aperiodic or periodic) through "
@@ -559,6 +632,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "seed reproduces the same table bit for bit. See docs/sim.md."
         ),
     )
+    sim.set_defaults(handler=_cmd_sim)
     sim.add_argument(
         "--family",
         default="bursty",
@@ -566,58 +640,33 @@ def _build_parser() -> argparse.ArgumentParser:
         help="arrival family (see docs/sim.md)",
     )
     sim.add_argument(
-        "--arrivals", type=int, default=500, metavar="N", help="stream length"
+        "--arrivals",
+        type=int,
+        default=500,
+        action=_POSITIVE,
+        metavar="N",
+        help="stream length",
     )
     sim.add_argument("--seed", type=int, default=0, help="arrival-stream seed")
     sim.add_argument(
-        "--cores", type=int, default=2, metavar="K", help="identical cores"
+        "--cores",
+        type=int,
+        default=2,
+        action=_POSITIVE,
+        metavar="K",
+        help="identical cores",
     )
     sim.add_argument(
         "--cores-spec",
-        default=None,
         metavar="SPEC",
-        dest="cores_spec",
         help="heterogeneous core set, e.g. 'lp:2,hp:1' (supersedes "
         "--cores; LP cores run their type's power curve at half speed)",
-    )
-    sim.add_argument(
-        "--policy",
-        default="accept",
-        choices=_POLICY_CHOICES,
-        help="admission policy (same vocabulary as repro serve)",
-    )
-    sim.add_argument(
-        "--theta",
-        type=float,
-        default=1.0,
-        help="threshold/mk policy acceptance parameter (> 0)",
-    )
-    sim.add_argument(
-        "--reserve",
-        action="store_true",
-        help="threshold/mk policy: price marginals at the capacity-filling "
-        "anchor",
-    )
-    sim.add_argument(
-        "--mk-m",
-        type=int,
-        default=1,
-        metavar="M",
-        dest="mk_m",
-        help="mk policy: minimum accepts per window (default 1)",
-    )
-    sim.add_argument(
-        "--mk-k",
-        type=int,
-        default=2,
-        metavar="K",
-        dest="mk_k",
-        help="mk policy: window length (default 2; requires 1 <= M <= K)",
     )
     sim.add_argument(
         "--capacity",
         type=float,
         default=50000.0,
+        action=_POSITIVE,
         metavar="UNITS",
         help="admission capacity in work units",
     )
@@ -625,6 +674,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rate",
         type=float,
         default=20000.0,
+        action=_POSITIVE,
         metavar="UNITS_PER_S",
         help="per-core service rate (also the deadline-check rate)",
     )
@@ -632,22 +682,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "--speed",
         type=float,
         default=1.0,
+        action=_POSITIVE,
         help="execution speed in (0, 1] (energy follows the XScale curve)",
     )
     sim.add_argument(
         "--cs-time",
         type=float,
         default=0.0,
+        action=_NONNEGATIVE,
         metavar="S",
-        dest="cs_time",
         help="context-switch wall time per pickup (seconds)",
     )
     sim.add_argument(
         "--cs-energy",
         type=float,
         default=0.0,
+        action=_NONNEGATIVE,
         metavar="J",
-        dest="cs_energy",
         help="context-switch transition energy per pickup (joules)",
     )
     sim.add_argument(
@@ -658,7 +709,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--emit-trace",
         type=Path,
-        default=None,
         metavar="FILE",
         help="write the replayable arrival trace (JSONL) to FILE",
     )
@@ -670,6 +720,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench-serve",
+        parents=[server_flags],
         help="load-generate against a running solve server",
         description=(
             "Fire a seeded stream of random solve requests at a repro "
@@ -679,14 +730,27 @@ def _build_parser() -> argparse.ArgumentParser:
             "server's content-addressed cache."
         ),
     )
-    bench.add_argument("--host", default="127.0.0.1", help="server address")
-    bench.add_argument("--port", type=int, default=8722, help="server port")
+    bench.set_defaults(handler=_cmd_bench_serve)
     bench.add_argument(
-        "--requests", type=int, default=200, help="requests per pass"
+        "--requests",
+        type=int,
+        default=200,
+        action=_POSITIVE,
+        help="requests per pass",
     )
-    bench.add_argument("--seed", type=int, default=0, help="request-stream seed")
     bench.add_argument(
-        "--passes", type=int, default=2, help="identical passes to run"
+        "--seed",
+        type=int,
+        default=0,
+        action=_NONNEGATIVE,
+        help="request-stream seed",
+    )
+    bench.add_argument(
+        "--passes",
+        type=int,
+        default=2,
+        action=_POSITIVE,
+        help="identical passes to run",
     )
     bench.add_argument(
         "--mode",
@@ -698,12 +762,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--concurrency",
         type=int,
         default=8,
+        action=_POSITIVE,
         help="closed-loop client connections",
     )
     bench.add_argument(
         "--rate",
         type=float,
         default=200.0,
+        action=_POSITIVE,
         help="open-loop arrival rate (requests/second)",
     )
     bench.add_argument(
@@ -712,7 +778,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="solver requested for every instance",
     )
     bench.add_argument(
-        "--eps", type=float, default=0.1, help="FPTAS accuracy parameter"
+        "--eps",
+        type=float,
+        default=0.1,
+        action=_POSITIVE,
+        help="FPTAS accuracy parameter",
     )
     bench.add_argument(
         "--json",
@@ -722,7 +792,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--replay",
         type=Path,
-        default=None,
         metavar="TRACE",
         help="replay a repro sim --emit-trace file instead of generating "
         "load; prints the paired simulated-vs-served table",
@@ -738,18 +807,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "--speedup",
         type=float,
         default=1.0,
+        action=_POSITIVE,
         help="timed replay: divide trace timestamps by this factor",
     )
     bench.add_argument(
         "--shards",
-        default=None,
+        type=_number_list(int),
+        action=_POSITIVE,
         metavar="N[,N...]",
         help="saturation mode: spin in-process fleets of these sizes "
         "and sweep offered load (ignores --host/--port; writes --out)",
     )
     bench.add_argument(
         "--factors",
+        type=_number_list(float),
         default="0.5,1,2",
+        action=_POSITIVE,
         metavar="F[,F...]",
         help="saturation mode: offered-load multiples of the probed "
         "capacity (default 0.5,1,2)",
@@ -758,6 +831,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--duration",
         type=float,
         default=2.0,
+        action=_POSITIVE,
         metavar="S",
         help="saturation mode: target wall seconds per sweep point",
     )
@@ -765,6 +839,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
+        action=_POSITIVE,
         metavar="N",
         help="saturation mode: worker processes for the fleet pool",
     )
@@ -772,6 +847,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--window",
         type=float,
         default=0.05,
+        action=_POSITIVE,
         metavar="S",
         help="saturation mode: per-shard admission window (bounds the "
         "backlog an admitted request waits behind)",
@@ -784,6 +860,54 @@ def _build_parser() -> argparse.ArgumentParser:
         help="saturation mode: write the JSON report here",
     )
     return parser
+
+
+def _cmd_list(args) -> int:
+    if not ALL_EXPERIMENTS:  # pragma: no cover - no-numpy environment
+        raise _Refusal("experiments unavailable (numpy not installed)")
+    width = max(len(name) for name in ALL_EXPERIMENTS)
+    for name in ALL_EXPERIMENTS:
+        blurb = experiment_description(name)
+        print(f"{name:<{width}}  {blurb}" if blurb else name)
+    return 0
+
+
+def _cmd_run(args) -> int:
+    import json
+
+    from repro.runner import run_experiment
+
+    if args.experiment == "all":
+        selected = list(ALL_EXPERIMENTS.items())
+    elif args.experiment in ALL_EXPERIMENTS:
+        selected = [(args.experiment, ALL_EXPERIMENTS[args.experiment])]
+    else:
+        raise _Refusal(
+            f"unknown experiment {args.experiment!r}; try 'repro list'"
+        )
+    with _maybe_tracing(args.trace_out):
+        for name, runner in selected:
+            table, metrics = run_experiment(
+                name,
+                run_fn=runner,
+                quick=args.quick,
+                seed=args.seed,
+                jobs=args.jobs,
+                use_cache=not args.no_cache,
+            )
+            print(table.render())
+            print()
+            if args.log_json:
+                print(json.dumps(metrics.as_dict(), sort_keys=True))
+            else:
+                print(metrics.summary_line())
+            if args.timings:
+                print(metrics.report())
+                print()
+            if args.csv is not None:
+                path = table.to_csv(args.csv / f"{name}.csv")
+                print(f"(csv written to {path})")
+    return 0
 
 
 def _cmd_generate(args) -> int:
@@ -821,20 +945,12 @@ def _cmd_solve(args) -> int:
     from repro.core import rejection
     from repro.io import load_instance, solution_to_dict
 
-    if not args.eps > 0:
-        print(f"--eps must be > 0, got {args.eps}", file=sys.stderr)
-        return 2
     try:
         problem = load_instance(args.instance)
     except FileNotFoundError:
-        print(f"no such instance file: {args.instance}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"no such instance file: {args.instance}")
     except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
-        print(
-            f"cannot read instance {args.instance}: {exc}",
-            file=sys.stderr,
-        )
-        return 2
+        raise _Refusal(f"cannot read instance {args.instance}: {exc}")
     from repro.hetero.assign import (
         HeteroRejectionProblem,
         exhaustive_hetero,
@@ -854,8 +970,7 @@ def _cmd_solve(args) -> int:
         try:
             platform = parse_cores_spec(args.platform)
         except ValueError as exc:
-            print(f"bad --platform spec: {exc}", file=sys.stderr)
-            return 2
+            raise _Refusal(f"bad --platform spec: {exc}")
         problem = HeteroRejectionProblem(
             tasks=problem.tasks,
             platform=platform,
@@ -864,34 +979,23 @@ def _cmd_solve(args) -> int:
     hetero = isinstance(problem, HeteroRejectionProblem)
     algorithm = args.algorithm or ("typed_ltf" if hetero else "fptas")
     if hetero and algorithm not in HETERO_SOLVERS:
-        print(
+        raise _Refusal(
             f"{args.instance} is a heterogeneous-platform instance; "
-            f"--algorithm must be one of {', '.join(HETERO_SOLVERS)}",
-            file=sys.stderr,
+            f"--algorithm must be one of {', '.join(HETERO_SOLVERS)}"
         )
-        return 2
     if not hetero and algorithm in HETERO_SOLVERS:
-        print(
+        raise _Refusal(
             f"--algorithm {algorithm} needs a platform "
-            "(a platform instance, or --platform lp:2,hp:1)",
-            file=sys.stderr,
+            "(a platform instance, or --platform lp:2,hp:1)"
         )
-        return 2
-    if hetero:
-        solver = {
-            "typed_ltf": typed_ltf_reject,
-            "typed_global": typed_global_reject,
-            "exhaustive_hetero": exhaustive_hetero,
-        }[algorithm]
-        with obs_counters.counting() as registry:
-            solution = solver(problem)
-    else:
-        solver = getattr(rejection, SOLVERS[algorithm])
-        with obs_counters.counting() as registry:
-            if algorithm == "fptas":
-                solution = solver(problem, eps=args.eps)
-            else:
-                solution = solver(problem)
+    solver = {
+        "typed_ltf": typed_ltf_reject,
+        "typed_global": typed_global_reject,
+        "exhaustive_hetero": exhaustive_hetero,
+    }.get(algorithm) or getattr(rejection, algorithm)
+    solver_kwargs = {"eps": args.eps} if algorithm == "fptas" else {}
+    with obs_counters.counting() as registry:
+        solution = solver(problem, **solver_kwargs)
     if args.output is not None:
         args.output.parent.mkdir(parents=True, exist_ok=True)
         with open(args.output, "w") as fh:
@@ -933,15 +1037,8 @@ def _cmd_verify(args) -> int:
     try:
         from repro.verify import run_verification
     except ImportError as exc:  # pragma: no cover - no-numpy environment
-        print(f"repro verify requires numpy: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"repro verify requires numpy: {exc}")
 
-    if args.budget < 1:
-        print(
-            f"--budget must be a positive integer, got {args.budget}",
-            file=sys.stderr,
-        )
-        return 2
     budget = min(args.budget, 40) if args.quick else args.budget
 
     def _run(log_prefix: str = "") -> "object":
@@ -967,8 +1064,6 @@ def _cmd_verify(args) -> int:
             report = _run()
             print(report.summary())
             ok = report.ok
-    if args.trace_out is not None:
-        print(f"(trace written to {args.trace_out})")
     return 0 if ok else 1
 
 
@@ -978,74 +1073,50 @@ def _cmd_stats(args) -> int:
     try:
         print(stats_report(args.source, top=args.top))
     except FileNotFoundError:
-        print(f"no such file: {args.source}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"no such file: {args.source}")
     except (ValueError, KeyError, TypeError, OSError) as exc:
         # Corrupt JSON, a manifest missing required keys, records of the
         # wrong shape, or an unreadable path all get the same one-line
         # diagnosis — never a traceback.
-        print(f"cannot digest {args.source}: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"cannot digest {args.source}: {exc}")
     return 0
 
 
 def _cmd_top(args) -> int:
     from repro.obs.runtime import run_top
 
-    if not args.interval > 0:
-        print(
-            f"--interval must be > 0, got {args.interval}", file=sys.stderr
-        )
-        return 2
     try:
         run_top(
             args.host, args.port, interval=args.interval, once=args.once
         )
     except (ConnectionError, OSError, ValueError) as exc:
-        print(
-            f"cannot scrape http://{args.host}:{args.port}/metrics: {exc}",
-            file=sys.stderr,
+        raise _Refusal(
+            f"cannot scrape http://{args.host}:{args.port}/metrics: {exc}"
         )
-        return 2
     except KeyboardInterrupt:  # pragma: no cover - interactive exit
         pass
     return 0
 
 
+def _policy(args):
+    """The admission policy named by the shared ``--policy`` flags."""
+    try:
+        return policy_from_spec(
+            args.policy,
+            theta=args.theta,
+            reserve=args.reserve,
+            mk_m=args.mk_m,
+            mk_k=args.mk_k,
+        )
+    except ValueError as exc:
+        # --theta is bounded on its flag, so what is left to refuse here
+        # is the (m,k) window.
+        raise _Refusal(f"--mk-m/--mk-k: {exc}")
+
+
 def _cmd_serve(args) -> int:
-    import asyncio
-    import contextlib as _contextlib
-    import signal
-
-    from repro.core.rejection.online import policy_from_spec
     from repro.obs.runtime import SloObjective
-    from repro.service import SolveService
 
-    if args.workers < 1:
-        print(
-            f"--workers must be a positive integer, got {args.workers}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.policy in ("threshold", "mk") and not args.theta > 0:
-        print(f"--theta must be > 0, got {args.theta}", file=sys.stderr)
-        return 2
-    if args.policy == "mk" and not 1 <= args.mk_m <= args.mk_k:
-        print(
-            f"--mk-m/--mk-k must satisfy 1 <= m <= k, got "
-            f"({args.mk_m},{args.mk_k})",
-            file=sys.stderr,
-        )
-        return 2
-    if args.capacity is not None and not args.capacity > 0:
-        print(f"--capacity must be > 0, got {args.capacity}", file=sys.stderr)
-        return 2
-    if not args.sample_interval > 0:
-        print(
-            f"--sample-interval must be > 0, got {args.sample_interval}",
-            file=sys.stderr,
-        )
-        return 2
     try:
         slos = (
             SloObjective(
@@ -1063,29 +1134,16 @@ def _cmd_serve(args) -> int:
             ),
         )
     except ValueError as exc:
-        print(f"bad SLO configuration: {exc}", file=sys.stderr)
-        return 2
-    if args.shards < 1:
-        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"bad SLO configuration: {exc}")
     if args.shards > 1 and args.shard_id is not None:
-        print(
+        raise _Refusal(
             "--shards and --shard-id are mutually exclusive "
-            "(fleet parent vs fleet member)",
-            file=sys.stderr,
+            "(fleet parent vs fleet member)"
         )
-        return 2
     if args.budget_file is not None and args.budget is None:
-        print("--budget-file requires --budget", file=sys.stderr)
-        return 2
-    policy = policy_from_spec(
-        args.policy,
-        theta=args.theta,
-        reserve=args.reserve,
-        mk_m=args.mk_m,
-        mk_k=args.mk_k,
-    )
-    with _contextlib.ExitStack() as stack:
+        raise _Refusal("--budget-file requires --budget")
+    policy = _policy(args)
+    with contextlib.ExitStack() as stack:
         access_sink = None
         if args.access_log is not None:
             from repro.obs import JsonlSink
@@ -1106,6 +1164,8 @@ def _cmd_serve(args) -> int:
         )
         if args.shards > 1:
             return _serve_fleet(args, service_kwargs)
+        from repro.service import SolveService
+
         budget = None
         if args.budget_file is not None:
             from repro.service.shard import FileBudget
@@ -1123,14 +1183,20 @@ def _cmd_serve(args) -> int:
             cache_dir=args.cache_dir,
             **service_kwargs,
         )
-        return _serve_forever(args, service)
+
+        def banner(host: str, port: int) -> str:
+            return (
+                f"listening on http://{host}:{port} "
+                f"(policy={service.metrics_dict()['service']['policy']}, "
+                f"workers={service.workers}, "
+                f"capacity={service.capacity_units:.0f} units)"
+            )
+
+        return _serve_until_signal(args, service, banner, "in-flight requests")
 
 
 def _serve_fleet(args, service_kwargs) -> int:
     """``repro serve --shards N``: a LocalFleet behind the router."""
-    import asyncio
-    import signal
-
     from repro.service.cache import default_service_cache_dir
     from repro.service.shard import (
         FileBudget,
@@ -1141,9 +1207,7 @@ def _serve_fleet(args, service_kwargs) -> int:
     budget = None
     if args.budget_file is not None:
         budget = FileBudget(args.budget_file, args.budget, reset=True)
-    cache_dir = args.cache_dir
-    if cache_dir is None:
-        cache_dir = default_service_cache_dir()
+    cache_dir = args.cache_dir or default_service_cache_dir()
     fleet = LocalFleet(
         shards=args.shards,
         budget_units=args.budget,
@@ -1162,15 +1226,12 @@ def _serve_fleet(args, service_kwargs) -> int:
                 file=sys.stderr,
             )
 
-    async def _run() -> None:
-        host, port = await fleet.start(
-            args.host, args.port, reuseport_port=reuseport_port
-        )
+    def banner(host: str, port: int) -> str:
         budget_units = (
             fleet.budget.budget_units if fleet.budget is not None else None
         )
-        print(
-            f"repro serve: fleet of {args.shards} shards on "
+        return (
+            f"fleet of {args.shards} shards on "
             f"http://{host}:{port} "
             f"(budget={'none' if budget_units is None else f'{budget_units:.0f} units'}, "
             f"cache_dir={cache_dir}"
@@ -1179,43 +1240,27 @@ def _serve_fleet(args, service_kwargs) -> int:
                 if fleet.reuseport_port is not None
                 else ""
             )
-            + ")",
-            flush=True,
+            + ")"
         )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-posix
-                pass
-        await stop.wait()
-        print("repro serve: draining the fleet ...", flush=True)
-        await fleet.stop(drain=True)
 
-    with _maybe_tracing(args.trace_out):
-        try:
-            asyncio.run(_run())
-        except KeyboardInterrupt:  # pragma: no cover - non-posix fallback
-            pass
-    if args.trace_out is not None:
-        print(f"(trace written to {args.trace_out})")
-    return 0
+    return _serve_until_signal(
+        args, fleet, banner, "the fleet", reuseport_port=reuseport_port
+    )
 
 
-def _serve_forever(args, service) -> int:
+def _serve_until_signal(args, server, banner, drained, **start_kwargs) -> int:
+    """Start *server*, serve until SIGINT/SIGTERM, then drain it.
+
+    *server* is a :class:`~repro.service.SolveService` or a
+    :class:`~repro.service.shard.LocalFleet`; *banner* renders the
+    startup line from the bound address.
+    """
     import asyncio
     import signal
 
     async def _run() -> None:
-        host, port = await service.start(args.host, args.port)
-        print(
-            f"repro serve: listening on http://{host}:{port} "
-            f"(policy={service.metrics_dict()['service']['policy']}, "
-            f"workers={service.workers}, "
-            f"capacity={service.capacity_units:.0f} units)",
-            flush=True,
-        )
+        host, port = await server.start(args.host, args.port, **start_kwargs)
+        print(f"repro serve: {banner(host, port)}", flush=True)
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGINT, signal.SIGTERM):
@@ -1224,31 +1269,26 @@ def _serve_forever(args, service) -> int:
             except NotImplementedError:  # pragma: no cover - non-posix
                 pass
         await stop.wait()
-        print("repro serve: draining in-flight requests ...", flush=True)
-        await service.stop(drain=True)
+        print(f"repro serve: draining {drained} ...", flush=True)
+        await server.stop(drain=True)
 
     with _maybe_tracing(args.trace_out):
         try:
             asyncio.run(_run())
         except KeyboardInterrupt:  # pragma: no cover - non-posix fallback
             pass
-    if args.trace_out is not None:
-        print(f"(trace written to {args.trace_out})")
     return 0
 
 
 def _cmd_bench(args) -> int:
     from repro.kernels.bench import BENCH_SOLVERS, run_bench
 
-    if args.solvers:
-        unknown = [s for s in args.solvers if s not in BENCH_SOLVERS]
-        if unknown:
-            print(
-                f"unknown bench solver(s): {', '.join(unknown)}; "
-                f"choose from {', '.join(BENCH_SOLVERS)}",
-                file=sys.stderr,
-            )
-            return 2
+    unknown = [s for s in args.solvers or () if s not in BENCH_SOLVERS]
+    if unknown:
+        raise _Refusal(
+            f"unknown bench solver(s): {', '.join(unknown)}; "
+            f"choose from {', '.join(BENCH_SOLVERS)}"
+        )
     try:
         path, results = run_bench(
             seed=args.seed,
@@ -1258,8 +1298,7 @@ def _cmd_bench(args) -> int:
             log=lambda line: print(line, file=sys.stderr),
         )
     except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"cannot write {args.out}: {exc}")
     print(f"wrote {path} ({len(results)} cells)")
     return 0
 
@@ -1267,80 +1306,25 @@ def _cmd_bench(args) -> int:
 def _cmd_sim(args) -> int:
     import json
 
-    from repro.core.rejection.online import policy_from_spec
     from repro.sim import (
-        ArrivalSimulator,
-        make_arrivals,
         sim_params,
         sim_table,
+        simulate,
         write_sim_manifest,
         write_trace,
     )
 
-    if args.arrivals < 1:
-        print(
-            f"--arrivals must be a positive integer, got {args.arrivals}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.cores < 1:
-        print(
-            f"--cores must be a positive integer, got {args.cores}",
-            file=sys.stderr,
-        )
-        return 2
-    platform = None
     if args.cores_spec is not None:
         from repro.hetero.platform import parse_cores_spec
 
         try:
-            platform = parse_cores_spec(args.cores_spec)
+            parse_cores_spec(args.cores_spec)
         except ValueError as exc:
-            print(f"bad --cores-spec: {exc}", file=sys.stderr)
-            return 2
-    if args.policy in ("threshold", "mk") and not args.theta > 0:
-        print(f"--theta must be > 0, got {args.theta}", file=sys.stderr)
-        return 2
-    if args.policy == "mk" and not 1 <= args.mk_m <= args.mk_k:
-        print(
-            f"--mk-m/--mk-k must satisfy 1 <= m <= k, got "
-            f"({args.mk_m},{args.mk_k})",
-            file=sys.stderr,
-        )
-        return 2
-    for flag, value in (
-        ("--capacity", args.capacity),
-        ("--rate", args.rate),
-        ("--speed", args.speed),
-    ):
-        if not value > 0:
-            print(f"{flag} must be > 0, got {value}", file=sys.stderr)
-            return 2
-    if args.cs_time < 0 or args.cs_energy < 0:
-        print("--cs-time/--cs-energy must be >= 0", file=sys.stderr)
-        return 2
-
-    arrivals = make_arrivals(args.family, args.arrivals, args.seed)
-    policy = policy_from_spec(
-        args.policy,
-        theta=args.theta,
-        reserve=args.reserve,
-        mk_m=args.mk_m,
-        mk_k=args.mk_k,
-    )
-    report = ArrivalSimulator(
-        arrivals,
-        cores=args.cores,
-        policy=policy,
-        capacity_units=args.capacity,
-        rate_units_per_s=args.rate,
-        speed=args.speed,
-        context_switch_s=args.cs_time,
-        context_switch_j=args.cs_energy,
-        deadline_check=not args.no_deadline_check,
-        platform=platform,
-    ).run()
-
+            raise _Refusal(f"bad --cores-spec: {exc}")
+    _policy(args)  # the window check serve makes; simulate() builds its own
+    # The manifest and the trace header record exactly this dict, and
+    # simulate() runs it, so bench-serve --replay can rebuild the run
+    # from the trace file alone.
     params = sim_params(
         family=args.family,
         count=args.arrivals,
@@ -1353,15 +1337,13 @@ def _cmd_sim(args) -> int:
         context_switch_s=args.cs_time,
         context_switch_j=args.cs_energy,
         cores_spec=args.cores_spec,
+        theta=args.theta,
+        reserve=args.reserve,
+        deadline_check=not args.no_deadline_check,
+        mk_m=args.mk_m,
+        mk_k=args.mk_k,
     )
-    # The trace header carries the full parameter set so bench-serve
-    # --replay can rebuild the identical simulation from the file alone.
-    params["theta"] = args.theta
-    params["reserve"] = bool(args.reserve)
-    params["deadline_check"] = not args.no_deadline_check
-    if args.policy == "mk":
-        params["mk_m"] = args.mk_m
-        params["mk_k"] = args.mk_k
+    arrivals, report = simulate(params)
     manifest = write_sim_manifest(
         report, family=args.family, seed=args.seed, params=params
     )
@@ -1404,66 +1386,28 @@ def _cmd_sim(args) -> int:
 def _cmd_replay(args) -> int:
     import json
 
-    from repro.core.rejection.online import policy_from_spec
     from repro.obs.runtime import format_slo_line
     from repro.service.loadgen import format_stats, run_replay, slo_results
-    from repro.sim import (
-        ArrivalSimulator,
-        load_trace,
-        make_arrivals,
-        paired_summary,
-    )
+    from repro.sim import load_trace, paired_summary, simulate
 
     try:
         header, entries = load_trace(args.replay)
     except FileNotFoundError:
-        print(f"no such trace file: {args.replay}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"no such trace file: {args.replay}")
     except (ValueError, json.JSONDecodeError) as exc:
-        print(f"cannot read trace {args.replay}: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"cannot read trace {args.replay}: {exc}")
     try:
-        arrivals = make_arrivals(
-            header["family"], header["count"], header["seed"]
-        )
-        policy = policy_from_spec(
-            header["policy"],
-            theta=header.get("theta", 1.0),
-            reserve=header.get("reserve", False),
-            mk_m=header.get("mk_m", 1),
-            mk_k=header.get("mk_k", 2),
-        )
-        platform = None
-        if header.get("cores_spec"):
-            from repro.hetero.platform import parse_cores_spec
-
-            platform = parse_cores_spec(header["cores_spec"])
-        report = ArrivalSimulator(
-            arrivals,
-            cores=header["cores"],
-            policy=policy,
-            capacity_units=header["capacity_units"],
-            rate_units_per_s=header["rate_units_per_s"],
-            speed=header.get("speed", 1.0),
-            context_switch_s=header.get("context_switch_s", 0.0),
-            context_switch_j=header.get("context_switch_j", 0.0),
-            deadline_check=header.get("deadline_check", True),
-            platform=platform,
-        ).run()
+        _, report = simulate(header)
     except (KeyError, ValueError) as exc:
-        print(
-            f"trace {args.replay} is missing simulation parameters: {exc}",
-            file=sys.stderr,
+        raise _Refusal(
+            f"trace {args.replay} is missing simulation parameters: {exc}"
         )
-        return 2
     if report.decision_digest() != header.get("decision_digest"):
-        print(
+        raise _Refusal(
             f"trace {args.replay} does not reproduce: the simulator's "
             "decision digest differs from the header's (edited trace, or "
-            "the admission code changed since it was written)",
-            file=sys.stderr,
+            "the admission code changed since it was written)"
         )
-        return 2
     try:
         stats, outcomes = run_replay(
             args.host,
@@ -1473,11 +1417,7 @@ def _cmd_replay(args) -> int:
             speedup=args.speedup,
         )
     except (ConnectionError, OSError) as exc:
-        print(
-            f"cannot reach server at {args.host}:{args.port}: {exc}",
-            file=sys.stderr,
-        )
-        return 2
+        raise _Refusal(f"cannot reach server at {args.host}:{args.port}: {exc}")
     table = paired_summary(
         report,
         entries,
@@ -1528,26 +1468,11 @@ def _cmd_bench_serve(args) -> int:
         return _cmd_replay(args)
     if args.shards is not None:
         return _cmd_bench_saturation(args)
-
-    if args.requests < 1:
-        print(
-            f"--requests must be a positive integer, got {args.requests}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.passes < 1:
-        print(
-            f"--passes must be a positive integer, got {args.passes}",
-            file=sys.stderr,
-        )
-        return 2
     if args.algorithm not in SOLVER_NAMES:
-        print(
+        raise _Refusal(
             f"unknown algorithm {args.algorithm!r}; "
-            f"choose from {', '.join(SOLVER_NAMES)}",
-            file=sys.stderr,
+            f"choose from {', '.join(SOLVER_NAMES)}"
         )
-        return 2
     try:
         results = run_load(
             args.host,
@@ -1562,11 +1487,7 @@ def _cmd_bench_serve(args) -> int:
             eps=args.eps,
         )
     except (ConnectionError, OSError) as exc:
-        print(
-            f"cannot reach server at {args.host}:{args.port}: {exc}",
-            file=sys.stderr,
-        )
-        return 2
+        raise _Refusal(f"cannot reach server at {args.host}:{args.port}: {exc}")
     failed = False
     for stats in results:
         print(
@@ -1596,45 +1517,17 @@ def _cmd_bench_serve(args) -> int:
 def _cmd_bench_saturation(args) -> int:
     """``bench-serve --shards``: the fleet saturation sweep."""
     try:
-        shard_counts = tuple(
-            int(part) for part in str(args.shards).split(",") if part
-        )
-        factors = tuple(
-            float(part) for part in str(args.factors).split(",") if part
-        )
-    except ValueError:
-        print(
-            f"--shards/--factors must be comma-separated numbers, got "
-            f"{args.shards!r} / {args.factors!r}",
-            file=sys.stderr,
-        )
-        return 2
-    if not shard_counts or any(n < 1 for n in shard_counts):
-        print(f"--shards entries must be >= 1, got {args.shards!r}",
-              file=sys.stderr)
-        return 2
-    if not factors or any(not f > 0 for f in factors):
-        print(f"--factors entries must be > 0, got {args.factors!r}",
-              file=sys.stderr)
-        return 2
-    if not args.duration > 0:
-        print(f"--duration must be > 0, got {args.duration}",
-              file=sys.stderr)
-        return 2
-    try:
         import numpy  # noqa: F401 - the seeded stream needs it
     except ImportError:
-        print(
+        raise _Refusal(
             "bench-serve --shards needs numpy (the seeded request "
-            "stream is numpy-drawn)",
-            file=sys.stderr,
+            "stream is numpy-drawn)"
         )
-        return 2
     from repro.service.shard.bench import run_saturation
 
     report = run_saturation(
-        shard_counts=shard_counts,
-        factors=factors,
+        shard_counts=args.shards,
+        factors=args.factors,
         seed=args.seed,
         duration_s=args.duration,
         workers=args.workers,
@@ -1657,7 +1550,10 @@ def _cmd_bench_saturation(args) -> int:
 
 @contextlib.contextmanager
 def _maybe_tracing(trace_out: Path | None):
-    """Install a JSONL span sink for the body when *trace_out* is set."""
+    """Install a JSONL span sink for the body when *trace_out* is set.
+
+    After the body completes, prints where the trace was written.
+    """
     if trace_out is None:
         yield
         return
@@ -1666,6 +1562,7 @@ def _maybe_tracing(trace_out: Path | None):
     trace_out.parent.mkdir(parents=True, exist_ok=True)
     with JsonlSink(trace_out) as sink, tracing(sink):
         yield
+    print(f"(trace written to {trace_out})")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1682,95 +1579,15 @@ def main(argv: list[str] | None = None) -> int:
         os.environ[KERNEL_ENV_VAR] = args.kernel
     try:
         get_kernel()
+        return args.handler(args)
     except KernelUnavailableError as exc:
         # Never fall back silently: a requested-but-missing backend is a
         # hard, one-line error (exit 2), both via --kernel and the env.
         print(f"repro: {exc}", file=sys.stderr)
         return 2
-
-    if args.command == "list":
-        if not ALL_EXPERIMENTS:  # pragma: no cover - no-numpy environment
-            print("experiments unavailable (numpy not installed)", file=sys.stderr)
-            return 2
-        width = max(len(name) for name in ALL_EXPERIMENTS)
-        for name in ALL_EXPERIMENTS:
-            blurb = experiment_description(name)
-            print(f"{name:<{width}}  {blurb}" if blurb else name)
-        return 0
-
-    if args.command == "generate":
-        return _cmd_generate(args)
-
-    if args.command == "solve":
-        return _cmd_solve(args)
-
-    if args.command == "verify":
-        return _cmd_verify(args)
-
-    if args.command == "stats":
-        return _cmd_stats(args)
-
-    if args.command == "serve":
-        return _cmd_serve(args)
-
-    if args.command == "top":
-        return _cmd_top(args)
-
-    if args.command == "bench":
-        return _cmd_bench(args)
-
-    if args.command == "sim":
-        return _cmd_sim(args)
-    if args.command == "bench-serve":
-        return _cmd_bench_serve(args)
-
-    if args.jobs < 1:
-        print(
-            f"--jobs must be a positive integer, got {args.jobs}",
-            file=sys.stderr,
-        )
+    except _Refusal as exc:
+        print(exc, file=sys.stderr)
         return 2
-
-    if args.experiment == "all":
-        selected = list(ALL_EXPERIMENTS.items())
-    elif args.experiment in ALL_EXPERIMENTS:
-        selected = [(args.experiment, ALL_EXPERIMENTS[args.experiment])]
-    else:
-        print(
-            f"unknown experiment {args.experiment!r}; try 'repro list'",
-            file=sys.stderr,
-        )
-        return 2
-
-    import json
-
-    from repro.runner import run_experiment
-
-    with _maybe_tracing(args.trace_out):
-        for name, runner in selected:
-            table, metrics = run_experiment(
-                name,
-                run_fn=runner,
-                quick=args.quick,
-                seed=args.seed,
-                jobs=args.jobs,
-                use_cache=not args.no_cache,
-            )
-            print(table.render())
-            print()
-            if args.log_json:
-                print(json.dumps(metrics.as_dict(), sort_keys=True))
-            else:
-                print(metrics.summary_line())
-            if args.timings:
-                print(metrics.report())
-                print()
-            if args.csv is not None:
-                path = table.to_csv(args.csv / f"{name}.csv")
-                print(f"(csv written to {path})")
-    if args.trace_out is not None:
-        print(f"(trace written to {args.trace_out})")
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

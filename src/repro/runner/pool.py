@@ -34,10 +34,12 @@ worker death (``BrokenProcessPool``) evicts the poisoned executor,
 rebuilds it, and retries the batch once before raising, so one crash
 never disables the pool for the rest of the process.
 
-Workers forked after a server in this process bound its port close
-their inherited copy of the listening socket
-(:func:`register_listeners`), so a stopped server's port refuses
-connections instead of queueing them in a worker that never accepts.
+A forked worker inherits every fd its parent had open, and the pool's
+own plumbing is all pipes, so the initializer closes each inherited
+socket: a server's listener (or its port would keep queueing
+connections after the server closed it) and any open client
+connection (or that client would never see EOF after the server
+closed its end).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from __future__ import annotations
 import atexit
 import functools
 import os
-import socket
+import stat
 import time
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -59,18 +61,12 @@ __all__ = [
     "evict_executor",
     "get_executor",
     "map_trials",
-    "register_listeners",
     "shutdown_pools",
     "trial_seeds",
-    "unregister_listeners",
 ]
 
 #: Live executors, keyed by worker count.
 _EXECUTORS: dict[int, ProcessPoolExecutor] = {}
-
-#: File descriptors of the listening sockets servers in this process
-#: have bound and not yet closed.
-_LISTENERS: set[int] = set()
 
 
 def trial_seeds(seed: int, trials: int) -> list[tuple[int, int]]:
@@ -88,42 +84,20 @@ def shutdown_pools() -> None:
 atexit.register(shutdown_pools)
 
 
-def register_listeners(sockets: Iterable) -> None:
-    """Have pool workers forked from now on close these listening sockets.
+def _close_inherited_sockets() -> None:
+    """Pool initializer: close every socket fd >= 3 the worker inherited.
 
-    A forked worker holds every fd its parent had open; while it holds a
-    listening socket, the kernel keeps accepting connections on the port
-    after the server closed it, and nobody serves them.
+    fds 0-2 stay, even when one is a socket (stdin can be).  Under the
+    spawn and forkserver start methods nothing is inherited, and
+    ``/dev/fd`` then lists only the worker's own pipes.
     """
-    _LISTENERS.update(sock.fileno() for sock in sockets)
-
-
-def unregister_listeners(sockets: Iterable) -> None:
-    """Undo :func:`register_listeners`; call it before closing the sockets."""
-    _LISTENERS.difference_update(sock.fileno() for sock in sockets)
-
-
-def _close_inherited_listeners() -> None:
-    """Pool initializer: close the registered listeners a fork inherited.
-
-    Only a descriptor that is still a listening socket is closed, so a
-    stale entry can never close a pipe the worker needs.  Under the
-    spawn and forkserver start methods nothing is inherited and the set
-    is empty.
-    """
-    for fd in _LISTENERS:
+    for name in os.listdir("/dev/fd"):
+        fd = int(name)
         try:
-            sock = socket.socket(fileno=fd)
-        except OSError:  # closed, or not a socket
+            if fd >= 3 and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
+        except OSError:  # the listing's own descriptor, closed by now
             continue
-        try:
-            listening = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ACCEPTCONN)
-        except OSError:
-            listening = 0
-        if listening:
-            sock.close()
-        else:
-            sock.detach()
 
 
 def get_executor(jobs: int) -> ProcessPoolExecutor:
@@ -141,7 +115,7 @@ def get_executor(jobs: int) -> ProcessPoolExecutor:
     executor = _EXECUTORS.get(jobs)
     if executor is None:
         executor = ProcessPoolExecutor(
-            max_workers=jobs, initializer=_close_inherited_listeners
+            max_workers=jobs, initializer=_close_inherited_sockets
         )
         _EXECUTORS[jobs] = executor
     return executor

@@ -52,12 +52,7 @@ from pathlib import Path
 
 from repro.obs import counters as obs_counters
 from repro.obs.trace import active_sink, emit_record, span
-from repro.runner.pool import (
-    evict_executor,
-    get_executor,
-    register_listeners,
-    unregister_listeners,
-)
+from repro.runner.pool import evict_executor, get_executor
 from repro.service import worker as worker_mod
 from repro.service.admission import AdmissionController
 from repro.service.cache import ResultCache
@@ -277,8 +272,6 @@ class SolveService:
                 limit=MAX_BODY_BYTES,
                 reuse_port=True,
             )
-        for server in self._listeners():
-            register_listeners(server.sockets)
         self.telemetry.sample(self._sample_state())  # seed the ring
         self._sampler_task = loop.create_task(self._sampler())
         return self.host, self.port
@@ -311,7 +304,6 @@ class SolveService:
             self._sampler_task.cancel()
             self._sampler_task = None
         for server in self._listeners():
-            unregister_listeners(server.sockets)
             server.close()
         if not drain:
             for req_id, future in self._queued.items():

@@ -47,7 +47,6 @@ from typing import Any
 from repro.obs import counters as obs_counters
 from repro.obs.runtime.metrics import MetricsRegistry, relabel_snapshot
 from repro.obs.runtime.prometheus import render
-from repro.runner.pool import register_listeners, unregister_listeners
 from repro.service.http import (
     MAX_BODY_BYTES,
     HttpError,
@@ -93,7 +92,6 @@ class ShardRouter:
         self._server = await asyncio.start_server(
             self._handle_conn, host, port, limit=MAX_BODY_BYTES
         )
-        register_listeners(self._server.sockets)
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
         return self.host, self.port
@@ -108,7 +106,6 @@ class ShardRouter:
         """
         self._draining = True
         if self._server is not None:
-            unregister_listeners(self._server.sockets)
             self._server.close()
         for _ in range(1000):
             if self._active_requests == 0:

@@ -28,7 +28,12 @@ from repro.sim.engine import (
     Decision,
     SimReport,
 )
-from repro.sim.report import sim_params, sim_table, write_sim_manifest
+from repro.sim.report import (
+    sim_params,
+    sim_table,
+    simulate,
+    write_sim_manifest,
+)
 from repro.sim.workload import ARRIVAL_FAMILIES, Arrival, make_arrivals
 
 __all__ = [
@@ -45,5 +50,6 @@ __all__ = [
     "paired_summary",
     "sim_params",
     "sim_table",
+    "simulate",
     "write_sim_manifest",
 ]

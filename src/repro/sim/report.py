@@ -1,4 +1,8 @@
-"""Rendering and provenance for simulation runs (``repro sim``).
+"""Provenance, running and rendering for simulation runs (``repro sim``).
+
+:func:`sim_params` is the dict that identifies a run, and
+:func:`simulate` is the one function that runs it, for ``repro sim`` and
+for ``bench-serve --replay`` alike.
 
 Mirrors what ``repro run`` does for the offline experiments: the
 simulation's outcome becomes an :class:`~repro.analysis.tables.ExperimentTable`
@@ -17,14 +21,16 @@ timestamp that :func:`write_manifest` stamps.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from pathlib import Path
 from typing import Any
 
 from repro.analysis.tables import ExperimentTable
 from repro.runner.cache import cache_key, code_fingerprint
-from repro.sim.engine import SimReport
+from repro.sim.engine import ArrivalSimulator, SimReport
+from repro.sim.workload import Arrival, make_arrivals
 
-__all__ = ["sim_params", "sim_table", "write_sim_manifest"]
+__all__ = ["sim_params", "sim_table", "simulate", "write_sim_manifest"]
 
 
 def sim_table(report: SimReport, *, family: str, seed: int) -> ExperimentTable:
@@ -84,11 +90,18 @@ def sim_params(
     context_switch_s: float,
     context_switch_j: float,
     cores_spec: str | None = None,
+    theta: float = 1.0,
+    reserve: bool = False,
+    deadline_check: bool = True,
+    mk_m: int = 1,
+    mk_k: int = 2,
 ) -> dict[str, Any]:
     """The canonical parameter dict identifying one simulation run.
 
-    ``cores_spec`` names a heterogeneous core set ('lp:2,hp:1'); it is
-    only included when set so homogeneous manifests keep their shape.
+    It is everything :func:`simulate` needs to rebuild the run.
+    ``cores_spec`` names a heterogeneous core set ('lp:2,hp:1') and the
+    (m,k) window is recorded only for the ``mk`` policy; both are only
+    included when used, so homogeneous manifests keep their shape.
     """
     params = {
         "family": family,
@@ -104,7 +117,52 @@ def sim_params(
     }
     if cores_spec is not None:
         params["cores_spec"] = cores_spec
+    params["theta"] = theta
+    params["reserve"] = reserve
+    params["deadline_check"] = deadline_check
+    if policy == "mk":
+        params["mk_m"] = mk_m
+        params["mk_k"] = mk_k
     return params
+
+
+def simulate(
+    params: Mapping[str, Any],
+) -> tuple[tuple[Arrival, ...], SimReport]:
+    """Build and run the simulation a :func:`sim_params` dict describes.
+
+    ``repro sim`` runs the dict it records in its manifest and trace
+    header, and ``bench-serve --replay`` rebuilds the run from that
+    header, so a trace always names the run it came from.  Keys an
+    older header lacks take the :func:`sim_params` defaults.  Raises
+    ``KeyError`` for a missing required key and ``ValueError`` for a
+    value the simulator refuses.
+    """
+    from repro.core.rejection.online import policy_from_spec
+    from repro.hetero.platform import parse_cores_spec
+
+    arrivals = make_arrivals(params["family"], params["count"], params["seed"])
+    policy = policy_from_spec(
+        params["policy"],
+        theta=params.get("theta", 1.0),
+        reserve=params.get("reserve", False),
+        mk_m=params.get("mk_m", 1),
+        mk_k=params.get("mk_k", 2),
+    )
+    cores_spec = params.get("cores_spec")
+    report = ArrivalSimulator(
+        arrivals,
+        cores=params["cores"],
+        policy=policy,
+        capacity_units=params["capacity_units"],
+        rate_units_per_s=params["rate_units_per_s"],
+        speed=params.get("speed", 1.0),
+        context_switch_s=params.get("context_switch_s", 0.0),
+        context_switch_j=params.get("context_switch_j", 0.0),
+        deadline_check=params.get("deadline_check", True),
+        platform=parse_cores_spec(cores_spec) if cores_spec else None,
+    ).run()
+    return arrivals, report
 
 
 def write_sim_manifest(

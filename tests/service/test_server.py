@@ -369,6 +369,29 @@ class TestListenerInheritance:
 
         run(body())
 
+    def test_open_client_sees_eof_after_the_pool_forked_under_it(self):
+        async def body():
+            # The pool forks while this keep-alive connection is open, so
+            # its workers inherit the client's socket as well.
+            evict_executor(1)
+            svc, host, port = await _start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                status, payload = await http_json(
+                    host, port, "POST", "/solve", _pool_bodies(6, 1)[0],
+                    reader=reader, writer=writer,
+                )
+                assert status == 200, payload
+                assert 1 in _EXECUTORS
+            finally:
+                await svc.stop()
+            try:
+                assert await asyncio.wait_for(reader.read(), 5) == b""
+            finally:
+                writer.close()
+
+        run(body())
+
 
 class TestGracefulDrain:
     def test_stop_drains_inflight_request(self):

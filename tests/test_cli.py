@@ -436,13 +436,25 @@ class TestServeFlagValidation:
 
 class TestPolicyChoicesSync:
     def test_cli_mirror_matches_the_online_registry(self):
-        # cli._POLICY_CHOICES is a hand-kept mirror of
-        # online.POLICY_CHOICES (so building the parser never imports
-        # the solver stack); this is the promised sync check.
+        # serve and sim both offer exactly the spellings
+        # policy_from_spec resolves.
+        import argparse
+
         from repro import cli
         from repro.core.rejection import online
 
-        assert cli._POLICY_CHOICES == online.POLICY_CHOICES
+        (commands,) = [
+            action
+            for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        for command in ("serve", "sim"):
+            (policy,) = [
+                action
+                for action in commands.choices[command]._actions
+                if "--policy" in action.option_strings
+            ]
+            assert tuple(policy.choices) == online.POLICY_CHOICES
 
 
 class TestHeteroSolve:
@@ -512,3 +524,87 @@ class TestMkPolicyArgs:
              "--mk-m", "4", "--mk-k", "2"]
         ) == 2
         assert "--mk-m/--mk-k" in capsys.readouterr().err
+
+
+#: (argv, flag): every flag whose bound is declared on the flag, with a
+#: value outside it.
+OUT_OF_BOUNDS = [
+    (["run", "fig_r1", "--jobs", "0"], "--jobs"),
+    (["generate", "out.json", "--n", "0"], "--n"),
+    (["generate", "out.json", "--load", "-1"], "--load"),
+    (["generate", "out.json", "--seed", "-1"], "--seed"),
+    (["generate", "out.json", "--penalty-scale", "0"], "--penalty-scale"),
+    (["solve", "x.json", "--eps", "nan"], "--eps"),
+    (["verify", "--budget", "0"], "--budget"),
+    (["verify", "--seed", "-1"], "--seed"),
+    (["serve", "--workers", "0"], "--workers"),
+    (["serve", "--theta", "0"], "--theta"),
+    (["serve", "--capacity", "0"], "--capacity"),
+    (["serve", "--rate", "-5"], "--rate"),
+    (["serve", "--window", "0"], "--window"),
+    (["serve", "--cache-entries", "0"], "--cache-entries"),
+    (["serve", "--shards", "0"], "--shards"),
+    (["serve", "--budget", "-3"], "--budget"),
+    (
+        ["serve", "--cache-max-bytes", "0", "--cache-dir", "D"],
+        "--cache-max-bytes",
+    ),
+    (["serve", "--sample-interval", "0"], "--sample-interval"),
+    (["top", "--interval", "0"], "--interval"),
+    (["sim", "--arrivals", "0"], "--arrivals"),
+    (["sim", "--theta", "-1"], "--theta"),
+    (["sim", "--cores", "0"], "--cores"),
+    (["sim", "--capacity", "0"], "--capacity"),
+    (["sim", "--rate", "-1"], "--rate"),
+    (["sim", "--speed", "0"], "--speed"),
+    (["sim", "--cs-time", "-1"], "--cs-time"),
+    (["sim", "--cs-energy", "-1"], "--cs-energy"),
+    (["bench-serve", "--requests", "0"], "--requests"),
+    (["bench-serve", "--seed", "-1"], "--seed"),
+    (["bench-serve", "--passes", "0"], "--passes"),
+    (["bench-serve", "--concurrency", "0"], "--concurrency"),
+    (["bench-serve", "--mode", "open", "--rate", "0"], "--rate"),
+    (["bench-serve", "--eps", "0"], "--eps"),
+    (["bench-serve", "--speedup", "0"], "--speedup"),
+    (["bench-serve", "--shards", "1,0"], "--shards"),
+    (["bench-serve", "--factors", "0.5,0"], "--factors"),
+    (["bench-serve", "--duration", "0"], "--duration"),
+    (["bench-serve", "--workers", "0"], "--workers"),
+    (["bench-serve", "--window", "0"], "--window"),
+]
+
+
+class TestFlagBounds:
+    @pytest.mark.parametrize(
+        "argv,flag", OUT_OF_BOUNDS, ids=[" ".join(a) for a, _ in OUT_OF_BOUNDS]
+    )
+    def test_out_of_bounds_is_one_line_exit_2(
+        self, capsys, tmp_path, monkeypatch, argv, flag
+    ):
+        import repro.runner.pool as pool
+
+        monkeypatch.chdir(tmp_path)
+        executors = dict(pool._EXECUTORS)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert flag in err
+        assert "Traceback" not in err
+        # Refused while parsing: no pool, no file, no directory.
+        assert pool._EXECUTORS == executors
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sim", "--cs-time", "0", "--cs-energy", "0"],
+            ["run", "fig_r1", "--jobs", "1"],
+            ["serve", "--cache-entries", "1"],
+            ["serve", "--window", "1e-9"],
+            ["bench-serve", "--seed", "0", "--shards", "1,2"],
+        ],
+    )
+    def test_boundary_values_still_parse(self, argv):
+        from repro.cli import _build_parser
+
+        _build_parser().parse_args(argv)
