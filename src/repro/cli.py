@@ -44,7 +44,11 @@ import os
 import sys
 from pathlib import Path
 
-from repro._validation import require_nonnegative, require_positive
+from repro._validation import (
+    require_in_range,
+    require_nonnegative,
+    require_positive,
+)
 from repro.core.rejection.online import POLICY_CHOICES, policy_from_spec
 from repro.kernels import (
     ENV_VAR as KERNEL_ENV_VAR,
@@ -94,20 +98,21 @@ class _Refusal(Exception):
     """Bad input found by a command: :func:`main` prints it and exits 2."""
 
 
-def _bounded(check, bound: str) -> type[argparse.Action]:
+def _bounded(check, bound: str, *limits) -> type[argparse.Action]:
     """An argparse action that stores a value only when *check* accepts it.
 
-    *check* is a :mod:`repro._validation` ``require_*`` helper.  A value
-    it refuses (for a list flag, any entry) is the parser's one-line
-    exit-2 error ``FLAG must be BOUND, got VALUE``, raised while the
-    command line is parsed, so before any command starts.
+    *check* is a :mod:`repro._validation` ``require_*`` helper, called
+    as ``check(flag, value, *limits)``.  A value it refuses (for a list
+    flag, any entry) is the parser's one-line exit-2 error ``FLAG must
+    be BOUND, got VALUE``, raised while the command line is parsed, so
+    before any command starts.
     """
 
     class _Bounded(argparse.Action):
         def __call__(self, parser, namespace, values, option_string=None):
             for value in values if isinstance(values, tuple) else (values,):
                 try:
-                    check(option_string, value)
+                    check(option_string, value, *limits)
                 except ValueError:
                     parser.error(f"{option_string} must be {bound}, got {value}")
             setattr(namespace, self.dest, values)
@@ -117,6 +122,12 @@ def _bounded(check, bound: str) -> type[argparse.Action]:
 
 _POSITIVE = _bounded(require_positive, "> 0 and finite")
 _NONNEGATIVE = _bounded(require_nonnegative, ">= 0 and finite")
+_PORT = _bounded(require_in_range, "in [1, 65535]", 1, 65535)
+_BIND_PORT = _bounded(require_in_range, "in [0, 65535]", 0, 65535)
+_SPEED = _bounded(
+    lambda name, v: require_in_range(name, require_positive(name, v), 0, 1),
+    "in (0, 1]",
+)
 
 
 def _number_list(kind):
@@ -208,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--host", default="127.0.0.1", help="server address"
     )
     server_flags.add_argument(
-        "--port", type=int, default=8722, help="server port"
+        "--port", type=int, default=8722, action=_PORT, help="server port"
     )
 
     sub.add_parser("list", help="list available experiments").set_defaults(
@@ -395,6 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--top",
         type=int,
         default=5,
+        action=_NONNEGATIVE,
         metavar="K",
         help="how many slowest trials to list (default 5)",
     )
@@ -415,7 +427,11 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(handler=_cmd_serve)
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
-        "--port", type=int, default=8722, help="bind port (0 = ephemeral)"
+        "--port",
+        type=int,
+        default=8722,
+        action=_BIND_PORT,
+        help="bind port (0 = ephemeral)",
     )
     serve.add_argument(
         "--workers",
@@ -682,7 +698,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--speed",
         type=float,
         default=1.0,
-        action=_POSITIVE,
+        action=_SPEED,
         help="execution speed in (0, 1] (energy follows the XScale curve)",
     )
     sim.add_argument(
@@ -1177,12 +1193,15 @@ def _cmd_serve(args) -> int:
             from repro.service.shard import GlobalBudget
 
             budget = GlobalBudget(args.budget)
-        service = SolveService(
-            shard_id=args.shard_id,
-            budget=budget,
-            cache_dir=args.cache_dir,
-            **service_kwargs,
-        )
+        try:
+            service = SolveService(
+                shard_id=args.shard_id,
+                budget=budget,
+                cache_dir=args.cache_dir,
+                **service_kwargs,
+            )
+        except OSError as exc:  # the disk tier's directory is unusable
+            raise _Refusal(f"cannot use --cache-dir {args.cache_dir}: {exc}")
 
         def banner(host: str, port: int) -> str:
             return (
@@ -1197,7 +1216,7 @@ def _cmd_serve(args) -> int:
 
 def _serve_fleet(args, service_kwargs) -> int:
     """``repro serve --shards N``: a LocalFleet behind the router."""
-    from repro.service.cache import default_service_cache_dir
+    from repro.runner.cache import default_cache_dir
     from repro.service.shard import (
         FileBudget,
         LocalFleet,
@@ -1207,14 +1226,17 @@ def _serve_fleet(args, service_kwargs) -> int:
     budget = None
     if args.budget_file is not None:
         budget = FileBudget(args.budget_file, args.budget, reset=True)
-    cache_dir = args.cache_dir or default_service_cache_dir()
-    fleet = LocalFleet(
-        shards=args.shards,
-        budget_units=args.budget,
-        budget=budget,
-        cache_dir=cache_dir,
-        **service_kwargs,
-    )
+    cache_dir = args.cache_dir or default_cache_dir() / "service"
+    try:
+        fleet = LocalFleet(
+            shards=args.shards,
+            budget_units=args.budget,
+            budget=budget,
+            cache_dir=cache_dir,
+            **service_kwargs,
+        )
+    except OSError as exc:  # the shared disk tier's directory is unusable
+        raise _Refusal(f"cannot use --cache-dir {cache_dir}: {exc}")
     reuseport_port = None
     if args.reuseport:
         if reuseport_available():

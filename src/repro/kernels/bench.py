@@ -17,20 +17,16 @@ throughput table as ``BENCH_kernels.json``:
 Instance generation uses only the stdlib ``random`` module, so the
 benchmark (like the solvers) runs in NumPy-free environments; there it
 simply produces python-kernel cells only.
-
-The file is written atomically (temp file + rename), mirroring the
-result cache and run manifests.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import sys
 import time
 from pathlib import Path
 from random import Random
 
+from repro._store import atomic_write_json
 from repro.core.rejection import (
     RejectionProblem,
     branch_and_bound,
@@ -46,6 +42,7 @@ from repro.energy import ContinuousEnergyFunction
 from repro.kernels import kernel_names, use_kernel
 from repro.obs import counters as obs_counters
 from repro.power import xscale_power_model
+from repro.runner.cache import code_fingerprint
 from repro.tasks.model import FrameTask, FrameTaskSet
 
 __all__ = ["BENCH_SOLVERS", "SCHEMA_VERSION", "run_bench"]
@@ -247,21 +244,11 @@ def run_bench(
         "sizes": list(sizes),
         "solvers": names,
         "python": sys.version.split()[0],
-        "code": _code_fingerprint(),
+        "code": code_fingerprint(),
         "created": time.time(),
         "results": results,
     }
     path = Path(out)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    tmp.replace(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    atomic_write_json(path, payload, indent=2)
     return path, results
-
-
-def _code_fingerprint() -> str:
-    """The runner's source fingerprint (ties a bench file to the code)."""
-    from repro.runner.cache import code_fingerprint
-
-    return code_fingerprint()

@@ -23,6 +23,8 @@ import os
 import time
 from pathlib import Path
 
+from repro._store import atomic_write_json
+
 __all__ = [
     "MANIFEST_FORMAT",
     "default_manifest_dir",
@@ -93,9 +95,7 @@ def write_manifest(
         "counters": dict(counters),
         "created": time.time(),
     }
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(entry, indent=2, sort_keys=True) + "\n")
-    tmp.replace(path)
+    atomic_write_json(path, entry, indent=2)
     return path
 
 

@@ -5,8 +5,8 @@ The substrate every paper-scale sweep goes through:
 * :mod:`repro.runner.pool` — deterministic trial-level fan-out
   (``map_trials``) over a shared process pool, with a no-pool
   ``jobs=1`` path;
-* :mod:`repro.runner.cache` — content-addressed on-disk result cache
-  under ``results/.cache/``;
+* :mod:`repro.runner.cache` — experiment tables in the package's one
+  content-addressed store (:mod:`repro._store`) under ``results/.cache/``;
 * :mod:`repro.runner.metrics` — wall-time / cache / worker counters
   surfaced in table notes and the ``--timings`` report.
 

@@ -1,8 +1,9 @@
 """On-disk result cache for experiment tables.
 
 Results live under ``results/.cache/`` (override with the
-``REPRO_CACHE_DIR`` environment variable) as one JSON file per entry,
-named by a content hash of everything the result depends on:
+``REPRO_CACHE_DIR`` environment variable) as one entry of the package's
+content-addressed :class:`~repro._store.JsonStore` per result, named by
+a content hash of everything the result depends on:
 
 * the experiment name,
 * the resolved run parameters (canonically serialised, so two dicts with
@@ -12,10 +13,8 @@ named by a content hash of everything the result depends on:
   ``repro`` package — *any* source edit invalidates *every* entry.
   Conservative, but cheap, and never stale.
 
-A corrupted, truncated, or otherwise unreadable entry is treated as a
-miss: :func:`load` returns ``None`` and the caller recomputes.  Writes
-go through a temp file + atomic rename so a crashed or concurrent run
-can never leave a half-written entry behind.
+This module converts tables to and from stored dicts.  A corrupt entry
+(a row of the wrong arity too) or an unusable cache dir is a miss.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ import json
 import os
 from pathlib import Path
 
+from repro._store import JsonStore
 from repro.analysis.tables import ExperimentTable
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
     "store",
 ]
 
-#: Bump to invalidate every existing cache entry on format changes.
+#: Key-scheme version, hashed into every key: a bump misses every entry.
 CACHE_FORMAT = 1
 
 _FINGERPRINT: str | None = None
@@ -108,8 +108,12 @@ def cache_key(
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _entry_path(key: str, cache_dir: Path | None) -> Path:
-    return (cache_dir or default_cache_dir()) / f"{key}.json"
+def _disk(cache_dir: Path | None) -> JsonStore | None:
+    """The store over *cache_dir*, or ``None`` when it cannot be created."""
+    try:
+        return JsonStore(cache_dir or default_cache_dir())
+    except OSError:
+        return None
 
 
 def _cell_to_json(cell):
@@ -125,35 +129,26 @@ def _cell_to_json(cell):
 
 def store(
     key: str, table: ExperimentTable, cache_dir: Path | None = None
-) -> Path:
-    """Persist *table* under *key*; returns the entry path."""
-    path = _entry_path(key, cache_dir)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    entry = {
-        "format": CACHE_FORMAT,
-        "key": key,
-        "table": {
-            "name": table.name,
-            "title": table.title,
-            "columns": list(table.columns),
-            "rows": [[_cell_to_json(c) for c in row] for row in table.rows],
-            "notes": list(table.notes),
-        },
+) -> Path | None:
+    """Persist *table* under *key*; the entry path, or ``None`` if dropped."""
+    value = {
+        "name": table.name,
+        "title": table.title,
+        "columns": list(table.columns),
+        "rows": [[_cell_to_json(c) for c in row] for row in table.rows],
+        "notes": list(table.notes),
     }
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(entry, sort_keys=True) + "\n")
-    tmp.replace(path)
-    return path
+    disk = _disk(cache_dir)
+    return None if disk is None else disk.put(key, value)
 
 
 def load(key: str, cache_dir: Path | None = None) -> ExperimentTable | None:
     """The cached table for *key*, or ``None`` on miss/corruption."""
-    path = _entry_path(key, cache_dir)
+    disk = _disk(cache_dir)
+    data = None if disk is None else disk.get(key)
+    if data is None:
+        return None
     try:
-        entry = json.loads(path.read_text())
-        if entry["format"] != CACHE_FORMAT or entry["key"] != key:
-            return None
-        data = entry["table"]
         table = ExperimentTable(
             name=data["name"],
             title=data["title"],
@@ -162,6 +157,6 @@ def load(key: str, cache_dir: Path | None = None) -> ExperimentTable | None:
         )
         for row in data["rows"]:
             table.add_row(*row)
-        return table
-    except (OSError, ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError):
         return None
+    return table

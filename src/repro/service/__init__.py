@@ -12,9 +12,9 @@ from a content-addressed cache keyed like the runner's on-disk cache.
 
 At fleet scale (``repro serve --shards N``) the same admission stays
 *global*: per-shard controllers lease capacity from one fleet-wide
-budget ledger, shards share a content-addressed disk cache tier, and a
-front-door router merges per-shard telemetry into one ``shard``-labeled
-exposition — see :mod:`repro.service.shard`.
+budget ledger, shards share a :class:`~repro._store.JsonStore` disk
+cache tier, and a front-door router merges per-shard telemetry into one
+``shard``-labeled exposition — see :mod:`repro.service.shard`.
 
 Entry points: ``repro serve`` (the server) and ``repro bench-serve``
 (the seeded open/closed-loop load generator; ``--shards`` runs the
@@ -22,7 +22,7 @@ fleet saturation sweep).  See ``docs/service.md``.
 """
 
 from repro.service.admission import AdmissionController, AdmissionDecision
-from repro.service.cache import DiskTier, ResultCache
+from repro.service.cache import ResultCache
 from repro.service.loadgen import PassStats, run_load
 from repro.service.models import (
     SOLVER_NAMES,
@@ -42,7 +42,6 @@ from repro.service.shard import (
 __all__ = [
     "AdmissionController",
     "AdmissionDecision",
-    "DiskTier",
     "FileBudget",
     "GlobalBudget",
     "LocalFleet",

@@ -6,18 +6,13 @@ two byte-different but content-identical instance payloads hash alike,
 and any edit to the ``repro`` sources invalidates served results the
 same way it invalidates experiment tables.
 
-Two tiers:
-
-* a bounded in-memory LRU (results are small JSON dicts; the bound
-  keeps the footprint flat under sustained unique traffic), and
-* an optional content-addressed **disk tier** (one JSON file per key
-  under ``results/.cache/service/`` by default) shared between shards:
-  entries are location-independent by key, so a fleet member hits
-  results any other shard solved.  Writes are atomic (temp file +
-  rename), a corrupted or truncated entry is a miss — never a crash —
-  and an optional byte budget prunes least-recently-used entries by
-  mtime (hits ``touch`` their entry), all matching
-  :mod:`repro.runner.cache` semantics.
+Two tiers: a bounded in-memory LRU (results are small JSON dicts; the
+bound keeps the footprint flat under sustained unique traffic), and an
+optional **disk tier** shared between shards, the package's one
+content-addressed :class:`~repro._store.JsonStore` (under
+``results/.cache/service/`` by default): entries are
+location-independent by key, so a fleet member hits results any other
+shard solved.
 
 Hits and misses are reported both through the instance counters
 (``/metrics``) and the :mod:`repro.obs` registry; disk hits are broken
@@ -26,124 +21,15 @@ out separately so the cross-shard test wall can pin them.
 
 from __future__ import annotations
 
-import contextlib
-import json
-import os
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any
 
+from repro._store import JsonStore
 from repro.obs import counters as obs_counters
-from repro.runner.cache import cache_key, default_cache_dir
+from repro.runner.cache import cache_key
 
-__all__ = ["DiskTier", "ResultCache", "default_service_cache_dir"]
-
-#: Disk-entry schema version (bump to invalidate existing entries).
-DISK_FORMAT = 1
-
-
-def default_service_cache_dir() -> Path:
-    """``<runner cache dir>/service`` — follows ``REPRO_CACHE_DIR``."""
-    return default_cache_dir() / "service"
-
-
-class DiskTier:
-    """Content-addressed solution files shared between shards.
-
-    Every entry is ``<dir>/<key>.json`` holding ``{"format", "key",
-    "solution"}``; the embedded key is checked on read so a renamed or
-    half-copied file can never serve the wrong solution.  All failure
-    modes (missing file, torn write, truncation, bad JSON, wrong
-    schema) read as a miss.
-    """
-
-    def __init__(
-        self, directory: Path | str, *, max_bytes: int | None = None
-    ) -> None:
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        self.directory = Path(directory)
-        self.max_bytes = max_bytes
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def get(self, key: str) -> dict | None:
-        """The stored solution, or ``None`` on miss/corruption."""
-        path = self._path(key)
-        try:
-            entry = json.loads(path.read_text())
-            if entry["format"] != DISK_FORMAT or entry["key"] != key:
-                return None
-            solution = entry["solution"]
-            if not isinstance(solution, dict):
-                return None
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-        # Touch for LRU-by-mtime pruning: a hit makes the entry young.
-        with contextlib.suppress(OSError):
-            os.utime(path)
-        return solution
-
-    def put(self, key: str, solution: dict) -> None:
-        """Store atomically (temp file + rename), then prune to budget."""
-        path = self._path(key)
-        entry = {"format": DISK_FORMAT, "key": key, "solution": solution}
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(entry, sort_keys=True) + "\n")
-            tmp.replace(path)
-        except OSError:
-            # Disk trouble degrades the tier, never the request path.
-            with contextlib.suppress(OSError):
-                tmp.unlink()
-            return
-        if self.max_bytes is not None:
-            self.prune()
-
-    def prune(self) -> int:
-        """Evict oldest-mtime entries until total bytes fit the budget.
-
-        Returns the number of evicted entries.  Concurrently vanishing
-        files (another shard pruning the shared tier) are skipped.
-        """
-        if self.max_bytes is None:
-            return 0
-        entries = []
-        for path in self.directory.glob("*.json"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-        total = sum(size for _, size, _ in entries)
-        evicted = 0
-        for _, size, path in sorted(entries):
-            if total <= self.max_bytes:
-                break
-            with contextlib.suppress(OSError):
-                path.unlink()
-            total -= size
-            evicted += 1
-        return evicted
-
-    def stats(self) -> dict:
-        """JSON-ready snapshot (entry count and resident bytes)."""
-        count = 0
-        total = 0
-        for path in self.directory.glob("*.json"):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-            count += 1
-        return {
-            "dir": str(self.directory),
-            "entries": count,
-            "bytes": total,
-            "max_bytes": self.max_bytes,
-        }
+__all__ = ["ResultCache"]
 
 
 class ResultCache:
@@ -171,7 +57,7 @@ class ResultCache:
         self._data: OrderedDict[str, dict] = OrderedDict()
         self._counters = counters
         self.disk = (
-            DiskTier(disk_dir, max_bytes=disk_max_bytes)
+            JsonStore(disk_dir, max_bytes=disk_max_bytes)
             if disk_dir is not None
             else None
         )

@@ -30,10 +30,9 @@ one paper-faithful controller instead of over-admitting N×.
 from __future__ import annotations
 
 import asyncio
-import json
-import os
 from pathlib import Path
 
+from repro._store import atomic_write_json
 from repro.obs.runtime.slo import DEFAULT_SLOS, format_slo_line
 from repro.service.loadgen import (
     format_stats,
@@ -49,7 +48,7 @@ from repro.service.shard.fleet import ThreadedFleet
 #: measures raw sustainable throughput, so admission must not bite.
 _UNBOUNDED = 1e12
 
-__all__ = ["run_saturation", "write_bench_json"]
+__all__ = ["run_saturation"]
 
 #: BENCH_serve.json schema version.
 BENCH_FORMAT = 1
@@ -264,15 +263,7 @@ def run_saturation(
         "points": points,
     }
     if out is not None:
-        write_bench_json(out, report)
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        atomic_write_json(out, report, indent=2)
         print(f"wrote {out}")
     return report
-
-
-def write_bench_json(path: Path | str, report: dict) -> None:
-    """Atomic JSON write (temp file + rename), runner-cache style."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    tmp.replace(path)

@@ -20,8 +20,8 @@ Two implementations share one interface:
     ``fcntl`` file lock (with an ``O_EXCL`` lockfile fallback where
     ``fcntl`` is unavailable), so N independent ``repro serve``
     processes coordinate through the filesystem.  State writes are
-    atomic (temp file + rename) and a corrupt state file is treated as
-    an empty ledger — matching :mod:`repro.runner.cache` semantics.
+    atomic (:func:`repro._store.atomic_write_json`) and a corrupt state
+    file is treated as an empty ledger.
 
 Crash recovery: a shard that died holding leases would otherwise leak
 its capacity forever.  :meth:`forfeit` drops *every* lease a shard
@@ -40,6 +40,7 @@ import threading
 import time
 from pathlib import Path
 
+from repro._store import atomic_write_json
 from repro._validation import fits, require_positive
 
 try:  # POSIX file locks; the lockfile fallback covers the rest.
@@ -247,9 +248,7 @@ class FileBudget:
             "budget_units": self.budget_units,
             "held": {s: u for s, u in sorted(held.items()) if u > 0},
         }
-        tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(state, sort_keys=True) + "\n")
-        tmp.replace(self.path)
+        atomic_write_json(self.path, state)
 
     # -- the ledger ops (same contract as GlobalBudget) -----------------
 

@@ -14,13 +14,13 @@ trips five checkers still reads as one failing trial.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from repro._store import atomic_write_json
 from repro.core.rejection import MultiprocRejectionProblem, RejectionProblem
 from repro.hetero.assign import HeteroRejectionProblem
 from repro.io import instance_to_dict, save_instance
@@ -100,9 +100,7 @@ def _write_reproducer(
         path = out_dir / f"{stem}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         uni = RejectionProblem(tasks=problem.tasks, energy_fn=problem.energy_fn)
-        with open(path, "w") as fh:
-            json.dump(instance_to_dict(uni), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        atomic_write_json(path, instance_to_dict(uni), indent=2)
         extra = {"m": problem.m}
     else:
         # Uniproc and hetero instances round-trip through repro.io
@@ -119,9 +117,7 @@ def _write_reproducer(
         "replay": f"repro solve {path.name} --algorithm {algorithm}",
         **extra,
     }
-    with open(path.with_suffix(".meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write_json(path.with_suffix(".meta.json"), meta, indent=2)
     return path
 
 

@@ -14,6 +14,7 @@ import json
 import hypothesis.strategies as st
 from hypothesis import given
 
+from repro._store import STORE_FORMAT
 from repro.analysis.tables import ExperimentTable
 from repro.runner import cache
 from repro.runner.cache import cache_key
@@ -160,13 +161,37 @@ class TestCorruptionIsAMiss:
     def test_format_bump_invalidates(self, tmp_path):
         key, path = self._stored(tmp_path)
         entry = json.loads(path.read_text())
-        entry["format"] = cache.CACHE_FORMAT + 1
+        entry["format"] = STORE_FORMAT + 1
         path.write_text(json.dumps(entry))
         assert cache.load(key, cache_dir=tmp_path) is None
 
     def test_rows_with_wrong_arity(self, tmp_path):
         key, path = self._stored(tmp_path)
         entry = json.loads(path.read_text())
-        entry["table"]["rows"][0] = [1]  # drops two cells
+        entry["value"]["rows"][0] = [1]  # drops two cells
         path.write_text(json.dumps(entry))
         assert cache.load(key, cache_dir=tmp_path) is None
+
+
+class TestUnusableCacheDir:
+    def test_run_finishes_as_a_miss_when_the_cache_dir_is_a_file(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.runner import run_experiment
+
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("a regular file")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker))
+        table, metrics = run_experiment(
+            "fig_rX", run_fn=lambda jobs, quick: _sample_table()
+        )
+        assert metrics.cache == "miss"
+        assert table.rows == _sample_table().rows
+        assert blocker.read_text() == "a regular file"
+
+    def test_store_is_dropped_and_load_misses(self, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("a regular file")
+        key = cache_key("fig_rX", {"quick": True}, 0)
+        assert cache.store(key, _sample_table(), cache_dir=blocker) is None
+        assert cache.load(key, cache_dir=blocker) is None

@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from repro.service.cache import DISK_FORMAT, DiskTier, ResultCache
+from repro._store import STORE_FORMAT, JsonStore
+from repro.service.cache import ResultCache
 
 
 INSTANCE = {
@@ -74,7 +75,7 @@ class TestLru:
 
 class TestDiskTier:
     def test_round_trip_and_stats(self, tmp_path):
-        tier = DiskTier(tmp_path / "cache")
+        tier = JsonStore(tmp_path / "cache")
         tier.put("k1", {"cost": 1.0})
         assert tier.get("k1") == {"cost": 1.0}
         assert tier.get("absent") is None
@@ -86,23 +87,23 @@ class TestDiskTier:
     def test_entries_are_shared_between_instances(self, tmp_path):
         # Location-independence: any tier over the same directory sees
         # the same content-addressed entries — the cross-shard contract.
-        DiskTier(tmp_path).put("k1", {"cost": 1.0})
-        assert DiskTier(tmp_path).get("k1") == {"cost": 1.0}
+        JsonStore(tmp_path).put("k1", {"cost": 1.0})
+        assert JsonStore(tmp_path).get("k1") == {"cost": 1.0}
 
     @pytest.mark.parametrize(
         "content",
         [
             "",  # truncated to nothing
-            '{"format": 1, "key": "k1", "sol',  # torn write
+            '{"format": 1, "key": "k1", "val',  # torn write
             "not json at all",
-            json.dumps({"format": 99, "key": "k1", "solution": {}}),
-            json.dumps({"format": DISK_FORMAT, "solution": {}}),  # no key
+            json.dumps({"format": 99, "key": "k1", "value": {}}),
+            json.dumps({"format": STORE_FORMAT, "value": {}}),  # no key
             json.dumps(
                 # A renamed/half-copied file: embedded key disagrees.
-                {"format": DISK_FORMAT, "key": "other", "solution": {}}
+                {"format": STORE_FORMAT, "key": "other", "value": {}}
             ),
             json.dumps(
-                {"format": DISK_FORMAT, "key": "k1", "solution": [1, 2]}
+                {"format": STORE_FORMAT, "key": "k1", "value": [1, 2]}
             ),
             json.dumps([1, 2, 3]),
         ],
@@ -118,12 +119,12 @@ class TestDiskTier:
         ],
     )
     def test_corrupted_entry_is_a_miss_not_a_crash(self, tmp_path, content):
-        tier = DiskTier(tmp_path)
+        tier = JsonStore(tmp_path)
         (tmp_path / "k1.json").write_text(content)
         assert tier.get("k1") is None
 
     def test_prune_evicts_oldest_mtime_first(self, tmp_path):
-        tier = DiskTier(tmp_path)
+        tier = JsonStore(tmp_path)
         for index in range(4):
             key = f"k{index}"
             tier.put(key, {"v": index, "pad": "x" * 64})
@@ -137,7 +138,7 @@ class TestDiskTier:
         assert tier.get("k3") == {"v": 3, "pad": "x" * 64}
 
     def test_hit_touches_entry_young_again(self, tmp_path):
-        tier = DiskTier(tmp_path)
+        tier = JsonStore(tmp_path)
         tier.put("old", {"v": 0})
         tier.put("new", {"v": 1})
         # Backdate both, then hit "old": the hit must refresh its
@@ -152,7 +153,7 @@ class TestDiskTier:
         assert tier.get("new") is None
 
     def test_put_prunes_when_over_budget(self, tmp_path):
-        tier = DiskTier(tmp_path)
+        tier = JsonStore(tmp_path)
         tier.put("k0", {"v": 0})
         os.utime(tmp_path / "k0.json", (1, 1))
         # Budget fits exactly one entry; the next put must evict the
@@ -163,9 +164,22 @@ class TestDiskTier:
         assert tier.get("k1") == {"v": 1}
         assert tier.stats()["entries"] == 1
 
+    def test_failed_write_is_dropped_and_leaves_no_temp_file(self, tmp_path):
+        tier = JsonStore(tmp_path)
+        (tmp_path / "k1.json").mkdir()  # the rename onto it must fail
+        assert tier.put("k1", {"v": 1}) is None
+        assert tier.get("k1") is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k1.json"]
+
+    def test_unusable_directory_raises_at_construction(self, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("a regular file")
+        with pytest.raises(OSError):
+            JsonStore(blocker)
+
     def test_max_bytes_validated(self, tmp_path):
         with pytest.raises(ValueError, match="max_bytes"):
-            DiskTier(tmp_path, max_bytes=0)
+            JsonStore(tmp_path, max_bytes=0)
 
 
 class TestTwoTier:

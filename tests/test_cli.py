@@ -433,6 +433,20 @@ class TestServeFlagValidation:
         assert main(["serve", "--slo-latency-ms", "0"]) == 2
         assert "bad SLO configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_cache_dir_that_is_a_file_is_one_line_exit_2(
+        self, capsys, tmp_path, shards
+    ):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("a regular file")
+        argv = ["serve", "--shards", shards, "--cache-dir", str(blocker)]
+        assert main(argv + ["--port", "0"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert "--cache-dir" in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "a regular file"
+
 
 class TestPolicyChoicesSync:
     def test_cli_mirror_matches_the_online_registry(self):
@@ -550,13 +564,20 @@ OUT_OF_BOUNDS = [
         "--cache-max-bytes",
     ),
     (["serve", "--sample-interval", "0"], "--sample-interval"),
+    (["serve", "--port", "-1"], "--port"),
+    (["serve", "--port", "65536"], "--port"),
     (["top", "--interval", "0"], "--interval"),
+    (["top", "--port", "0"], "--port"),
+    (["top", "--port", "65536"], "--port"),
+    (["bench-serve", "--port", "-1"], "--port"),
+    (["stats", "x.json", "--top", "-1"], "--top"),
     (["sim", "--arrivals", "0"], "--arrivals"),
     (["sim", "--theta", "-1"], "--theta"),
     (["sim", "--cores", "0"], "--cores"),
     (["sim", "--capacity", "0"], "--capacity"),
     (["sim", "--rate", "-1"], "--rate"),
     (["sim", "--speed", "0"], "--speed"),
+    (["sim", "--speed", "2"], "--speed"),
     (["sim", "--cs-time", "-1"], "--cs-time"),
     (["sim", "--cs-energy", "-1"], "--cs-energy"),
     (["bench-serve", "--requests", "0"], "--requests"),
@@ -601,6 +622,12 @@ class TestFlagBounds:
             ["run", "fig_r1", "--jobs", "1"],
             ["serve", "--cache-entries", "1"],
             ["serve", "--window", "1e-9"],
+            ["serve", "--port", "0"],
+            ["serve", "--port", "65535"],
+            ["top", "--port", "1"],
+            ["bench-serve", "--port", "65535"],
+            ["stats", "x.json", "--top", "0"],
+            ["sim", "--speed", "1"],
             ["bench-serve", "--seed", "0", "--shards", "1,2"],
         ],
     )
