@@ -1275,13 +1275,23 @@ def _serve_until_signal(args, server, banner, drained, **start_kwargs) -> int:
 
     *server* is a :class:`~repro.service.SolveService` or a
     :class:`~repro.service.shard.LocalFleet`; *banner* renders the
-    startup line from the bound address.
+    startup line from the bound address.  A port it cannot bind is a
+    one-line refusal, after stopping whatever part of *server* started.
     """
     import asyncio
     import signal
 
     async def _run() -> None:
-        host, port = await server.start(args.host, args.port, **start_kwargs)
+        try:
+            host, port = await server.start(
+                args.host, args.port, **start_kwargs
+            )
+        except OSError as exc:
+            await server.stop(drain=False)
+            raise _Refusal(
+                f"cannot listen on {args.host}:{args.port}: "
+                f"{exc.strerror or exc}"
+            )
         print(f"repro serve: {banner(host, port)}", flush=True)
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
@@ -1601,7 +1611,15 @@ def main(argv: list[str] | None = None) -> int:
         os.environ[KERNEL_ENV_VAR] = args.kernel
     try:
         get_kernel()
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away early (`repro list | head -1`).  Python's
+        # documented recipe: point stdout at devnull, so the flush at
+        # exit cannot fail again, and exit 1 without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except KernelUnavailableError as exc:
         # Never fall back silently: a requested-but-missing backend is a
         # hard, one-line error (exit 2), both via --kernel and the env.

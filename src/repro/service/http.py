@@ -1,13 +1,15 @@
-"""Minimal shared HTTP/1.1 plumbing for the serving layer.
+"""The serving stack's one HTTP/1.1 layer.
 
-One implementation of the wire format used by the solve server
-(:mod:`repro.service.server`), the shard router
-(:mod:`repro.service.shard.router`), and the tiny client in
-:mod:`repro.service.loadgen` — HTTP/1.1 with JSON bodies, explicit
-``Content-Length``, and keep-alive.  It is deliberately not a general
-web server or client; it exists so the server, the router's proxy path,
-the load generator, and the tests all speak the same dialect without
-external dependencies.
+HTTP/1.1 with JSON bodies, explicit ``Content-Length`` and keep-alive,
+and nothing more: it is not a general web server or client.  Its users:
+
+* both fronts, the solve server (:mod:`repro.service.server`) and the
+  shard router (:mod:`repro.service.shard.router`), serve through one
+  :class:`HttpFront` (the read → route → write keep-alive loop and the
+  drain) and answer 404/405 from one :data:`ROUTES` table;
+* the router's proxy path, and :func:`repro.service.loadgen.http_exchange`
+  (the load generator's, the benchmark's and the tests' client), send
+  with :func:`send_request` and read with :func:`read_response`.
 """
 
 from __future__ import annotations
@@ -19,9 +21,13 @@ from repro.obs.runtime.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
 
 __all__ = [
     "HttpError",
+    "HttpFront",
     "MAX_BODY_BYTES",
+    "ROUTES",
     "read_request",
     "read_response",
+    "refusal",
+    "route_of",
     "send_request",
     "write_response",
 ]
@@ -45,6 +51,34 @@ _REASONS = {
     502: "Bad Gateway",
     503: "Service Unavailable",
 }
+
+
+#: Every route either front serves, and the one method it answers.  A
+#: path under ``/result/`` is the ``/result/`` route.
+ROUTES = {
+    "/solve": "POST",
+    "/healthz": "GET",
+    "/metrics": "GET",
+    "/result/": "GET",
+}
+
+
+def route_of(path: str) -> str:
+    """The :data:`ROUTES` key *path* (query stripped) falls under.
+
+    A path under no route comes back unchanged.
+    """
+    return "/result/" if path.startswith("/result/") else path
+
+
+def refusal(method: str, route: str) -> tuple[int, dict] | None:
+    """The 404 or 405 answer to *method* on *route*; ``None`` if served."""
+    allowed = ROUTES.get(route)
+    if allowed is None:
+        return 404, {"status": "error", "error": f"no route for {route}"}
+    if method != allowed:
+        return 405, {"status": "error", "error": f"{allowed} only"}
+    return None
 
 
 class HttpError(Exception):
@@ -155,10 +189,11 @@ async def send_request(
 ) -> None:
     """Send one request with an explicit raw *body*."""
     connection = "keep-alive" if keep_alive else "close"
-    extras = "".join(
-        f"{name}: {value}\r\n"
-        for name, value in (extra_headers or {}).items()
-    )
+    extras = ""
+    if extra_headers:  # the load generator's hot path sends none
+        extras = "".join(
+            f"{name}: {value}\r\n" for name, value in extra_headers.items()
+        )
     head = (
         f"{method} {path} HTTP/1.1\r\n"
         f"Host: {host}\r\n"
@@ -195,3 +230,104 @@ async def read_response(
     length = int(headers.get("content-length", 0))
     body = await reader.readexactly(length) if length else b""
     return status, headers, body
+
+
+class HttpFront:
+    """The listeners, keep-alive connection loop and drain of one front.
+
+    *route* is the front's ``async (method, path, body) -> (status,
+    payload, extra_headers)``; every request read off a connection goes
+    through it and its answer is written back with
+    :func:`write_response`.  Malformed input is answered with its
+    :class:`HttpError` status and the connection closed.
+    """
+
+    def __init__(self, route) -> None:
+        self._route = route
+        self._listeners: list[asyncio.base_events.Server] = []
+        #: Open connections and the handler task serving each.
+        self._handlers: dict[asyncio.StreamWriter, asyncio.Task] = {}
+        #: Requests read and not yet answered by *route*.
+        self._active = 0
+
+    async def listen(
+        self, host: str, port: int, **kwargs
+    ) -> asyncio.base_events.Server:
+        """Bind one more listener (``asyncio.start_server`` *kwargs*)."""
+        server = await asyncio.start_server(
+            self._serve, host, port, limit=MAX_BODY_BYTES, **kwargs
+        )
+        self._listeners.append(server)
+        return server
+
+    def close(self) -> None:
+        """Stop accepting connections; open ones keep being served."""
+        for server in self._listeners:
+            server.close()
+
+    async def drain(self) -> None:
+        """Stop accepting, then finish and close every connection.
+
+        Waits (up to 10 s) for in-flight requests to be answered, closes
+        every connection, and waits (up to 10 s) for each handler task
+        to see its connection close and exit, so none is left pending
+        when the caller closes the loop.
+        """
+        self.close()
+        for _ in range(1000):
+            if self._active == 0:
+                break
+            await asyncio.sleep(0.01)
+        handlers = list(self._handlers.values())
+        for writer in list(self._handlers):
+            writer.close()
+        if handlers:
+            await asyncio.wait(handlers, timeout=10.0)
+        for server in self._listeners:
+            await server.wait_closed()
+
+    async def _serve(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        self._handlers[writer] = asyncio.current_task()
+        try:
+            while True:
+                try:
+                    request = await read_request(reader)
+                except HttpError as exc:
+                    await write_response(
+                        writer,
+                        exc.status,
+                        {"status": "error", "error": str(exc)},
+                        keep_alive=False,
+                    )
+                    break
+                if request is None:
+                    break
+                method, path, headers, body = request
+                keep_alive = headers.get("connection", "").lower() != "close"
+                self._active += 1
+                try:
+                    status, payload, extra_headers = await self._route(
+                        method, path, body
+                    )
+                finally:
+                    self._active -= 1
+                await write_response(
+                    writer,
+                    status,
+                    payload,
+                    keep_alive=keep_alive,
+                    extra_headers=extra_headers,
+                )
+                if not keep_alive:
+                    break
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass
+        finally:
+            self._handlers.pop(writer, None)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass

@@ -3,21 +3,28 @@
 Drives a running ``repro serve`` with a seeded stream of random
 instances and reports throughput, latency percentiles, and the
 reject/cache mix — the serving analogue of the paper's acceptance-ratio
-sweeps.  Two shapes:
+sweeps.  Every mode is one scheduled pass (:func:`_pass`): *k* workers
+take requests in index order over persistent keep-alive connections,
+each request either goes out at once or waits for its fire time, and a
+request that gets no answer is a transport error (the worker reconnects
+for its next one).  The modes differ only in *k* and the schedule:
 
-* **closed loop** (default): ``concurrency`` clients, each with a
-  persistent keep-alive connection, issue the next request as soon as
-  the previous one answers — measures sustainable throughput;
-* **open loop**: requests fire at a fixed arrival ``rate`` regardless
-  of completions — the tool for demonstrating overload (arrival rate >
-  measured capacity ⇒ the admission policy must shed with 429s).  A
-  bounded worker pool (``concurrency`` persistent connections) consumes
-  the arrival schedule, and every request records *service time* (send
-  → response) separately from *queue wait* (how far behind its
-  scheduled fire time it actually went out).  ``latencies_s`` — and
-  therefore the reported p50/p99 — is the service time, so a saturated
-  target shows the true server latency while ``queue_p99_ms`` exposes
-  the local backlog the generator built up.
+* **closed loop** (default): ``concurrency`` workers, no schedule — the
+  next request goes out as soon as the previous one answers; measures
+  sustainable throughput;
+* **open loop**: ``concurrency`` workers, request *i* fires at
+  ``i / rate`` regardless of completions — the tool for demonstrating
+  overload (arrival rate > measured capacity ⇒ the admission policy
+  must shed with 429s).  Every request records *service time* (send →
+  response) separately from *queue wait* (how far behind its scheduled
+  fire time it actually went out).  ``latencies_s`` — and therefore the
+  reported p50/p99 — is the service time, so a saturated target shows
+  the true server latency while ``queue_p99_ms`` exposes the local
+  backlog the generator built up;
+* **sequential replay** (:func:`run_replay`): one worker, no schedule,
+  so the server sees the trace's arrivals in order;
+* **timed replay**: one worker per trace entry, entry fires at
+  ``t / speedup``.
 
 Everything is derived from ``--seed``: the same seed produces the same
 instance payloads in the same order, so a second pass over the same
@@ -45,6 +52,7 @@ from repro.obs.runtime.slo import (
     SloResult,
     summarize_slo,
 )
+from repro.service.http import read_response, send_request
 
 __all__ = [
     "PassStats",
@@ -226,46 +234,28 @@ async def http_exchange(
     reader: asyncio.StreamReader | None = None,
     writer: asyncio.StreamWriter | None = None,
 ) -> tuple[int, dict[str, str], Any]:
-    """One HTTP/1.1 exchange; reuses (reader, writer) when given.
+    """One request/response exchange; reuses (reader, writer) when given.
 
     Returns ``(status, headers, payload)`` with header names
     lower-cased; *payload* is the decoded JSON body for JSON responses
     and the raw text for everything else (``/metrics`` exposition).
-    This tiny client exists so the load generator, the test-suite, and
-    the docs all speak to the server the same way without external
-    dependencies.
+    The wire format is :mod:`repro.service.http`'s, so the load
+    generator, the test-suite, and the docs all speak to the server the
+    same way without external dependencies.
     """
     own_connection = writer is None
     if own_connection:
         reader, writer = await asyncio.open_connection(host, port)
     try:
-        payload = b""
-        if body is not None:
-            payload = json.dumps(body).encode()
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {host}:{port}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"Connection: {'close' if own_connection else 'keep-alive'}\r\n"
-            "\r\n"
+        await send_request(
+            writer,
+            method,
+            path,
+            b"" if body is None else json.dumps(body).encode(),
+            host=f"{host}:{port}",
+            keep_alive=not own_connection,
         )
-        writer.write(head.encode() + payload)
-        await writer.drain()
-        status_line = await reader.readline()
-        parts = status_line.decode("latin-1").split()
-        if len(parts) < 2:
-            raise ConnectionError(f"bad status line {status_line!r}")
-        status = int(parts[1])
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"", b"\n"):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0))
-        raw = await reader.readexactly(length) if length else b""
+        status, headers, raw = await read_response(reader)
         if headers.get("content-type", "").startswith("application/json"):
             decoded: Any = json.loads(raw.decode() or "null")
         else:
@@ -312,121 +302,6 @@ def _classify(stats: PassStats, status: int, payload: dict) -> None:
         stats.ok += 1
 
 
-async def _closed_loop_pass(
-    host: str,
-    port: int,
-    bodies: list[dict],
-    stats: PassStats,
-    concurrency: int,
-) -> None:
-    queue: asyncio.Queue = asyncio.Queue()
-    for body in bodies:
-        queue.put_nowait(body)
-
-    async def client() -> None:
-        try:
-            reader, writer = await asyncio.open_connection(host, port)
-        except OSError:
-            while not queue.empty():
-                queue.get_nowait()
-                stats.record_transport_error()
-            return
-        try:
-            while True:
-                try:
-                    body = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    return
-                start = time.perf_counter()
-                try:
-                    status, payload = await http_json(
-                        host,
-                        port,
-                        "POST",
-                        "/solve",
-                        body,
-                        reader=reader,
-                        writer=writer,
-                    )
-                except (ConnectionError, OSError, asyncio.IncompleteReadError):
-                    stats.record_transport_error()
-                    reader, writer = await asyncio.open_connection(host, port)
-                    continue
-                stats.record(status, payload, time.perf_counter() - start)
-        finally:
-            writer.close()
-
-    await asyncio.gather(*(client() for _ in range(concurrency)))
-
-
-async def _open_loop_pass(
-    host: str,
-    port: int,
-    bodies: list[dict],
-    stats: PassStats,
-    rate: float,
-    concurrency: int,
-) -> None:
-    """Fire *bodies* on a fixed arrival schedule (``i / rate``).
-
-    A bounded pool of *concurrency* workers with persistent connections
-    consumes the schedule in index order.  When the target (or the
-    pool) cannot keep up, a request goes out *late*; that lateness is
-    recorded as ``queue_wait`` while the latency sample only covers
-    send → response — so the reported percentiles are the server's
-    service time, not the generator's backlog (the old behaviour folded
-    both into one number and overstated p99 at saturation).
-    """
-    loop = asyncio.get_running_loop()
-    t0 = loop.time()
-    next_index = 0
-
-    async def worker() -> None:
-        nonlocal next_index
-        reader = writer = None
-        while next_index < len(bodies):
-            i = next_index
-            next_index += 1
-            body = bodies[i]
-            intended = t0 + i / rate
-            delay = intended - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            if writer is None:
-                try:
-                    reader, writer = await asyncio.open_connection(host, port)
-                except OSError:
-                    stats.record_transport_error()
-                    continue
-            queue_wait = max(loop.time() - intended, 0.0)
-            start = time.perf_counter()
-            try:
-                status, payload = await http_json(
-                    host,
-                    port,
-                    "POST",
-                    "/solve",
-                    body,
-                    reader=reader,
-                    writer=writer,
-                )
-            except (ConnectionError, OSError, asyncio.IncompleteReadError):
-                stats.record_transport_error()
-                writer.close()
-                reader = writer = None
-                continue
-            stats.record(
-                status,
-                payload,
-                time.perf_counter() - start,
-                queue_wait_s=queue_wait,
-            )
-        if writer is not None:
-            writer.close()
-
-    await asyncio.gather(*(worker() for _ in range(max(concurrency, 1))))
-
-
 @dataclass(frozen=True)
 class ReplayOutcome:
     """The server's verdict for one replayed trace entry."""
@@ -441,90 +316,86 @@ class ReplayOutcome:
         return (self.req_id, self.status, self.reason)
 
 
-async def _replay_pass(
+#: The outcome of a request that got no answer.
+_NO_ANSWER = (0, "transport_error", 0.0)
+
+
+async def _pass(
     host: str,
     port: int,
-    entries: list[dict],
-    stats: PassStats,
-    outcomes: list[ReplayOutcome],
+    bodies: list[dict],
     *,
-    timed: bool,
-    speedup: float,
-) -> None:
-    """Fire trace entries in order; sequential unless *timed*.
+    pass_no: int,
+    workers: int,
+    fire_at: list[float] | None = None,
+    queue_waits: bool = False,
+) -> tuple[PassStats, list[tuple[int, str, float]]]:
+    """POST every body to ``/solve``; the one pass behind every mode.
 
-    Sequential mode issues each request only after the previous answer —
-    the server sees exactly the simulator's arrival sequence, so the
-    admission decisions are pairable one-to-one.  Timed mode fires at
-    the trace timestamps (divided by *speedup*) open-loop, reproducing
-    the arrival *timing* at the cost of possible in-flight reordering.
+    *workers* workers take bodies in index order, each over one
+    persistent connection opened when it first needs one.  With
+    *fire_at*, body *i* goes out no earlier than ``fire_at[i]`` seconds
+    after the pass starts; with *queue_waits* as well, how late it went
+    out is recorded as its queue wait.  A transport error is recorded
+    and the worker's connection dropped, to be reopened for its next
+    body.  Returns the pass's stats and, per body in index order,
+    ``(status, reason, latency_s)`` — ``reason`` is ``"admitted"`` for a
+    200, else the response's ``reason`` or ``http_<status>``.
     """
+    stats = PassStats(pass_no=pass_no, requests=len(bodies), elapsed_s=0.0)
+    outcomes = [_NO_ANSWER] * len(bodies)
     loop = asyncio.get_running_loop()
+    started = time.perf_counter()
+    t0 = loop.time()
+    next_index = 0
 
-    async def one(
-        entry: dict,
-        reader: asyncio.StreamReader | None = None,
-        writer: asyncio.StreamWriter | None = None,
-    ) -> None:
-        start = time.perf_counter()
-        try:
-            status, payload = await http_json(
-                host,
-                port,
-                "POST",
-                "/solve",
-                entry["body"],
-                reader=reader,
-                writer=writer,
-            )
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            stats.record_transport_error()
-            outcomes.append(
-                ReplayOutcome(entry["req_id"], 0, "transport_error", 0.0)
-            )
-            return
-        latency = time.perf_counter() - start
-        stats.record(status, payload, latency)
-        reason = "admitted" if status == 200 else str(
-            (payload or {}).get("reason", f"http_{status}")
-        )
-        outcomes.append(
-            ReplayOutcome(entry["req_id"], status, reason, latency)
-        )
-
-    if timed:
-        t0 = loop.time()
-
-        async def fire(entry: dict) -> None:
-            delay = t0 + entry["t"] / speedup - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            await one(entry)
-
-        await asyncio.gather(*(fire(e) for e in entries))
-        # gather preserves argument order in `outcomes` only per task
-        # completion; restore trace order for pairing.
-        order = {e["req_id"]: i for i, e in enumerate(entries)}
-        outcomes.sort(key=lambda o: order[o.req_id])
-    else:
-        try:
-            reader, writer = await asyncio.open_connection(host, port)
-        except OSError:
-            for entry in entries:
-                stats.record_transport_error()
-                outcomes.append(
-                    ReplayOutcome(entry["req_id"], 0, "transport_error", 0.0)
-                )
-            return
-        try:
-            for entry in entries:
-                await one(entry, reader, writer)
-        finally:
-            writer.close()
+    async def worker() -> None:
+        nonlocal next_index
+        reader = writer = None
+        while next_index < len(bodies):
+            i = next_index
+            next_index += 1
+            if fire_at is not None:
+                intended = t0 + fire_at[i]
+                delay = intended - loop.time()
+                if delay > 0:
+                    await asyncio.sleep(delay)
             try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+                if writer is None:
+                    reader, writer = await asyncio.open_connection(host, port)
+                queue_wait = (
+                    max(loop.time() - intended, 0.0) if queue_waits else None
+                )
+                start = time.perf_counter()
+                status, payload = await http_json(
+                    host,
+                    port,
+                    "POST",
+                    "/solve",
+                    bodies[i],
+                    reader=reader,
+                    writer=writer,
+                )
+            except (ConnectionError, OSError, asyncio.IncompleteReadError):
+                stats.record_transport_error()
+                if writer is not None:
+                    writer.close()
+                reader = writer = None
+                continue
+            latency = time.perf_counter() - start
+            stats.record(status, payload, latency, queue_wait_s=queue_wait)
+            reason = f"http_{status}"
+            if status == 200:
+                reason = "admitted"
+            elif isinstance(payload, dict):
+                reason = str(payload.get("reason", reason))
+            outcomes[i] = (status, reason, latency)
+        if writer is not None:
+            writer.close()
+
+    await asyncio.gather(*(worker() for _ in range(max(workers, 1))))
+    stats.elapsed_s = time.perf_counter() - started
+    return stats, outcomes
 
 
 def run_replay(
@@ -554,24 +425,23 @@ def run_replay(
         raise ValueError("cannot replay an empty trace")
     if not speedup > 0:
         raise ValueError(f"speedup must be > 0, got {speedup!r}")
-    stats = PassStats(pass_no=1, requests=len(entries), elapsed_s=0.0)
-    outcomes: list[ReplayOutcome] = []
-
-    async def _run() -> None:
-        start = time.perf_counter()
-        await _replay_pass(
+    timed = mode == "timed"
+    stats, outcomes = asyncio.run(
+        _pass(
             host,
             port,
-            entries,
-            stats,
-            outcomes,
-            timed=(mode == "timed"),
-            speedup=speedup,
+            [entry["body"] for entry in entries],
+            pass_no=1,
+            workers=len(entries) if timed else 1,
+            fire_at=(
+                [entry["t"] / speedup for entry in entries] if timed else None
+            ),
         )
-        stats.elapsed_s = time.perf_counter() - start
-
-    asyncio.run(_run())
-    return stats, outcomes
+    )
+    return stats, [
+        ReplayOutcome(entry["req_id"], *outcome)
+        for entry, outcome in zip(entries, outcomes)
+    ]
 
 
 def run_load(
@@ -597,23 +467,21 @@ def run_load(
     if requests < 1:
         raise ValueError(f"requests must be >= 1, got {requests}")
     bodies = make_bodies(seed, requests, algorithm=algorithm, eps=eps)
+    open_loop = mode == "open"
+    fire_at = [i / rate for i in range(len(bodies))] if open_loop else None
 
     async def _run() -> list[PassStats]:
         results: list[PassStats] = []
         for pass_no in range(1, passes + 1):
-            stats = PassStats(
-                pass_no=pass_no, requests=len(bodies), elapsed_s=0.0
+            stats, _ = await _pass(
+                host,
+                port,
+                bodies,
+                pass_no=pass_no,
+                workers=concurrency,
+                fire_at=fire_at,
+                queue_waits=open_loop,
             )
-            start = time.perf_counter()
-            if mode == "closed":
-                await _closed_loop_pass(
-                    host, port, bodies, stats, concurrency
-                )
-            else:
-                await _open_loop_pass(
-                    host, port, bodies, stats, rate, concurrency
-                )
-            stats.elapsed_s = time.perf_counter() - start
             results.append(stats)
         return results
 

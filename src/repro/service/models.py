@@ -53,8 +53,9 @@ UNIPROC_SOLVERS = (
     "accept_all_repair",
 )
 
-#: Partitioned-multiprocessor solvers (instances carrying
-#: ``"processors": m``).
+#: Partitioned-multiprocessor solvers: the only ones for an instance
+#: carrying ``"processors": m``, whatever m (even 1), since that key is
+#: what makes :func:`repro.io.instance_from_dict` build one.
 MULTIPROC_SOLVERS = (
     "ltf_reject",
     "rand_reject",
@@ -208,7 +209,10 @@ def parse_solve_request(body: Any, req_id: str) -> SolveRequest:
     Raises :class:`RequestError` (HTTP 400) on any schema violation.
     Instance *content* (task values, energy-model parameters) is only
     sanity-checked here; full validation happens in the worker when the
-    instance is deserialised.
+    instance is deserialised.  The instance kind is decided here once:
+    it is multiprocessor exactly when it carries ``processors``, which
+    picks both the default algorithm and the solvers allowed; an
+    instance carrying ``platform`` is refused.
     """
     if not isinstance(body, dict):
         raise RequestError("request body must be a JSON object")
@@ -218,6 +222,14 @@ def parse_solve_request(body: Any, req_id: str) -> SolveRequest:
     tasks = instance.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         raise RequestError("'instance.tasks' must be a non-empty list")
+    if "platform" in instance:
+        # instance_from_dict would build a heterogeneous problem, which
+        # no served solver takes.
+        raise RequestError(
+            "heterogeneous-platform instances ('instance.platform') are "
+            "not served; solve them with repro solve --platform"
+        )
+    multiproc = "processors" in instance
     processors = instance.get("processors", 1)
     if isinstance(processors, bool) or not isinstance(processors, int):
         raise RequestError(
@@ -227,18 +239,18 @@ def parse_solve_request(body: Any, req_id: str) -> SolveRequest:
         raise RequestError(
             f"'instance.processors' must be >= 1, got {processors}"
         )
-    algorithm = body.get("algorithm", "fptas" if processors == 1 else "ltf_reject")
+    algorithm = body.get("algorithm", "ltf_reject" if multiproc else "fptas")
     if algorithm not in SOLVER_NAMES:
         raise RequestError(
             f"unknown algorithm {algorithm!r} "
             f"(choose from {', '.join(SOLVER_NAMES)})"
         )
-    if processors == 1 and algorithm in MULTIPROC_SOLVERS:
+    if not multiproc and algorithm in MULTIPROC_SOLVERS:
         raise RequestError(
             f"{algorithm!r} needs a multiprocessor instance "
-            "(instance.processors > 1)"
+            "(one with instance.processors)"
         )
-    if processors > 1 and algorithm in UNIPROC_SOLVERS:
+    if multiproc and algorithm in UNIPROC_SOLVERS:
         raise RequestError(
             f"{algorithm!r} cannot solve a multiprocessor instance; "
             f"choose from {', '.join(MULTIPROC_SOLVERS)}"

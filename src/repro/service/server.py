@@ -35,9 +35,12 @@ table).  Every request runs under an :func:`repro.obs.trace.span`; each
 worker payload, and the metrics label table
 (see :mod:`repro.service.telemetry`).
 
-The HTTP layer is deliberately minimal (HTTP/1.1, JSON bodies,
-keep-alive) — enough for the load generator, the example client, and
-curl; it is not a general web server.
+Connections are served, and drained on :meth:`SolveService.stop`, by
+the :class:`~repro.service.http.HttpFront` the shard router uses too;
+this module supplies only the ``_route`` coroutine it calls.  Around the
+shared drain the server adds its own steps: ``503`` for requests still
+waiting for a dispatch slot (``drain=False``), awaiting the running
+dispatches, and restoring the ambient counter sink.
 """
 
 from __future__ import annotations
@@ -56,12 +59,7 @@ from repro.runner.pool import evict_executor, get_executor
 from repro.service import worker as worker_mod
 from repro.service.admission import AdmissionController
 from repro.service.cache import ResultCache
-from repro.service.http import (
-    MAX_BODY_BYTES,
-    HttpError,
-    read_request,
-    write_response,
-)
+from repro.service.http import HttpFront, refusal, route_of
 from repro.service.models import (
     RequestError,
     SolveRequest,
@@ -178,15 +176,13 @@ class SolveService:
         self._counting = None
         self._controller: AdmissionController | None = None
         self._gate: asyncio.Semaphore | None = None
+        self._http = HttpFront(self._route)
         self._server: asyncio.base_events.Server | None = None
         self._reuseport_server: asyncio.base_events.Server | None = None
         #: Pool-bound requests waiting for a dispatch slot (sheddable).
         self._queued: dict[str, asyncio.Future] = {}
         self._dispatches: set[asyncio.Task] = set()
         self._tickets: OrderedDict[str, asyncio.Future] = OrderedDict()
-        #: Open connections and the handler task serving each.
-        self._writers: dict[asyncio.StreamWriter, asyncio.Task] = {}
-        self._active_requests = 0
         self._draining = False
         self._stopped = False
         self._seq = itertools.count(1)
@@ -259,30 +255,15 @@ class SolveService:
         self._gate = asyncio.Semaphore(
             DISPATCH_SLOTS_PER_WORKER * self.workers
         )
-        self._server = await asyncio.start_server(
-            self._handle_conn, host, port, limit=MAX_BODY_BYTES
-        )
-        sock = self._server.sockets[0]
-        self.host, self.port = sock.getsockname()[:2]
+        self._server = await self._http.listen(host, port)
+        self.host, self.port = self._server.sockets[0].getsockname()[:2]
         if reuseport_port is not None:
-            self._reuseport_server = await asyncio.start_server(
-                self._handle_conn,
-                host,
-                reuseport_port,
-                limit=MAX_BODY_BYTES,
-                reuse_port=True,
+            self._reuseport_server = await self._http.listen(
+                host, reuseport_port, reuse_port=True
             )
         self.telemetry.sample(self._sample_state())  # seed the ring
         self._sampler_task = loop.create_task(self._sampler())
         return self.host, self.port
-
-    def _listeners(self) -> list[asyncio.base_events.Server]:
-        """The bound asyncio servers (main, plus the reuse-port one)."""
-        return [
-            server
-            for server in (self._server, self._reuseport_server)
-            if server is not None
-        ]
 
     async def stop(self, drain: bool = True) -> None:
         """Stop serving; with *drain*, finish every in-flight request.
@@ -303,8 +284,7 @@ class SolveService:
         if self._sampler_task is not None:
             self._sampler_task.cancel()
             self._sampler_task = None
-        for server in self._listeners():
-            server.close()
+        self._http.close()
         if not drain:
             for req_id, future in self._queued.items():
                 if not future.done():
@@ -321,75 +301,11 @@ class SolveService:
             self._queued.clear()
         if self._dispatches:
             await asyncio.gather(*self._dispatches, return_exceptions=True)
-        # Handlers still writing responses for just-resolved futures.
-        for _ in range(1000):
-            if self._active_requests == 0:
-                break
-            await asyncio.sleep(0.01)
-        handlers = list(self._writers.values())
-        for writer in list(self._writers):
-            writer.close()
-        if handlers:
-            # Let every handler see its connection close and exit, so
-            # none is left pending when the caller closes the loop.
-            await asyncio.wait(handlers, timeout=10.0)
-        for server in self._listeners():
-            await server.wait_closed()
+        # Answer what is still in flight, then close every connection.
+        await self._http.drain()
         if self._counting is not None:
             self._counting.__exit__(None, None, None)
             self._counting = None
-
-    # -- HTTP plumbing --------------------------------------------------
-
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers[writer] = asyncio.current_task()
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except HttpError as exc:
-                    await write_response(
-                        writer,
-                        exc.status,
-                        {"status": "error", "error": str(exc)},
-                        keep_alive=False,
-                    )
-                    break
-                if request is None:
-                    break
-                method, path, headers, body = request
-                keep_alive = headers.get("connection", "").lower() != "close"
-                self._active_requests += 1
-                try:
-                    status, payload, extra_headers = await self._route(
-                        method, path, body
-                    )
-                finally:
-                    self._active_requests -= 1
-                await write_response(
-                    writer,
-                    status,
-                    payload,
-                    keep_alive=keep_alive,
-                    extra_headers=extra_headers,
-                )
-                if not keep_alive:
-                    break
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            asyncio.CancelledError,
-        ):
-            pass
-        finally:
-            self._writers.pop(writer, None)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
 
     # -- routing --------------------------------------------------------
 
@@ -397,9 +313,10 @@ class SolveService:
         self, method: str, path: str, body: bytes
     ) -> tuple[int, dict | str, dict[str, str] | None]:
         path, _, query = path.partition("?")
-        endpoint = path if not path.startswith("/result/") else "/result"
+        route = route_of(path)
+        endpoint = "/result" if route == "/result/" else route
         req_id = None
-        if endpoint == "/solve" and method == "POST":
+        if route == "/solve" and method == "POST":
             # Minted before parsing so even a 400 is traceable; the
             # shard prefix lets the router route /result lookups.
             prefix = "" if self.shard_id is None else f"s{self.shard_id}-"
@@ -412,7 +329,7 @@ class SolveService:
         with span("service.request", **attrs):
             try:
                 status, payload = await self._route_inner(
-                    method, path, query, body, req_id
+                    method, route, path, query, body, req_id
                 )
             except Exception as exc:  # noqa: BLE001 - must answer something
                 self._emit("service.errors", internal=1)
@@ -439,32 +356,26 @@ class SolveService:
     async def _route_inner(
         self,
         method: str,
+        route: str,
         path: str,
         query: str,
         body: bytes,
         req_id: str | None,
     ) -> tuple[int, dict | str]:
-        if path == "/healthz":
-            if method != "GET":
-                return 405, {"status": "error", "error": "GET only"}
+        refused = refusal(method, route)
+        if refused is not None:
+            return refused
+        if route == "/solve":
+            return await self._solve(body, req_id)
+        if route == "/healthz":
             return 200, self._health()
-        if path == "/metrics":
-            if method != "GET":
-                return 405, {"status": "error", "error": "GET only"}
+        if route == "/metrics":
             if "format=json" in query.split("&"):
                 return 200, self.metrics_dict()
             if "format=snapshot" in query.split("&"):
                 return 200, self.metrics_snapshot()
             return 200, self.metrics_text()
-        if path == "/solve":
-            if method != "POST":
-                return 405, {"status": "error", "error": "POST only"}
-            return await self._solve(body, req_id)
-        if path.startswith("/result/"):
-            if method != "GET":
-                return 405, {"status": "error", "error": "GET only"}
-            return self._result(path[len("/result/") :])
-        return 404, {"status": "error", "error": f"no route for {path}"}
+        return self._result(path[len("/result/") :])
 
     def _health(self) -> dict:
         controller = self._controller

@@ -30,6 +30,12 @@ The router owns the address clients talk to and fans work out:
     ``?format=json`` returns the JSON fleet view with the per-shard
     obs-counter registries summed.
 
+Connections are served and drained by the same
+:class:`~repro.service.http.HttpFront` as the shard server, and 404/405
+come from the same :data:`~repro.service.http.ROUTES` table; the router
+supplies its ``_route`` coroutine and, on :meth:`ShardRouter.stop`,
+closes its pooled shard connections after the drain.
+
 Where ``SO_REUSEPORT`` is available the fleet can additionally share a
 kernel-balanced data port (see :mod:`repro.service.shard.fleet`); the
 router's proxy path is the portable fallback and stays authoritative
@@ -49,11 +55,11 @@ from repro.obs.runtime.metrics import MetricsRegistry, relabel_snapshot
 from repro.obs.runtime.prometheus import render
 from repro.service.http import (
     MAX_BODY_BYTES,
-    HttpError,
-    read_request,
+    HttpFront,
     read_response,
+    refusal,
+    route_of,
     send_request,
-    write_response,
 )
 
 __all__ = ["ShardRouter"]
@@ -74,9 +80,8 @@ class ShardRouter:
             [] for _ in self.shards
         ]
         self._registry = obs_counters.Counters()
+        self._http = HttpFront(self._route)
         self._server: asyncio.base_events.Server | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._active_requests = 0
         self._draining = False
         self._started_at = time.time()
         self.host: str | None = None
@@ -89,11 +94,8 @@ class ShardRouter:
     ) -> tuple[str, int]:
         if self._server is not None:
             raise RuntimeError("router already started")
-        self._server = await asyncio.start_server(
-            self._handle_conn, host, port, limit=MAX_BODY_BYTES
-        )
-        sock = self._server.sockets[0]
-        self.host, self.port = sock.getsockname()[:2]
+        self._server = await self._http.listen(host, port)
+        self.host, self.port = self._server.sockets[0].getsockname()[:2]
         return self.host, self.port
 
     async def stop(self) -> None:
@@ -101,20 +103,11 @@ class ShardRouter:
 
         Draining the *shards* is the fleet's job
         (:meth:`repro.service.shard.fleet.LocalFleet.stop`); the router
-        only waits out its own in-flight proxied requests so no client
-        sees a torn response.
+        only drains its own connections, so no client sees a torn
+        response and no handler task is left pending.
         """
         self._draining = True
-        if self._server is not None:
-            self._server.close()
-        for _ in range(1000):
-            if self._active_requests == 0:
-                break
-            await asyncio.sleep(0.01)
-        for writer in list(self._writers):
-            writer.close()
-        if self._server is not None:
-            await self._server.wait_closed()
+        await self._http.drain()
         for pool in self._pools:
             while pool:
                 _, writer = pool.pop()
@@ -166,58 +159,6 @@ class ShardRouter:
             return status, headers, raw
         raise ConnectionError("unreachable")  # pragma: no cover
 
-    # -- HTTP plumbing (mirrors the shard server's loop) ----------------
-
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except HttpError as exc:
-                    await write_response(
-                        writer,
-                        exc.status,
-                        {"status": "error", "error": str(exc)},
-                        keep_alive=False,
-                    )
-                    break
-                if request is None:
-                    break
-                method, path, headers, body = request
-                keep_alive = headers.get("connection", "").lower() != "close"
-                self._active_requests += 1
-                try:
-                    status, payload, extra = await self._route(
-                        method, path, body
-                    )
-                finally:
-                    self._active_requests -= 1
-                await write_response(
-                    writer,
-                    status,
-                    payload,
-                    keep_alive=keep_alive,
-                    extra_headers=extra,
-                )
-                if not keep_alive:
-                    break
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            asyncio.CancelledError,
-        ):
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
     # -- routing --------------------------------------------------------
 
     async def _route(
@@ -225,26 +166,20 @@ class ShardRouter:
     ) -> tuple[int, Any, dict[str, str] | None]:
         path, _, query = path.partition("?")
         self._registry.add("router.http.requests")
+        route = route_of(path)
+        refused = refusal(method, route)
+        if refused is not None:
+            return *refused, None
         try:
-            if path == "/solve":
-                if method != "POST":
-                    return 405, {"status": "error", "error": "POST only"}, None
+            if route == "/solve":
                 return await self._proxy_solve(body)
-            if path.startswith("/result/"):
-                if method != "GET":
-                    return 405, {"status": "error", "error": "GET only"}, None
+            if route == "/result/":
                 return await self._proxy_result(path)
-            if path == "/healthz":
-                if method != "GET":
-                    return 405, {"status": "error", "error": "GET only"}, None
+            if route == "/healthz":
                 return 200, await self._health(), None
-            if path == "/metrics":
-                if method != "GET":
-                    return 405, {"status": "error", "error": "GET only"}, None
-                if "format=json" in query.split("&"):
-                    return 200, await self._metrics_json(), None
-                return 200, await self._metrics_text(), None
-            return 404, {"status": "error", "error": f"no route for {path}"}, None
+            if "format=json" in query.split("&"):
+                return 200, await self._metrics_json(), None
+            return 200, await self._metrics_text(), None
         except Exception as exc:  # noqa: BLE001 - must answer something
             self._registry.add("router.errors.internal")
             return 500, {"status": "error", "error": str(exc)}, None

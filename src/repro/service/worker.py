@@ -103,7 +103,6 @@ _NULL_CTX = _NullCtx()
 
 def _solve_one(payload: dict[str, Any]):
     """The actual solve, shared by traced and untraced paths."""
-    from repro.core.rejection import MultiprocRejectionProblem
     from repro.io import instance_from_dict
     from repro.runner.cache import cache_key
     from repro.service.models import RequestError, resolve_solver
@@ -111,10 +110,6 @@ def _solve_one(payload: dict[str, Any]):
     problem = instance_from_dict(payload["instance"])
     algorithm = payload["algorithm"]
     solver = resolve_solver(algorithm)
-    if isinstance(problem, MultiprocRejectionProblem) != (
-        algorithm in _MULTIPROC
-    ):
-        raise RequestError(f"{algorithm!r} does not match the instance kind")
     if algorithm == "fptas":
         return solver(problem, eps=payload.get("eps", 0.1))
     if algorithm == "rand_reject":
@@ -129,11 +124,6 @@ def _solve_one(payload: dict[str, Any]):
         seed = int(key[:8], 16)
         return solver(problem, rng=np.random.default_rng(seed))
     return solver(problem)
-
-
-_MULTIPROC = frozenset(
-    {"ltf_reject", "rand_reject", "global_greedy_reject", "exhaustive_multiproc"}
-)
 
 
 def calibrate(repeats: int = 20) -> float:

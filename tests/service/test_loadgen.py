@@ -1,12 +1,22 @@
 """Tests for the seeded load generator (``repro bench-serve``)."""
 
 import asyncio
+import json
 import threading
+import time
 
 import pytest
 
+from repro.cli import main
 from repro.core.rejection.online import ThresholdPolicy
-from repro.service.loadgen import PassStats, format_stats, make_bodies, run_load
+from repro.service.http import read_request, write_response
+from repro.service.loadgen import (
+    PassStats,
+    format_stats,
+    make_bodies,
+    run_load,
+    run_replay,
+)
 
 
 class TestMakeBodies:
@@ -229,6 +239,145 @@ class TestOpenLoopSplit:
         assert stats.ok == 4
         assert stats.queue_waits_s == []
         assert "queue_p99" not in format_stats(stats)
+
+
+class GoneAfterOneStub(SlowStub):
+    """A server that goes away mid-pass.
+
+    It closes its listener as its first request arrives, answers that
+    request, and closes the connection: every later request gets no
+    answer and every reconnect is refused.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(0.0)
+
+    def _main(self) -> None:
+        async def body() -> None:
+            handled = asyncio.Event()
+
+            async def handle(reader, writer) -> None:
+                try:
+                    if await read_request(reader) is not None:
+                        server.close()
+                        await write_response(
+                            writer,
+                            200,
+                            {"status": "done", "id": "stub", "cache": "miss"},
+                            keep_alive=True,
+                        )
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+                    handled.set()
+
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            self.host, self.port = server.sockets[0].getsockname()[:2]
+            self._ready.set()
+            await handled.wait()
+
+        asyncio.run(body())
+
+    def __exit__(self, *exc) -> None:
+        self._thread.join(timeout=30)  # the stub stops on its own
+        assert not self._thread.is_alive()
+
+
+class TestServerGoneMidPass:
+    @pytest.mark.parametrize("mode", ["closed", "open"])
+    def test_unanswered_requests_are_transport_errors(self, mode):
+        with GoneAfterOneStub() as stub:
+            stats = run_load(
+                stub.host,
+                stub.port,
+                requests=4,
+                seed=0,
+                passes=1,
+                mode=mode,
+                concurrency=1,
+                rate=200.0,
+            )[0]
+        assert stats.ok == 1
+        assert stats.transport_errors == 3
+        assert "transport_errors=3" in format_stats(stats)
+
+    def test_bench_serve_prints_the_pass_and_fails(self, capsys):
+        with GoneAfterOneStub() as stub:
+            code = main(
+                [
+                    "bench-serve",
+                    "--port", str(stub.port),
+                    "--requests", "4",
+                    "--passes", "1",
+                    "--concurrency", "1",
+                ]
+            )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert out.startswith("pass 1: 4 requests")
+        assert "ok=1 " in out
+        assert "transport_errors=3" in out
+
+
+class RecordingStub(SlowStub):
+    """Answers body ``{"i", "delay_s"}`` after ``delay_s`` with a 429
+    whose reason is ``r<i>``, and records when each body arrived."""
+
+    def __init__(self) -> None:
+        super().__init__(0.0)
+        #: ``(time.monotonic() at arrival, i)`` per request.
+        self.arrivals: list[tuple[float, int]] = []
+
+    async def _handle(self, reader, writer) -> None:
+        try:
+            while True:
+                request = await read_request(reader)
+                if request is None:
+                    break
+                body = json.loads(request[3])
+                self.arrivals.append((time.monotonic(), body["i"]))
+                await asyncio.sleep(body["delay_s"])
+                await write_response(
+                    writer,
+                    429,
+                    {"status": "rejected", "reason": f"r{body['i']}"},
+                    keep_alive=True,
+                )
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass
+        finally:
+            writer.close()
+
+
+class TestTimedReplay:
+    def test_each_entry_answered_once_in_trace_order_never_early(self):
+        # Later entries are answered faster, so answers come back in
+        # reverse trace order; the outcomes must not.
+        speedup = 2.0
+        times = [0.0, 0.1, 0.2, 0.3]
+        entries = [
+            {
+                "req_id": f"e{i}",
+                "t": t,
+                "body": {"i": i, "delay_s": 0.1 * (len(times) - 1 - i)},
+            }
+            for i, t in enumerate(times)
+        ]
+        with RecordingStub() as stub:
+            # The loop clock is time.monotonic(), and the pass starts
+            # after this reading.
+            before = time.monotonic()
+            stats, outcomes = run_replay(
+                stub.host, stub.port, entries, mode="timed", speedup=speedup
+            )
+        assert sorted(i for _, i in stub.arrivals) == [0, 1, 2, 3]
+        assert [o.as_pair() for o in outcomes] == [
+            (f"e{i}", 429, f"r{i}") for i in range(len(times))
+        ]
+        assert stats.rejected == len(times)
+        assert stats.transport_errors == 0
+        for arrived, i in stub.arrivals:
+            assert arrived - before >= times[i] / speedup
 
 
 class TestSloSamples:

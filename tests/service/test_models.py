@@ -90,6 +90,25 @@ class TestParseSolveRequest:
         assert request.algorithm == "ltf_reject"
         assert request.processors == 3
 
+    def test_processors_key_alone_makes_a_multiproc_request(self):
+        instance = _instance_dict(processors=1)
+        assert instance["processors"] == 1
+        request = parse_solve_request({"instance": instance}, "r1")
+        assert request.algorithm == "ltf_reject"
+        assert request.processors == 1
+        with pytest.raises(RequestError, match="cannot solve"):
+            parse_solve_request(
+                {"instance": instance, "algorithm": "greedy_marginal"}, "r1"
+            )
+
+    @pytest.mark.parametrize("algorithm", ["greedy_marginal", "ltf_reject"])
+    def test_platform_instance_refused(self, algorithm):
+        instance = dict(_instance_dict(processors=2), platform={})
+        with pytest.raises(RequestError, match="platform"):
+            parse_solve_request(
+                {"instance": instance, "algorithm": algorithm}, "r1"
+            )
+
     def test_worker_payload_is_minimal(self):
         instance = _instance_dict()
         request = parse_solve_request(

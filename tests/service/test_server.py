@@ -16,7 +16,9 @@ from repro.io import instance_to_dict
 from repro.runner.pool import _EXECUTORS, evict_executor
 from repro.service import SolveService
 from repro.service import worker as worker_mod
+from repro.service.http import HttpFront
 from repro.service.loadgen import http_json, make_bodies
+from repro.service.shard import ShardRouter
 
 from tests.io.test_multiproc_roundtrip import _multiproc_problem
 from tests.service.conftest import BIG, park_pool, run
@@ -169,6 +171,44 @@ class TestSolvePath:
                 assert solution["algorithm"] == "ltf_reject"
                 assert solution["processors"] == 2
                 assert len(solution["assignment"]) == 2
+            finally:
+                await svc.stop()
+
+        run(body())
+
+    def test_one_processor_instance_is_a_multiprocessor_instance(self):
+        # m = 1 still serialises "processors": 1, and instance_from_dict
+        # builds a MultiprocRejectionProblem from it: only the
+        # multiprocessor solvers can solve it, and the uniprocessor ones
+        # are refused at parse, before admission.
+        async def body():
+            svc, host, port = await _start()
+            try:
+                instance = instance_to_dict(_multiproc_problem(m=1))
+                assert instance["processors"] == 1
+                status, payload = await http_json(
+                    host,
+                    port,
+                    "POST",
+                    "/solve",
+                    {"instance": instance, "algorithm": "ltf_reject"},
+                )
+                assert status == 200, payload
+                assert payload["solution"]["processors"] == 1
+                status, payload = await http_json(
+                    host,
+                    port,
+                    "POST",
+                    "/solve",
+                    {"instance": instance, "algorithm": "greedy_marginal"},
+                )
+                assert status == 400
+                assert "cannot solve a multiprocessor instance" in (
+                    payload["error"]
+                )
+                counters = svc._registry.snapshot()
+                assert counters["service.solve.admitted"] == 1
+                assert counters["service.solve.invalid"] == 1
             finally:
                 await svc.stop()
 
@@ -585,22 +625,38 @@ class TestGracefulDrain:
 
         run(body())
 
+    @staticmethod
+    async def _handlers_left_by_stop(front, host, port) -> list:
+        """Connection-handler tasks still pending once *front* stopped."""
+        # One idle keep-alive connection, one the client closed.
+        idle = await asyncio.open_connection(host, port)
+        _, gone = await asyncio.open_connection(host, port)
+        gone.close()
+        await http_json(host, port, "GET", "/healthz")
+        await front.stop()
+        pending = [
+            task
+            for task in asyncio.all_tasks()
+            if task.get_coro().__qualname__ == HttpFront._serve.__qualname__
+        ]
+        idle[1].close()
+        return pending
+
     def test_stop_leaves_no_connection_handler_pending(self):
         async def body():
             svc, host, port = await _start()
-            # One idle keep-alive connection, one the client closed.
-            idle = await asyncio.open_connection(host, port)
-            _, gone = await asyncio.open_connection(host, port)
-            gone.close()
-            await http_json(host, port, "GET", "/healthz")
-            await svc.stop()
-            pending = [
-                task
-                for task in asyncio.all_tasks()
-                if task.get_coro().__qualname__ == "SolveService._handle_conn"
-            ]
-            idle[1].close()
-            return pending
+            return await self._handlers_left_by_stop(svc, host, port)
+
+        assert run(body()) == []
+
+    def test_router_stop_leaves_no_connection_handler_pending(self):
+        async def body():
+            # No shard listens on port 1, so every handler task on this
+            # loop is the router's own (its /healthz reports the shard
+            # down).
+            router = ShardRouter([("127.0.0.1", 1)])
+            host, port = await router.start()
+            return await self._handlers_left_by_stop(router, host, port)
 
         assert run(body()) == []
 

@@ -1,7 +1,14 @@
 """Tests for the CLI entry point."""
 
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.experiments import ALL_EXPERIMENTS
 
@@ -184,6 +191,51 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "serve" in capsys.readouterr().out
+
+
+class TestBrokenPipe:
+    def test_reader_gone_exits_1_without_a_traceback(self):
+        # `repro list | head -1`, with the reader gone before any write.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "list"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
+
+class TestServePortInUse:
+    @pytest.mark.parametrize("shards", [[], ["--shards", "2"]])
+    def test_one_line_refusal(self, capsys, tmp_path, shards):
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            code = main(
+                [
+                    "serve",
+                    "--port", str(port),
+                    "--workers", "1",
+                    "--rate", "1e9",
+                    "--capacity", "1e9",
+                    "--cache-dir", str(tmp_path / "cache"),
+                    *shards,
+                ]
+            )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"cannot listen on 127.0.0.1:{port}: ")
+        assert "address already in use" in err[0]
 
 
 class TestServeArgs:
