@@ -1,40 +1,21 @@
-"""Shared helpers for the benchmark harness.
+"""Shared fixtures for the benchmark gates.
 
-Every ``test_fig_*``/``test_tab_*`` bench regenerates one reconstructed
-figure/table (quick mode by default — set ``REPRO_BENCH_FULL=1`` for
-paper-scale sweeps), times it with pytest-benchmark, prints the series,
-and archives the rendering under ``results/`` so EXPERIMENTS.md can be
-refreshed from a single run.
+Each gate (``test_runner``, ``test_obs``, ``test_runtime``) archives
+its measurement under ``results/``.  The figure and table renderings
+there come from ``repro run all --csv results``, which writes each
+table as ``<name>.txt`` next to its ``<name>.csv``.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
-#: Full paper-scale sweeps when set; quick otherwise.
-FULL_SCALE = os.environ.get("REPRO_BENCH_FULL", "") == "1"
-
 
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
-
-
-def run_and_archive(benchmark, runner, results_dir: Path):
-    """Benchmark *runner*, print the table, archive it, return it."""
-    kwargs = {} if FULL_SCALE else {"quick": True}
-    table = benchmark.pedantic(
-        lambda: runner(**kwargs), rounds=1, iterations=1
-    )
-    rendered = table.render()
-    print()
-    print(rendered)
-    (results_dir / f"{table.name}.txt").write_text(rendered + "\n")
-    table.to_csv(results_dir / f"{table.name}.csv")
-    return table

@@ -5,7 +5,7 @@ Usage::
     repro list                     # enumerate experiments (with blurbs)
     repro run fig_r1               # run one experiment at paper scale
     repro run all --quick          # smoke-run every experiment
-    repro run fig_r2 --csv out/    # also write the table as CSV
+    repro run fig_r2 --csv out/    # also write the table as CSV + text
     repro run fig_r1 --jobs 4      # fan trials out over 4 workers
     repro run all --no-cache       # force recomputation
     repro run tab_r4 --timings     # print the per-run timing report
@@ -244,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--csv",
         type=Path,
         metavar="DIR",
-        help="also write each table as DIR/<name>.csv",
+        help="also write each table as DIR/<name>.csv and DIR/<name>.txt",
     )
     run.add_argument(
         "--jobs",
@@ -922,6 +922,7 @@ def _cmd_run(args) -> int:
                 print()
             if args.csv is not None:
                 path = table.to_csv(args.csv / f"{name}.csv")
+                path.with_suffix(".txt").write_text(table.render() + "\n")
                 print(f"(csv written to {path})")
     return 0
 

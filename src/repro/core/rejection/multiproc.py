@@ -26,6 +26,12 @@ Algorithms:
   still counts the raw ``(M+1)^n``.
 * :func:`pooled_lower_bound` — Jensen-pooled fractional relaxation, the
   scalable normaliser.
+
+Identical processors are the one-curve case of a typed platform
+(:mod:`repro.hetero.assign`): both problem classes expose per-core
+``core_energy_fns`` / ``core_caps``, and both share this module's
+improvement pass, enumeration walk and guard, and
+:func:`partition_cost` (the one validator and pricer of a partition).
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ from repro._validation import capacity_limit, fits
 from repro.core.rejection.problem import CostBreakdown
 from repro.core.rejection.relaxation import fractional_lower_bound
 from repro.energy.base import EnergyFunction
-from repro.kernels import get_kernel
 from repro.multiproc.partition import (
     Partition,
     greedy_partition,
@@ -53,8 +58,44 @@ from repro.multiproc.pooled import PooledEnergyFunction
 from repro.core.rejection.problem import RejectionProblem
 from repro.tasks.model import FrameTaskSet
 
-#: Enumeration guard for the exhaustive oracle.
+#: Enumeration guard for the exhaustive oracles, on the raw ``(C+1)^n``.
 MAX_ENUM_ASSIGNMENTS = 3_000_000
+
+
+def check_enumeration(cores: int, n: int) -> None:
+    """Refuse an exhaustive walk over more than the guard's assignments."""
+    count = (cores + 1) ** n
+    if count > MAX_ENUM_ASSIGNMENTS:
+        raise ValueError(
+            f"{count} assignments exceed the enumeration guard "
+            f"({MAX_ENUM_ASSIGNMENTS}); use the heuristics or shrink n"
+        )
+
+
+def partition_cost(problem, partition: Partition) -> CostBreakdown:
+    """Validate *partition* on *problem*'s cores and price it.
+
+    Valid means a disjoint cover of the task indices with one bucket per
+    core, and every core's load within its capacity (the shared
+    tolerance); anything else raises ``ValueError``.  The energy is
+    ``Σ_c g_c(W_c)`` summed left to right in core order, and the
+    penalty that of the unassigned (rejected) tasks.  *problem* is a
+    :class:`MultiprocRejectionProblem` or a typed
+    :class:`~repro.hetero.assign.HeteroRejectionProblem`.
+    """
+    partition.validate(problem.n)
+    fns, caps = problem.core_energy_fns, problem.core_caps
+    if partition.m != len(fns):
+        raise ValueError(
+            f"partition has {partition.m} cores, the problem has {len(fns)}"
+        )
+    loads = partition.loads([t.cycles for t in problem.tasks])
+    for c, (load, cap) in enumerate(zip(loads, caps)):
+        if not fits(load, cap):
+            raise ValueError(f"core {c} overloaded: {load} > {cap}")
+    energy = sum(fn.energy(load) for fn, load in zip(fns, loads))
+    penalty = sum(problem.tasks[i].penalty for i in partition.unassigned)
+    return CostBreakdown(energy=energy, penalty=penalty)
 
 
 @dataclass(frozen=True)
@@ -92,34 +133,28 @@ class MultiprocRejectionProblem:
         """Per-processor capacity ``s_max · D``."""
         return self.energy_fn.max_workload
 
+    @property
+    def core_energy_fns(self) -> tuple[EnergyFunction, ...]:
+        """Per-processor energy functions: ``energy_fn`` on every core."""
+        return (self.energy_fn,) * self.m
+
+    @property
+    def core_caps(self) -> tuple[float, ...]:
+        """Per-processor capacities: ``capacity`` on every core."""
+        return (self.capacity,) * self.m
+
     def fits(self, load: float) -> bool:
         """True when *load* fits one processor (shared fp tolerance)."""
         return fits(load, self.capacity)
 
     def cost_of(self, partition: Partition) -> CostBreakdown:
-        """Cost of a partition (unassigned items are the rejected set)."""
-        sizes = [t.cycles for t in self.tasks]
-        table = get_kernel().energy_table(
-            self.energy_fn, partition.loads(sizes)
-        )
-        # Left-to-right accumulation keeps the sum bit-identical to the
-        # scalar generator it replaces (the kernel evaluates each load
-        # with the same scalar energy call).
-        energy = sum(float(e) for e in table)
-        penalty = sum(self.tasks[i].penalty for i in partition.unassigned)
-        return CostBreakdown(energy=energy, penalty=penalty)
+        """Cost of a valid partition (see :func:`partition_cost`)."""
+        return partition_cost(self, partition)
 
     def solution(
         self, partition: Partition, *, algorithm: str
     ) -> "MultiprocRejectionSolution":
         """Validate *partition* and wrap it with its cost."""
-        partition.validate(self.n)
-        sizes = [t.cycles for t in self.tasks]
-        for j, load in enumerate(partition.loads(sizes)):
-            if not self.fits(load):
-                raise ValueError(
-                    f"processor {j} overloaded: {load} > {self.capacity}"
-                )
         return MultiprocRejectionSolution(
             problem=self,
             partition=partition,
@@ -152,9 +187,15 @@ class MultiprocRejectionSolution:
         """Fraction of tasks accepted."""
         return 1.0 - len(self.partition.unassigned) / self.problem.n
 
+    def loads(self) -> list[float]:
+        """Per-core accepted workload (core order)."""
+        return self.partition.loads([t.cycles for t in self.problem.tasks])
+
 
 def _improvement_pass(
-    problem: MultiprocRejectionProblem,
+    tasks: FrameTaskSet,
+    fns: Sequence[EnergyFunction],
+    caps: Sequence[float],
     buckets: list[list[int]],
     rejected: list[int],
     *,
@@ -162,35 +203,38 @@ def _improvement_pass(
 ) -> None:
     """Local search over reject / re-admit moves.
 
-    A *reject* move drops an accepted task whose penalty is below the
-    marginal energy its processor saves; a *re-admit* move brings a
-    rejected task back onto the least-marginal-cost processor with room
-    when its penalty exceeds the marginal energy there.  Re-admission
+    Core ``j`` prices its moves on its own curve ``fns[j]`` with room
+    ``caps[j]``; identical processors pass one curve and capacity per
+    core.  A *reject* move drops an accepted task whose penalty is below
+    the marginal energy its core saves; a *re-admit* move brings a
+    rejected task back onto the least-marginal-cost core with room when
+    its penalty exceeds the marginal energy there.  Re-admission
     matters: after heavy rejection the per-core loads (and hence marginal
     energies, convex in load) drop, and tasks rejected early can become
-    profitable again.  Every accepted move strictly decreases the total
-    cost, so the loop terminates.
+    profitable again — on a typed platform a task can also migrate HP→LP
+    by being rejected in one sweep and re-admitted cheaper in the next.
+    Every accepted move strictly decreases the total cost, so the loop
+    terminates.
 
     ``single_best=True`` applies only the single best move per round (the
     global-greedy variant); otherwise every improving move in a sweep is
     taken.
     """
-    g = problem.energy_fn
-    cap = problem.capacity
-    sizes = [t.cycles for t in problem.tasks]
+    sizes = [t.cycles for t in tasks]
     loads = [sum(sizes[i] for i in bucket) for bucket in buckets]
     # Strict-improvement local search terminates; the guard is belt and
     # braces against fp-jitter cycling.
-    for _ in range(10 * problem.n + 10):
+    for _ in range(10 * len(tasks) + 10):
         # (delta, kind, processor, task); delta < 0 improves.
         best: tuple[float, str, int, int] | None = None
         improved_any = False
-        # g(loads[j]) per processor, kept current for the re-admit moves.
+        # g_j(loads[j]) per core, kept current for the re-admit moves.
         bases: list[float] = []
         for j, bucket in enumerate(buckets):
+            g = fns[j]
             base = g.energy(loads[j])
             for i in list(bucket):
-                task = problem.tasks[i]
+                task = tasks[i]
                 saving = base - g.energy(max(loads[j] - task.cycles, 0.0))
                 delta = task.penalty - saving
                 if delta < -1e-12:
@@ -205,10 +249,10 @@ def _improvement_pass(
                         improved_any = True
             bases.append(base)
         for i in list(rejected):
-            task = problem.tasks[i]
+            task = tasks[i]
             target = None
             target_delta = 0.0
-            for j in range(problem.m):
+            for j, (g, cap) in enumerate(zip(fns, caps)):
                 if not fits(loads[j] + task.cycles, cap):
                     continue
                 marginal = g.energy(loads[j] + task.cycles) - bases[j]
@@ -224,7 +268,7 @@ def _improvement_pass(
                 rejected.remove(i)
                 buckets[target].append(i)
                 loads[target] += task.cycles
-                bases[target] = g.energy(loads[target])
+                bases[target] = fns[target].energy(loads[target])
                 improved_any = True
         if single_best:
             if best is None:
@@ -243,11 +287,12 @@ def _improvement_pass(
 
 
 def _finish(
-    problem: MultiprocRejectionProblem,
+    problem,
     buckets: list[list[int]],
     rejected: list[int],
     algorithm: str,
-) -> MultiprocRejectionSolution:
+):
+    """Validate and price (buckets, rejected) on either problem kind."""
     partition = Partition(
         assignments=tuple(tuple(b) for b in buckets),
         unassigned=tuple(sorted(rejected)),
@@ -261,7 +306,14 @@ def ltf_reject(problem: MultiprocRejectionProblem) -> MultiprocRejectionSolution
     seed = ltf_partition(sizes, problem.m, capacity=problem.capacity)
     buckets = [list(b) for b in seed.assignments]
     rejected = list(seed.unassigned)
-    _improvement_pass(problem, buckets, rejected, single_best=False)
+    _improvement_pass(
+        problem.tasks,
+        problem.core_energy_fns,
+        problem.core_caps,
+        buckets,
+        rejected,
+        single_best=False,
+    )
     return _finish(problem, buckets, rejected, "ltf_reject")
 
 
@@ -285,7 +337,14 @@ def global_greedy_reject(
     seed = ltf_partition(sizes, problem.m, capacity=problem.capacity)
     buckets = [list(b) for b in seed.assignments]
     rejected = list(seed.unassigned)
-    _improvement_pass(problem, buckets, rejected, single_best=True)
+    _improvement_pass(
+        problem.tasks,
+        problem.core_energy_fns,
+        problem.core_caps,
+        buckets,
+        rejected,
+        single_best=True,
+    )
     return _finish(problem, buckets, rejected, "global_greedy_reject")
 
 
@@ -304,8 +363,10 @@ def exhaustive_assignment(
     minimum.  The running loads and penalty add the same floats in the
     same order as a per-leaf sum, a subtree is pruned at its first
     capacity violation, and each core's ``g`` is looked up in a memo
-    per distinct (curve, load) when its load changes.
+    per distinct (curve, load) when its load changes.  The guard
+    (:func:`check_enumeration`) still counts the raw ``(C+1)^n``.
     """
+    check_enumeration(len(fns), len(tasks))
     sizes = [t.cycles for t in tasks]
     penalties = [t.penalty for t in tasks]
     n, cores = len(sizes), range(len(fns))
@@ -363,16 +424,8 @@ def exhaustive_multiproc(
     is on the raw count; use only for oracle-sized instances.  The walk
     is :func:`exhaustive_assignment`'s.
     """
-    count = (problem.m + 1) ** problem.n
-    if count > MAX_ENUM_ASSIGNMENTS:
-        raise ValueError(
-            f"{count} assignments exceed the enumeration guard "
-            f"({MAX_ENUM_ASSIGNMENTS}); use the heuristics or shrink n"
-        )
     buckets, rejected = exhaustive_assignment(
-        problem.tasks,
-        [problem.energy_fn] * problem.m,
-        [problem.capacity] * problem.m,
+        problem.tasks, problem.core_energy_fns, problem.core_caps
     )
     return _finish(problem, buckets, rejected, "exhaustive_multiproc")
 

@@ -11,7 +11,8 @@ Algorithms (mirroring the homogeneous roster in
 
 * :func:`typed_ltf_reject` — the *partitioned* heuristic: LTF order,
   each task to the feasible core with the smallest marginal energy,
-  then a typed reject/re-admit improvement pass.
+  then the reject/re-admit improvement pass ``ltf_reject`` runs, fed
+  each core's own curve and capacity.
 * :func:`typed_global_reject` — the *global* heuristic: tasks are first
   routed to a core **type** by marginal pooled (fluid) energy — the
   decision a global scheduler would make — then realised as a
@@ -32,7 +33,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro._validation import fits
-from repro.core.rejection.multiproc import exhaustive_assignment
+from repro.core.rejection.multiproc import (
+    MAX_ENUM_ASSIGNMENTS,
+    MultiprocRejectionSolution,
+    _finish,
+    _improvement_pass,
+    exhaustive_assignment,
+    partition_cost,
+)
 from repro.core.rejection.problem import CostBreakdown, RejectionProblem
 from repro.core.rejection.relaxation import (
     _minimize_convex,
@@ -44,10 +52,6 @@ from repro.hetero.platform import Platform
 from repro.multiproc.partition import Partition, ltf_partition
 from repro.multiproc.pooled import PooledEnergyFunction
 from repro.tasks.model import FrameTaskSet
-
-#: Enumeration guard for the exhaustive oracle (shared magnitude with the
-#: homogeneous oracle's guard).
-MAX_ENUM_ASSIGNMENTS = 3_000_000
 
 __all__ = [
     "MAX_ENUM_ASSIGNMENTS",
@@ -124,30 +128,13 @@ class HeteroRejectionProblem:
         return fits(load, self.core_caps[core])
 
     def cost_of(self, partition: Partition) -> CostBreakdown:
-        """Cost of a partition (unassigned items are the rejected set)."""
-        sizes = [t.cycles for t in self.tasks]
-        energy = sum(
-            fn.energy(load)
-            for fn, load in zip(self.core_energy_fns, partition.loads(sizes))
-        )
-        penalty = sum(self.tasks[i].penalty for i in partition.unassigned)
-        return CostBreakdown(energy=energy, penalty=penalty)
+        """Cost of a valid partition (see :func:`partition_cost`)."""
+        return partition_cost(self, partition)
 
     def solution(
         self, partition: Partition, *, algorithm: str
     ) -> "HeteroRejectionSolution":
         """Validate *partition* against per-core capacities and wrap it."""
-        partition.validate(self.n)
-        if partition.m != self.m:
-            raise ValueError(
-                f"partition has {partition.m} cores, platform has {self.m}"
-            )
-        sizes = [t.cycles for t in self.tasks]
-        for c, load in enumerate(partition.loads(sizes)):
-            if not self.fits(c, load):
-                raise ValueError(
-                    f"core {c} overloaded: {load} > {self.core_caps[c]}"
-                )
         return HeteroRejectionSolution(
             problem=self,
             partition=partition,
@@ -157,98 +144,14 @@ class HeteroRejectionProblem:
 
 
 @dataclass(frozen=True, eq=False)
-class HeteroRejectionSolution:
-    """A validated typed partition + rejection decision with its cost."""
+class HeteroRejectionSolution(MultiprocRejectionSolution):
+    """A validated typed partition + rejection decision with its cost.
+
+    ``cost``, ``rejected``, ``acceptance_ratio`` and ``loads()`` (in
+    flattened core order) are the homogeneous solution's.
+    """
 
     problem: HeteroRejectionProblem
-    partition: Partition
-    breakdown: CostBreakdown
-    algorithm: str
-
-    @property
-    def cost(self) -> float:
-        """Total cost ``energy + penalty``."""
-        return self.breakdown.total
-
-    @property
-    def rejected(self) -> frozenset[int]:
-        """Indices of rejected tasks."""
-        return frozenset(self.partition.unassigned)
-
-    @property
-    def acceptance_ratio(self) -> float:
-        """Fraction of tasks accepted."""
-        return 1.0 - len(self.partition.unassigned) / self.problem.n
-
-    def loads(self) -> list[float]:
-        """Per-core accepted workload (flattened core order)."""
-        sizes = [t.cycles for t in self.problem.tasks]
-        return self.partition.loads(sizes)
-
-
-def _typed_improvement_pass(
-    problem: HeteroRejectionProblem,
-    buckets: list[list[int]],
-    rejected: list[int],
-) -> None:
-    """Reject / re-admit local search with per-core typed curves.
-
-    Same move set and termination argument as the homogeneous
-    ``_improvement_pass`` (every accepted move strictly improves the
-    total cost), but marginals are priced per core against that core's
-    own curve, so a task can also migrate HP→LP by being rejected in one
-    sweep and re-admitted cheaper in the next.
-    """
-    fns = problem.core_energy_fns
-    caps = problem.core_caps
-    sizes = [t.cycles for t in problem.tasks]
-    loads = [sum(sizes[i] for i in bucket) for bucket in buckets]
-    for _ in range(10 * problem.n + 10):
-        improved_any = False
-        for c, bucket in enumerate(buckets):
-            base = fns[c].energy(loads[c])
-            for i in list(bucket):
-                task = problem.tasks[i]
-                saving = base - fns[c].energy(max(loads[c] - task.cycles, 0.0))
-                if task.penalty - saving < -1e-12:
-                    bucket.remove(i)
-                    rejected.append(i)
-                    loads[c] = max(loads[c] - task.cycles, 0.0)
-                    base = fns[c].energy(loads[c])
-                    improved_any = True
-        for i in list(rejected):
-            task = problem.tasks[i]
-            target = None
-            target_delta = 0.0
-            for c in range(problem.m):
-                if not fits(loads[c] + task.cycles, caps[c]):
-                    continue
-                marginal = fns[c].energy(loads[c] + task.cycles) - fns[c].energy(
-                    loads[c]
-                )
-                delta = marginal - task.penalty
-                if delta < -1e-12 and (target is None or delta < target_delta):
-                    target, target_delta = c, delta
-            if target is not None:
-                rejected.remove(i)
-                buckets[target].append(i)
-                loads[target] += task.cycles
-                improved_any = True
-        if not improved_any:
-            break
-
-
-def _finish(
-    problem: HeteroRejectionProblem,
-    buckets: list[list[int]],
-    rejected: list[int],
-    algorithm: str,
-) -> HeteroRejectionSolution:
-    partition = Partition(
-        assignments=tuple(tuple(b) for b in buckets),
-        unassigned=tuple(sorted(rejected)),
-    )
-    return problem.solution(partition, algorithm=algorithm)
 
 
 def typed_ltf_reject(problem: HeteroRejectionProblem) -> HeteroRejectionSolution:
@@ -257,8 +160,9 @@ def typed_ltf_reject(problem: HeteroRejectionProblem) -> HeteroRejectionSolution
     Tasks in LTF order (cycles descending, index-stable) each go to the
     feasible core with the smallest marginal energy (ties: lowest core
     index, so the spec's type order breaks ties deterministically); tasks
-    fitting nowhere are rejected.  A typed improvement pass then prices
-    every accept against its penalty.
+    fitting nowhere are rejected.  The shared improvement pass of
+    :func:`~repro.core.rejection.multiproc.ltf_reject`, fed each core's
+    own curve and capacity, then prices every accept against its penalty.
     """
     sizes = [t.cycles for t in problem.tasks]
     fns = problem.core_energy_fns
@@ -281,7 +185,9 @@ def typed_ltf_reject(problem: HeteroRejectionProblem) -> HeteroRejectionSolution
         else:
             buckets[best_core].append(i)
             loads[best_core] += sizes[i]
-    _typed_improvement_pass(problem, buckets, rejected)
+    _improvement_pass(
+        problem.tasks, fns, caps, buckets, rejected, single_best=False
+    )
     return _finish(problem, buckets, rejected, "typed_ltf")
 
 
@@ -321,7 +227,7 @@ def typed_global_reject(problem: HeteroRejectionProblem) -> HeteroRejectionSolut
                 continue
             # A task longer than the type's per-core capacity can never be
             # realised there, however much fluid headroom the pool has.
-            if sizes[i] > per_core_caps[t] * (1.0 + 1e-12):
+            if not fits(sizes[i], per_core_caps[t]):
                 continue
             if not fits(pool_loads[t] + sizes[i], pool.max_workload):
                 continue
@@ -360,12 +266,6 @@ def exhaustive_hetero(problem: HeteroRejectionProblem) -> HeteroRejectionSolutio
     deterministic, and evaluates each type's ``g`` once per distinct
     load.  The guard still counts the raw ``(C+1)^n``.
     """
-    count = (problem.m + 1) ** problem.n
-    if count > MAX_ENUM_ASSIGNMENTS:
-        raise ValueError(
-            f"{count} assignments exceed the enumeration guard "
-            f"({MAX_ENUM_ASSIGNMENTS}); use the heuristics or shrink n"
-        )
     buckets, rejected = exhaustive_assignment(
         problem.tasks, problem.core_energy_fns, problem.core_caps
     )

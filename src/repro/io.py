@@ -437,10 +437,8 @@ def solution_to_dict(
     solutions carry the per-processor assignment and loads instead;
     heterogeneous solutions add per-core types and DVFS speeds.
     """
-    if isinstance(solution, HeteroRejectionSolution):
-        return _hetero_solution_to_dict(solution)
     if isinstance(solution, MultiprocRejectionSolution):
-        return _multiproc_solution_to_dict(solution)
+        return _partitioned_solution_to_dict(solution)
     plan = solution.speed_plan()
     return {
         "schema_version": SCHEMA_VERSION,
@@ -463,55 +461,41 @@ def solution_to_dict(
     }
 
 
-def _multiproc_solution_to_dict(
+def _partitioned_solution_to_dict(
     solution: MultiprocRejectionSolution,
 ) -> dict[str, Any]:
+    """The keys both partitioned kinds share, plus each kind's own.
+
+    Identical processors add ``processors``, ``assignment`` and
+    ``loads``; a typed platform adds ``platform``, ``cores`` (per-core
+    DVFS rows) and, when the instance carries one, ``mk``.
+    """
     problem = solution.problem
     tasks = problem.tasks
-    sizes = [t.cycles for t in tasks]
-    return {
+    data: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "algorithm": solution.algorithm,
         "cost": solution.cost,
         "energy": solution.breakdown.energy,
         "penalty": solution.breakdown.penalty,
-        "processors": problem.m,
         "accepted": sorted(
-            tasks[i].name
-            for i in range(problem.n)
-            if i not in solution.rejected
+            tasks[i].name for i in range(problem.n) if i not in solution.rejected
         ),
         "rejected": sorted(tasks[i].name for i in solution.rejected),
         "acceptance_ratio": solution.acceptance_ratio,
-        "assignment": [
+    }
+    if isinstance(solution, HeteroRejectionSolution):
+        from repro.hetero.dvfs import dvfs_summary
+
+        data["platform"] = _platform_to_dict(problem.platform)
+        data["cores"] = dvfs_summary(solution)
+        if problem.mk is not None:
+            data["mk"] = problem.mk.to_dict()
+    else:
+        data["processors"] = problem.m
+        data["assignment"] = [
             sorted(tasks[i].name for i in bucket)
             for bucket in solution.partition.assignments
-        ],
-        "loads": solution.partition.loads(sizes),
-    }
-
-
-def _hetero_solution_to_dict(solution: HeteroRejectionSolution) -> dict[str, Any]:
-    from repro.hetero.dvfs import dvfs_summary
-
-    problem = solution.problem
-    tasks = problem.tasks
-    data = {
-        "schema_version": SCHEMA_VERSION,
-        "algorithm": solution.algorithm,
-        "cost": solution.cost,
-        "energy": solution.breakdown.energy,
-        "penalty": solution.breakdown.penalty,
-        "platform": _platform_to_dict(problem.platform),
-        "accepted": sorted(
-            tasks[i].name
-            for i in range(problem.n)
-            if i not in solution.rejected
-        ),
-        "rejected": sorted(tasks[i].name for i in solution.rejected),
-        "acceptance_ratio": solution.acceptance_ratio,
-        "cores": dvfs_summary(solution),
-    }
-    if problem.mk is not None:
-        data["mk"] = problem.mk.to_dict()
+        ]
+        data["loads"] = solution.loads()
     return data

@@ -37,6 +37,7 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro._validation import fits
 from repro.core.rejection import (
     MKFirmSkipPolicy,
     MultiprocRejectionProblem,
@@ -59,7 +60,7 @@ from repro.core.rejection import (
     rand_reject,
     reject_random,
 )
-from repro.core.rejection.multiproc import MAX_ENUM_ASSIGNMENTS
+from repro.core.rejection.multiproc import check_enumeration
 from repro.hetero.assign import (
     HeteroRejectionProblem,
     exhaustive_hetero,
@@ -67,7 +68,6 @@ from repro.hetero.assign import (
     typed_global_reject,
     typed_ltf_reject,
 )
-from repro.hetero.assign import MAX_ENUM_ASSIGNMENTS as MAX_HETERO_ASSIGNMENTS
 from repro.hetero.mk import mk_window_ok
 from repro.obs.trace import span
 from repro.verify.invariants import (
@@ -235,47 +235,40 @@ def crosscheck_uniproc(
     return out
 
 
-def crosscheck_multiproc(
-    problem: MultiprocRejectionProblem,
-    *,
-    rng: np.random.Generator | None = None,
-) -> list[Violation]:
-    """Partitioned-multiprocessor differential checks on *problem*."""
-    out: list[Violation] = []
-    out.extend(check_convexity_claim(problem.energy_fn, rng=rng))
-    if (problem.m + 1) ** problem.n > MAX_ENUM_ASSIGNMENTS:
-        raise ValueError(
-            f"(m+1)^n = {(problem.m + 1) ** problem.n} exceeds the "
-            "enumeration oracle guard; generate smaller instances"
-        )
+def _crosscheck_partitioned(
+    problem: MultiprocRejectionProblem | HeteroRejectionProblem,
+    oracle: tuple[str, Callable[[], object]],
+    bound: tuple[str, Callable[[], float]],
+    heuristics: list[tuple[str, Callable[[], object]]],
+    out: list[Violation],
+) -> None:
+    """Oracle → bound → heuristics on a partitioned instance, into *out*.
 
-    oracle = _run("exhaustive_multiproc", lambda: exhaustive_multiproc(problem), out)
-    if oracle is None:
-        return out
-    opt = oracle.cost
+    The bound must not exceed the oracle's optimum, and no heuristic may
+    beat either.  ``problem.solution()`` inside each solver already
+    validates the partition (core count, per-core capacity, index
+    coverage), so an infeasible heuristic output raises and lands in
+    *out* as a crash.
+    """
+    check_enumeration(problem.m, problem.n)
+    oracle_name, oracle_call = oracle
+    best = _run(oracle_name, oracle_call, out)
+    if best is None:
+        return
+    opt = best.cost
 
-    lower = _run("pooled_lower_bound", lambda: pooled_lower_bound(problem), out)
+    bound_name, bound_call = bound
+    lower = _run(bound_name, bound_call, out)
     if lower is not None and lower > opt + _tol(lower, opt):
         out.append(
             Violation(
                 "bound",
-                f"pooled_lower_bound {lower!r} exceeds the multiproc optimum "
+                f"{bound_name} {lower!r} exceeds the {oracle_name} optimum "
                 f"{opt!r}",
             )
         )
 
-    heuristics: list[tuple[str, Callable[[], object]]] = [
-        ("ltf_reject", lambda: ltf_reject(problem)),
-        (
-            "rand_reject",
-            lambda: rand_reject(problem, rng or np.random.default_rng(0)),
-        ),
-        ("global_greedy_reject", lambda: global_greedy_reject(problem)),
-    ]
     for name, call in heuristics:
-        # problem.solution() inside each solver already validates the
-        # partition (per-core capacity, index coverage); a raise here is
-        # an infeasible heuristic output and lands in `out` as a crash.
         sol = _run(name, call, out)
         if sol is None:
             continue
@@ -283,18 +276,39 @@ def crosscheck_multiproc(
             out.append(
                 Violation(
                     "oracle",
-                    f"{name} cost {sol.cost!r} beats exhaustive_multiproc "
-                    f"{opt!r}",
+                    f"{name} cost {sol.cost!r} beats {oracle_name} {opt!r}",
                 )
             )
         if lower is not None and sol.cost < lower - _tol(sol.cost, lower):
             out.append(
                 Violation(
                     "bound",
-                    f"{name} cost {sol.cost!r} beats pooled_lower_bound "
-                    f"{lower!r}",
+                    f"{name} cost {sol.cost!r} beats {bound_name} {lower!r}",
                 )
             )
+
+
+def crosscheck_multiproc(
+    problem: MultiprocRejectionProblem,
+    *,
+    rng: np.random.Generator | None = None,
+) -> list[Violation]:
+    """Partitioned-multiprocessor differential checks on *problem*."""
+    out = check_convexity_claim(problem.energy_fn, rng=rng)
+    _crosscheck_partitioned(
+        problem,
+        ("exhaustive_multiproc", lambda: exhaustive_multiproc(problem)),
+        ("pooled_lower_bound", lambda: pooled_lower_bound(problem)),
+        [
+            ("ltf_reject", lambda: ltf_reject(problem)),
+            (
+                "rand_reject",
+                lambda: rand_reject(problem, rng or np.random.default_rng(0)),
+            ),
+            ("global_greedy_reject", lambda: global_greedy_reject(problem)),
+        ],
+        out,
+    )
     return out
 
 
@@ -312,7 +326,7 @@ def _drive_mk_policy(problem: HeteroRejectionProblem) -> MKFirmSkipPolicy:
     cap = fn.max_workload
     workload = 0.0
     for task in problem.tasks:
-        if workload + task.cycles > cap * (1.0 + 1e-12):
+        if not fits(workload + task.cycles, cap):
             continue
         if policy.admit(task, workload, fn):
             workload += task.cycles
@@ -328,60 +342,16 @@ def crosscheck_hetero(
     out: list[Violation] = []
     for fn in problem.platform.energy_functions():
         out.extend(check_convexity_claim(fn, rng=rng))
-    total = problem.platform.total_cores
-    if (total + 1) ** problem.n > MAX_HETERO_ASSIGNMENTS:
-        raise ValueError(
-            f"(C+1)^n = {(total + 1) ** problem.n} exceeds the typed "
-            "enumeration oracle guard; generate smaller instances"
-        )
-
-    oracle = _run("exhaustive_hetero", lambda: exhaustive_hetero(problem), out)
-    if oracle is None:
-        return out
-    opt = oracle.cost
-
-    lower = _run(
-        "hetero_pooled_lower_bound",
-        lambda: hetero_pooled_lower_bound(problem),
+    _crosscheck_partitioned(
+        problem,
+        ("exhaustive_hetero", lambda: exhaustive_hetero(problem)),
+        ("hetero_pooled_lower_bound", lambda: hetero_pooled_lower_bound(problem)),
+        [
+            ("typed_ltf_reject", lambda: typed_ltf_reject(problem)),
+            ("typed_global_reject", lambda: typed_global_reject(problem)),
+        ],
         out,
     )
-    if lower is not None and lower > opt + _tol(lower, opt):
-        out.append(
-            Violation(
-                "bound",
-                f"hetero_pooled_lower_bound {lower!r} exceeds the typed "
-                f"optimum {opt!r}",
-            )
-        )
-
-    heuristics: list[tuple[str, Callable[[], object]]] = [
-        ("typed_ltf_reject", lambda: typed_ltf_reject(problem)),
-        ("typed_global_reject", lambda: typed_global_reject(problem)),
-    ]
-    for name, call in heuristics:
-        # solution() inside each solver validates the typed partition
-        # (per-core capacity on the right core type, index coverage); a
-        # raise here is an infeasible heuristic output and lands in
-        # `out` as a crash.
-        sol = _run(name, call, out)
-        if sol is None:
-            continue
-        if sol.cost < opt - _tol(sol.cost, opt):
-            out.append(
-                Violation(
-                    "oracle",
-                    f"{name} cost {sol.cost!r} beats exhaustive_hetero "
-                    f"{opt!r}",
-                )
-            )
-        if lower is not None and sol.cost < lower - _tol(sol.cost, lower):
-            out.append(
-                Violation(
-                    "bound",
-                    f"{name} cost {sol.cost!r} beats "
-                    f"hetero_pooled_lower_bound {lower!r}",
-                )
-            )
 
     if problem.mk is not None:
         spec = problem.mk

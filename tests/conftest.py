@@ -61,7 +61,7 @@ if np is None:  # pragma: no cover - exercised by the no-numpy CI job
         "verify/test_strategies.py",
     ]
 
-from repro._validation import CAPACITY_RTOL, capacity_limit
+from repro._validation import CAPACITY_RTOL, capacity_limit, fits
 from repro.core.rejection import RejectionProblem
 from repro.energy import (
     ContinuousEnergyFunction,
@@ -221,3 +221,73 @@ def band_penalties(seed: int) -> list[float]:
     for i in BAND_PAIRS[seed % len(BAND_PAIRS)]:
         penalties[i] = 6.0
     return penalties
+
+
+def reference_typed_pass(tasks, fns, caps, buckets, rejected) -> None:
+    """The sweeping reject / re-admit pass, frozen as a differential referee.
+
+    A verbatim copy of the typed improvement pass that ``typed_ltf_reject``
+    ran before identical and typed cores shared one pass: core ``c``
+    prices its moves on ``fns[c]`` with room ``caps[c]``, and every
+    re-admit move re-evaluates ``g`` at the target's current load.
+    Mutates *buckets* and *rejected* in place, like the solver's pass.
+    """
+    sizes = [t.cycles for t in tasks]
+    loads = [sum(sizes[i] for i in bucket) for bucket in buckets]
+    for _ in range(10 * len(tasks) + 10):
+        improved_any = False
+        for c, bucket in enumerate(buckets):
+            base = fns[c].energy(loads[c])
+            for i in list(bucket):
+                task = tasks[i]
+                saving = base - fns[c].energy(max(loads[c] - task.cycles, 0.0))
+                if task.penalty - saving < -1e-12:
+                    bucket.remove(i)
+                    rejected.append(i)
+                    loads[c] = max(loads[c] - task.cycles, 0.0)
+                    base = fns[c].energy(loads[c])
+                    improved_any = True
+        for i in list(rejected):
+            task = tasks[i]
+            target = None
+            target_delta = 0.0
+            for c in range(len(fns)):
+                if not fits(loads[c] + task.cycles, caps[c]):
+                    continue
+                marginal = fns[c].energy(loads[c] + task.cycles) - fns[c].energy(
+                    loads[c]
+                )
+                delta = marginal - task.penalty
+                if delta < -1e-12 and (target is None or delta < target_delta):
+                    target, target_delta = c, delta
+            if target is not None:
+                rejected.remove(i)
+                buckets[target].append(i)
+                loads[target] += task.cycles
+                improved_any = True
+        if not improved_any:
+            break
+
+
+def reference_outcome(tasks, fns, buckets, rejected) -> tuple:
+    """``(assignments, unassigned, cost.hex())`` priced left to right.
+
+    The cost is ``Σ_c g_c(W_c)`` summed in core order plus the rejected
+    penalties, the way every partitioned solution is priced.
+    """
+    sizes = [t.cycles for t in tasks]
+    energy = sum(
+        fn.energy(sum(sizes[i] for i in bucket)) for fn, bucket in zip(fns, buckets)
+    )
+    penalty = sum(tasks[i].penalty for i in sorted(rejected))
+    return (
+        tuple(tuple(b) for b in buckets),
+        tuple(sorted(rejected)),
+        (energy + penalty).hex(),
+    )
+
+
+def outcome_of(solution) -> tuple:
+    """A partitioned solution as ``(assignments, unassigned, cost.hex())``."""
+    partition = solution.partition
+    return partition.assignments, partition.unassigned, solution.cost.hex()

@@ -1,5 +1,6 @@
 """Tests for multiprocessor rejection."""
 
+import hashlib
 import itertools
 import math
 
@@ -18,11 +19,18 @@ from repro.core.rejection import (
 )
 from repro._validation import fits
 from repro.energy import ContinuousEnergyFunction, CriticalSpeedEnergyFunction
-from repro.multiproc.partition import Partition
+from repro.multiproc.partition import Partition, ltf_partition
 from repro.power import DormantMode, PolynomialPowerModel, xscale_power_model
 from repro.tasks import FrameTask, FrameTaskSet, frame_instance
 
-from tests.conftest import band_penalties, capacity_band_cycles, frame_task_sets
+from tests.conftest import (
+    band_penalties,
+    capacity_band_cycles,
+    frame_task_sets,
+    outcome_of,
+    reference_outcome,
+    reference_typed_pass,
+)
 
 
 def make_problem(tasks, m=2, s_max=1.0):
@@ -242,3 +250,69 @@ def test_depth_first_oracle_matches_the_product_enumeration(seed, kind, m):
         assert solution.cost.hex() == _cost_of(problem, reference).hex()
         if kind == "all_reject":
             assert solution.rejected == frozenset(range(problem.n))
+
+
+def _diff_problems():
+    """The differential families, each with a wider random twin (n 8-24)."""
+    model = PolynomialPowerModel(beta0=0.2, beta1=1.52, alpha=3.0, s_max=1.0)
+    curves = (
+        ContinuousEnergyFunction(model, deadline=1.0),
+        CriticalSpeedEnergyFunction(
+            model, 1.0, dormant=DormantMode(t_sw=0.2, e_sw=0.05)
+        ),
+    )
+    for seed in range(6):
+        for kind in ("random", "capacity_band", "all_reject"):
+            for m in (1, 2, 3, 4):
+                rng = np.random.default_rng([seed, FAMILIES.index(kind), m, 7])
+                wide = frame_instance(
+                    rng,
+                    n_tasks=int(rng.integers(8, 25)),
+                    load=float(rng.uniform(0.8, 2.2)) * m,
+                )
+                for tasks in (_family(kind, rng, seed), wide):
+                    for g in curves:
+                        yield MultiprocRejectionProblem(
+                            tasks=tasks, energy_fn=g, m=m
+                        )
+
+
+def test_ltf_reject_matches_the_frozen_typed_pass():
+    """Identical cores are a typed platform with one curve and capacity."""
+    for problem in _diff_problems():
+        sizes = [t.cycles for t in problem.tasks]
+        seed = ltf_partition(sizes, problem.m, capacity=problem.capacity)
+        buckets = [list(b) for b in seed.assignments]
+        rejected = list(seed.unassigned)
+        fns = [problem.energy_fn] * problem.m
+        reference_typed_pass(
+            problem.tasks, fns, [problem.capacity] * problem.m, buckets, rejected
+        )
+        assert outcome_of(ltf_reject(problem)) == reference_outcome(
+            problem.tasks, fns, buckets, rejected
+        )
+
+
+def test_global_greedy_reject_outcomes_are_pinned():
+    # sha256 of every family instance's (partition, cost.hex()); the
+    # single-best pass has no frozen twin, so its outputs are the referee.
+    digest = hashlib.sha256()
+    for problem in _diff_problems():
+        digest.update(repr(outcome_of(global_greedy_reject(problem))).encode())
+    assert digest.hexdigest() == (
+        "7d3f53264f9ee4e0baa92ba40f1855b9ff28bded31679b7ab8af72f96427e3dc"
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_solution_refuses_a_partition_with_the_wrong_core_count(m):
+    tasks = FrameTaskSet(
+        FrameTask(name=f"t{i}", cycles=0.2, penalty=1.0) for i in range(3)
+    )
+    problem = make_problem(tasks, m=m)
+    buckets = tuple((i,) for i in range(m + 1))
+    rest = tuple(range(m + 1, 3))
+    with pytest.raises(ValueError, match="cores"):
+        problem.solution(
+            Partition(assignments=buckets, unassigned=rest), algorithm="x"
+        )

@@ -63,6 +63,9 @@ class TestShapes:
         rand = table.column("random")
         assert sum(fptas) <= sum(rand) + 1e-9
 
+    def test_fig_r2_sweeps_at_least_three_loads(self, results):
+        assert len(results["fig_r2"].rows) >= 3
+
     def test_fig_r2_accept_all_worst_past_knee(self, results):
         table = results["fig_r2"]
         rows = {row[0]: row for row in table.rows}
@@ -115,6 +118,20 @@ class TestShapes:
         assert all(r >= 1.0 - 1e-9 for r in ratios)
         assert sum(ratios) / len(ratios) < 1.5
 
+    def test_fig_r11_reclamation_never_misses_and_saves_more_later(self, results):
+        table = results["fig_r11"]
+        savings = table.column("saving")
+        assert all(m == 0 for m in table.column("misses"))
+        assert savings[-1] >= savings[0] - 1e-9  # earlier completion, more saving
+
+    def test_fig_r12_acceptance_decays_with_overlap(self, results):
+        acceptance = results["fig_r12"].column("opt_acceptance")
+        assert acceptance[-1] <= acceptance[0] + 1e-9
+
+    def test_fig_r13_heterogeneity_hurts_the_blind_policy(self, results):
+        blind = results["fig_r13"].column("blind")
+        assert blind[-1] >= blind[0] - 1e-9
+
     def test_tab_r1_fptas_accuracy_improves(self, results):
         ratios = results["tab_r1"].column("mean_ratio")
         assert ratios[-1] <= ratios[0] + 1e-9
@@ -128,3 +145,6 @@ class TestShapes:
         ratios = results["tab_r3"].column("mean_ratio")
         assert all(r >= 1.0 - 1e-9 for r in ratios)
         assert ratios[0] == pytest.approx(1.0)
+
+    def test_tab_r4_sweeps_at_least_two_sizes(self, results):
+        assert len(results["tab_r4"].rows) >= 2

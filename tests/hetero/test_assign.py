@@ -1,5 +1,6 @@
 """Typed assignment solvers: bounds, feasibility, determinism."""
 
+import hashlib
 import itertools
 import math
 
@@ -23,7 +24,13 @@ from repro.multiproc.pooled import PooledEnergyFunction
 from repro.tasks import frame_instance
 from repro.tasks.model import FrameTask, FrameTaskSet
 
-from tests.conftest import band_penalties, capacity_band_cycles
+from tests.conftest import (
+    band_penalties,
+    capacity_band_cycles,
+    outcome_of,
+    reference_outcome,
+    reference_typed_pass,
+)
 
 TOL = 1e-9
 SOLVERS = [typed_ltf_reject, typed_global_reject, exhaustive_hetero]
@@ -216,6 +223,8 @@ def _family(kind, seed):
         ]
     elif kind == "hp_first":  # the dearer type's g is priced first
         platform = parse_cores_spec("hp:1,lp:2")
+    elif kind == "one_type":  # identical cores: one curve, one capacity
+        platform = parse_cores_spec("hp:2" if seed % 2 else "lp:3")
     elif kind == "all_reject":  # penalties far below any energy
         tasks = [
             FrameTask(name=t.name, cycles=t.cycles, penalty=1e-9 * t.penalty)
@@ -245,3 +254,102 @@ def test_depth_first_oracle_matches_the_product_enumeration(seed, kind):
     assert solution.cost.hex() == expected.hex()
     if kind == "all_reject":
         assert solution.rejected == frozenset(range(problem.n))
+
+
+#: Core specs of the wider random twins, two of them one-type.
+WIDE_SPECS = ("lp:2,hp:1", "hp:1,lp:2", "lp:1,hp:1", "lp:3", "hp:2")
+
+
+def _diff_problems():
+    """The differential families, each with a wider random twin (n 8-24)."""
+    kinds = ("random", "one_type", "capacity_band", "all_reject")
+    for seed in range(6):
+        for k, kind in enumerate(kinds):
+            tasks, platform = _family(kind, seed)
+            yield HeteroRejectionProblem(tasks=tasks, platform=platform)
+            rng = np.random.default_rng([seed, k, 7])
+            platform = parse_cores_spec(WIDE_SPECS[int(rng.integers(5))])
+            total_cap = sum(
+                cap * core_type.count
+                for cap, core_type in zip(platform.capacities(), platform.core_types)
+            )
+            wide = frame_instance(
+                rng,
+                n_tasks=int(rng.integers(8, 25)),
+                load=float(rng.uniform(0.8, 2.2)) * total_cap,
+                penalty_model="energy",
+                penalty_scale=2.0,
+            )
+            yield HeteroRejectionProblem(tasks=wide, platform=platform)
+
+
+def _min_marginal_seed(problem):
+    """``typed_ltf_reject``'s seed: LTF order, min-marginal feasible core."""
+    sizes = [t.cycles for t in problem.tasks]
+    fns, caps = problem.core_energy_fns, problem.core_caps
+    buckets = [[] for _ in range(problem.m)]
+    loads = [0.0] * problem.m
+    rejected = []
+    for i in sorted(range(problem.n), key=lambda i: sizes[i], reverse=True):
+        best_core, best_marginal = None, math.inf
+        for c in range(problem.m):
+            if not fits(loads[c] + sizes[i], caps[c]):
+                continue
+            marginal = fns[c].energy(loads[c] + sizes[i]) - fns[c].energy(loads[c])
+            if marginal < best_marginal - 1e-15:
+                best_core, best_marginal = c, marginal
+        if best_core is None:
+            rejected.append(i)
+        else:
+            buckets[best_core].append(i)
+            loads[best_core] += sizes[i]
+    return buckets, rejected
+
+
+def test_typed_ltf_reject_matches_the_frozen_typed_pass():
+    for problem in _diff_problems():
+        buckets, rejected = _min_marginal_seed(problem)
+        fns = problem.core_energy_fns
+        reference_typed_pass(problem.tasks, fns, problem.core_caps, buckets, rejected)
+        assert outcome_of(typed_ltf_reject(problem)) == reference_outcome(
+            problem.tasks, fns, buckets, rejected
+        )
+
+
+def test_typed_global_reject_outcomes_are_pinned():
+    # sha256 of every family instance's (partition, cost.hex()); the
+    # pooled routing runs no improvement pass, so its outputs are the referee.
+    digest = hashlib.sha256()
+    for problem in _diff_problems():
+        digest.update(repr(outcome_of(typed_global_reject(problem))).encode())
+    assert digest.hexdigest() == (
+        "2333a6bc4f158b4f4140b9a335f421ab908bc3c7452b6455f2823341e41a11d2"
+    )
+
+
+@pytest.mark.parametrize("lp", [1, 2])
+def test_solution_refuses_a_partition_with_the_wrong_core_count(lp):
+    problem = small_problem(0, lp=lp, hp=0, n=3)
+    buckets = tuple((i,) for i in range(lp + 1))
+    rest = tuple(range(lp + 1, 3))
+    with pytest.raises(ValueError, match="cores"):
+        problem.solution(
+            Partition(assignments=buckets, unassigned=rest), algorithm="x"
+        )
+
+
+def test_typed_ltf_reject_g_calls_are_pinned(monkeypatch):
+    # The shared pass keeps each core's g(W_c) current, so a re-admit
+    # move prices one g per candidate core, not two.
+    problem = small_problem(4, n=10, load=1.6)
+    fns = problem.core_energy_fns
+    calls = []
+    energy = type(fns[0]).energy
+
+    def counting(self, workload):
+        calls.append(workload)
+        return energy(self, workload)
+
+    monkeypatch.setattr(type(fns[0]), "energy", counting)
+    typed_ltf_reject(problem)
+    assert len(calls) == 43

@@ -40,6 +40,8 @@ class TestCli:
     def test_run_with_csv(self, capsys, tmp_path):
         assert main(["run", "tab_r3", "--quick", "--csv", str(tmp_path)]) == 0
         assert (tmp_path / "tab_r3.csv").exists()
+        rendered = (tmp_path / "tab_r3.txt").read_text()
+        assert rendered.startswith("== tab_r3") and rendered in capsys.readouterr().out
 
     def test_generate_and_solve_roundtrip(self, capsys, tmp_path):
         instance = tmp_path / "inst.json"
