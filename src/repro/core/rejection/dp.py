@@ -82,8 +82,8 @@ def dp_cycles(
     with span("solve.dp_cycles", n=problem.n, width=w_max + 1):
         dp = kern.dp_init(w_max + 1, math.inf)
         decisions = []
-        for u, task in zip(units, problem.tasks):
-            dp, take = kern.dp_relax_min(dp, u, task.penalty)
+        for u, penalty in zip(units, problem.penalties):
+            dp, take = kern.dp_relax_min(dp, u, penalty)
             decisions.append(take)
         best_w, _ = kern.best_workload_level(
             dp, quantum, problem.capacity, problem.energy_fn
@@ -155,7 +155,7 @@ def dp_penalty(problem: RejectionProblem, *, quantum: float = 1.0) -> RejectionS
             )
         units.append(int(nearest))
 
-    cycles = [t.cycles for t in problem.tasks]
+    cycles = problem.cycles
     total = sum(cycles)
     kern = get_kernel()
     with span("solve.dp_penalty", n=problem.n, width=sum(units) + 1):

@@ -47,8 +47,7 @@ def exhaustive(problem: RejectionProblem) -> RejectionSolution:
             f"exhaustive search limited to {MAX_EXHAUSTIVE_TASKS} tasks, got {n}; "
             "use branch_and_bound or the DP/FPTAS algorithms instead"
         )
-    cycles = [t.cycles for t in problem.tasks]
-    penalties = [t.penalty for t in problem.tasks]
+    cycles, penalties = problem.cycles, problem.penalties
     total_penalty = sum(penalties)
 
     kern = get_kernel()
@@ -136,12 +135,9 @@ def branch_and_bound(problem: RejectionProblem) -> RejectionSolution:
     cap = problem.capacity
     kern = get_kernel()
 
-    order = kern.density_order(
-        [t.cycles for t in problem.tasks],
-        [t.penalty for t in problem.tasks],
-    )
-    cycles = [problem.tasks[i].cycles for i in order]
-    penalties = [problem.tasks[i].penalty for i in order]
+    order = kern.density_order(problem.cycles, problem.penalties)
+    cycles = [problem.cycles[i] for i in order]
+    penalties = [problem.penalties[i] for i in order]
     densities = [p / c for p, c in zip(penalties, cycles)]
     # Plain-float prefix sums (on every kernel): the bound objective
     # feeds these into the scalar energy function.

@@ -74,17 +74,11 @@ def fptas(
         )
 
     cap = problem.capacity
-    forced_accept = [
-        i
-        for i, t in enumerate(problem.tasks)
-        if t.penalty > upper and problem.fits(t.cycles)
-    ]
+    penalties, acceptable = problem.penalties, problem.acceptable
+    forced_accept = [i for i in acceptable if penalties[i] > upper]
+    candidates = [i for i in acceptable if not penalties[i] > upper]
     # Tasks too large to ever accept are equally out of the DP.
-    forced_reject = [
-        i for i, t in enumerate(problem.tasks) if not problem.fits(t.cycles)
-    ]
-    decided = set(forced_accept) | set(forced_reject)
-    candidates = [i for i in range(problem.n) if i not in decided]
+    forced_reject = problem.n - len(acceptable)
 
     base_workload = problem.workload(forced_accept)
     if not problem.fits(base_workload):
@@ -106,8 +100,8 @@ def fptas(
         return problem.solution(
             seed.accepted, algorithm="fptas", eps=eps, scaled=False
         )
-    units = [int(math.floor(problem.tasks[i].penalty / scale)) for i in candidates]
-    cycles = [problem.tasks[i].cycles for i in candidates]
+    units = [int(math.floor(penalties[i] / scale)) for i in candidates]
+    cycles = [problem.cycles[i] for i in candidates]
     states = sum(units) + 1
     _check_table(states, "fptas")
     obs_counters.emit(
@@ -118,7 +112,7 @@ def fptas(
         cells=states * len(candidates),
         candidates=len(candidates),
         forced_accept=len(forced_accept),
-        forced_reject=len(forced_reject),
+        forced_reject=forced_reject,
     )
     kern = get_kernel()
     total = base_workload + sum(cycles)
@@ -140,7 +134,7 @@ def fptas(
             seed.accepted, algorithm="fptas", eps=eps, scaled=False
         )
 
-    rejected: set[int] = set(forced_reject)
+    rejected = set(range(problem.n)).difference(acceptable)
     p = best_p
     for k in range(len(candidates) - 1, -1, -1):
         if decisions[k][p]:

@@ -33,13 +33,6 @@ from repro.obs import counters as obs_counters
 from repro.obs.trace import span
 
 
-def _acceptable_indices(problem: RejectionProblem) -> list[int]:
-    """Indices of tasks that individually fit the capacity."""
-    return [
-        i for i, t in enumerate(problem.tasks) if problem.fits(t.cycles)
-    ]
-
-
 def _restore_feasibility(
     problem: RejectionProblem, accepted: set[int], order: list[int], kern=None
 ) -> int:
@@ -51,7 +44,7 @@ def _restore_feasibility(
     """
     kern = kern or get_kernel()
     candidates = [i for i in order if i in accepted]
-    cycles = [problem.tasks[i].cycles for i in candidates]
+    cycles = [problem.cycles[i] for i in candidates]
     k, _ = kern.prefix_reject_count(
         cycles, problem.workload(accepted), problem.capacity
     )
@@ -71,10 +64,11 @@ def _improving_scan(
     actually rejected (the scan stops at the first non-improving one).
     """
     remaining = [i for i in order if i in accepted]
+    cycles, penalties = problem.cycles, problem.penalties
     count, _ = kern.improving_prefix(
         problem.workload(accepted),
-        [problem.tasks[i].cycles for i in remaining],
-        [problem.tasks[i].penalty for i in remaining],
+        [cycles[i] for i in remaining],
+        [penalties[i] for i in remaining],
         problem.energy_fn,
     )
     for i in remaining[:count]:
@@ -93,11 +87,11 @@ def greedy_density(problem: RejectionProblem) -> RejectionSolution:
     rarely help).
     """
     kern = get_kernel()
-    idx = _acceptable_indices(problem)
+    idx = problem.acceptable
     accepted = set(idx)
+    cycles, penalties = problem.cycles, problem.penalties
     positions = kern.density_order(
-        [problem.tasks[i].cycles for i in idx],
-        [problem.tasks[i].penalty for i in idx],
+        [cycles[i] for i in idx], [penalties[i] for i in idx]
     )
     order = [idx[k] for k in positions]
     with span("solve.greedy_density", n=problem.n):
@@ -123,10 +117,9 @@ def greedy_marginal(problem: RejectionProblem) -> RejectionSolution:
     so ties resolve to the lowest index on every kernel.
     """
     kern = get_kernel()
-    accepted = set(_acceptable_indices(problem))
-    density_order = sorted(
-        accepted, key=lambda i: problem.tasks[i].penalty_density
-    )
+    accepted = set(problem.acceptable)
+    cycles, penalties = problem.cycles, problem.penalties
+    density_order = sorted(accepted, key=lambda i: penalties[i] / cycles[i])
     with span("solve.greedy_marginal", n=problem.n):
         _restore_feasibility(problem, accepted, density_order, kern)
         workload = problem.workload(accepted)
@@ -137,15 +130,15 @@ def greedy_marginal(problem: RejectionProblem) -> RejectionSolution:
             evaluations += len(active)
             best = kern.marginal_best(
                 workload,
-                [problem.tasks[i].cycles for i in active],
-                [problem.tasks[i].penalty for i in active],
+                [cycles[i] for i in active],
+                [penalties[i] for i in active],
                 problem.energy_fn,
             )
             if best < 0:
                 break
             i = active.pop(best)
             accepted.discard(i)
-            workload -= problem.tasks[i].cycles
+            workload -= cycles[i]
             rejections += 1
     obs_counters.emit(
         "greedy_marginal",
@@ -171,7 +164,7 @@ def greedy_ordered(
     ``greedy_density`` is exactly ``greedy_ordered(p, t -> ρ/c)``.
     """
     kern = get_kernel()
-    accepted = set(_acceptable_indices(problem))
+    accepted = set(problem.acceptable)
     order = sorted(accepted, key=lambda i: order_key(problem.tasks[i]))
     _restore_feasibility(problem, accepted, order, kern)
     _improving_scan(problem, accepted, order, kern)
@@ -185,10 +178,8 @@ def accept_all_repair(problem: RejectionProblem) -> RejectionSolution:
     awareness — the baseline the rejection-aware algorithms are measured
     against.
     """
-    accepted = set(_acceptable_indices(problem))
-    largest_first = sorted(
-        accepted, key=lambda i: problem.tasks[i].cycles, reverse=True
-    )
+    accepted = set(problem.acceptable)
+    largest_first = sorted(accepted, key=problem.cycles.__getitem__, reverse=True)
     _restore_feasibility(problem, accepted, largest_first)
     return problem.solution(accepted, algorithm="accept_all_repair")
 
@@ -211,7 +202,7 @@ def reject_random(
     accepted: set[int] = set()
     workload = 0.0
     for i in order:
-        cycles = problem.tasks[i].cycles
+        cycles = problem.cycles[i]
         if problem.fits(workload + cycles):
             accepted.add(i)
             workload += cycles

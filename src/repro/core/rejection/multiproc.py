@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 try:  # NumPy is optional: it only appears in rng type annotations here.
     import numpy as np
@@ -46,7 +46,7 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     np = None  # annotations are strings (PEP 563); never evaluated
 
 from repro._validation import capacity_limit, fits
-from repro.core.rejection.problem import CostBreakdown
+from repro.core.rejection.problem import CostBreakdown, task_columns
 from repro.core.rejection.relaxation import fractional_lower_bound
 from repro.energy.base import EnergyFunction
 from repro.multiproc.partition import (
@@ -89,12 +89,13 @@ def partition_cost(problem, partition: Partition) -> CostBreakdown:
         raise ValueError(
             f"partition has {partition.m} cores, the problem has {len(fns)}"
         )
-    loads = partition.loads([t.cycles for t in problem.tasks])
+    loads = partition.loads(problem.cycles)
     for c, (load, cap) in enumerate(zip(loads, caps)):
         if not fits(load, cap):
             raise ValueError(f"core {c} overloaded: {load} > {cap}")
     energy = sum(fn.energy(load) for fn, load in zip(fns, loads))
-    penalty = sum(problem.tasks[i].penalty for i in partition.unassigned)
+    penalties = problem.penalties
+    penalty = sum([penalties[i] for i in partition.unassigned])
     return CostBreakdown(energy=energy, penalty=penalty)
 
 
@@ -111,17 +112,31 @@ class MultiprocRejectionProblem:
         the per-processor capacity.
     m:
         Number of processors.
+    cycles, penalties, acceptable:
+        The task columns of :class:`RejectionProblem`, fixed at
+        construction; ``acceptable`` holds the indices whose cycles fit
+        one processor.  They take no part in ``==``, ``hash`` or ``repr``.
     """
 
     tasks: FrameTaskSet
     energy_fn: EnergyFunction
     m: int
+    cycles: tuple = field(init=False, repr=False, compare=False)
+    penalties: tuple = field(init=False, repr=False, compare=False)
+    acceptable: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"need at least one processor, got m={self.m!r}")
         if len(self.tasks) == 0:
             raise ValueError("a rejection problem needs at least one task")
+        cycles, penalties = task_columns(self.tasks)
+        cap = self.capacity
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "penalties", penalties)
+        object.__setattr__(
+            self, "acceptable", tuple(i for i, c in enumerate(cycles) if fits(c, cap))
+        )
 
     @property
     def n(self) -> int:
@@ -142,10 +157,6 @@ class MultiprocRejectionProblem:
     def core_caps(self) -> tuple[float, ...]:
         """Per-processor capacities: ``capacity`` on every core."""
         return (self.capacity,) * self.m
-
-    def fits(self, load: float) -> bool:
-        """True when *load* fits one processor (shared fp tolerance)."""
-        return fits(load, self.capacity)
 
     def cost_of(self, partition: Partition) -> CostBreakdown:
         """Cost of a valid partition (see :func:`partition_cost`)."""
@@ -189,11 +200,12 @@ class MultiprocRejectionSolution:
 
     def loads(self) -> list[float]:
         """Per-core accepted workload (core order)."""
-        return self.partition.loads([t.cycles for t in self.problem.tasks])
+        return self.partition.loads(self.problem.cycles)
 
 
 def _improvement_pass(
-    tasks: FrameTaskSet,
+    sizes: Sequence[float],
+    penalties: Sequence[float],
     fns: Sequence[EnergyFunction],
     caps: Sequence[float],
     buckets: list[list[int]],
@@ -203,6 +215,7 @@ def _improvement_pass(
 ) -> None:
     """Local search over reject / re-admit moves.
 
+    Task ``i`` has ``sizes[i]`` cycles and penalty ``penalties[i]``.
     Core ``j`` prices its moves on its own curve ``fns[j]`` with room
     ``caps[j]``; identical processors pass one curve and capacity per
     core.  A *reject* move drops an accepted task whose penalty is below
@@ -220,11 +233,10 @@ def _improvement_pass(
     global-greedy variant); otherwise every improving move in a sweep is
     taken.
     """
-    sizes = [t.cycles for t in tasks]
     loads = [sum(sizes[i] for i in bucket) for bucket in buckets]
     # Strict-improvement local search terminates; the guard is belt and
     # braces against fp-jitter cycling.
-    for _ in range(10 * len(tasks) + 10):
+    for _ in range(10 * len(sizes) + 10):
         # (delta, kind, processor, task); delta < 0 improves.
         best: tuple[float, str, int, int] | None = None
         improved_any = False
@@ -234,9 +246,9 @@ def _improvement_pass(
             g = fns[j]
             base = g.energy(loads[j])
             for i in list(bucket):
-                task = tasks[i]
-                saving = base - g.energy(max(loads[j] - task.cycles, 0.0))
-                delta = task.penalty - saving
+                size = sizes[i]
+                saving = base - g.energy(max(loads[j] - size, 0.0))
+                delta = penalties[i] - saving
                 if delta < -1e-12:
                     if single_best:
                         if best is None or delta < best[0]:
@@ -244,19 +256,19 @@ def _improvement_pass(
                     else:
                         bucket.remove(i)
                         rejected.append(i)
-                        loads[j] = max(loads[j] - task.cycles, 0.0)
+                        loads[j] = max(loads[j] - size, 0.0)
                         base = g.energy(loads[j])
                         improved_any = True
             bases.append(base)
         for i in list(rejected):
-            task = tasks[i]
+            size, penalty = sizes[i], penalties[i]
             target = None
             target_delta = 0.0
             for j, (g, cap) in enumerate(zip(fns, caps)):
-                if not fits(loads[j] + task.cycles, cap):
+                if not fits(loads[j] + size, cap):
                     continue
-                marginal = g.energy(loads[j] + task.cycles) - bases[j]
-                delta = marginal - task.penalty
+                marginal = g.energy(loads[j] + size) - bases[j]
+                delta = marginal - penalty
                 if delta < -1e-12 and (target is None or delta < target_delta):
                     target, target_delta = j, delta
             if target is None:
@@ -267,7 +279,7 @@ def _improvement_pass(
             else:
                 rejected.remove(i)
                 buckets[target].append(i)
-                loads[target] += task.cycles
+                loads[target] += size
                 bases[target] = fns[target].energy(loads[target])
                 improved_any = True
         if single_best:
@@ -302,12 +314,12 @@ def _finish(
 
 def ltf_reject(problem: MultiprocRejectionProblem) -> MultiprocRejectionSolution:
     """LTF with capacity, overflow rejected, per-processor improvement."""
-    sizes = [t.cycles for t in problem.tasks]
-    seed = ltf_partition(sizes, problem.m, capacity=problem.capacity)
+    seed = ltf_partition(problem.cycles, problem.m, capacity=problem.capacity)
     buckets = [list(b) for b in seed.assignments]
     rejected = list(seed.unassigned)
     _improvement_pass(
-        problem.tasks,
+        problem.cycles,
+        problem.penalties,
         problem.core_energy_fns,
         problem.core_caps,
         buckets,
@@ -322,8 +334,9 @@ def rand_reject(
     rng: np.random.Generator | None = None,
 ) -> MultiprocRejectionSolution:
     """Unsorted least-loaded admission (RAND), no energy awareness."""
-    sizes = [t.cycles for t in problem.tasks]
-    seed = greedy_partition(sizes, problem.m, capacity=problem.capacity, rng=rng)
+    seed = greedy_partition(
+        problem.cycles, problem.m, capacity=problem.capacity, rng=rng
+    )
     buckets = [list(b) for b in seed.assignments]
     rejected = list(seed.unassigned)
     return _finish(problem, buckets, rejected, "rand_reject")
@@ -333,12 +346,12 @@ def global_greedy_reject(
     problem: MultiprocRejectionProblem,
 ) -> MultiprocRejectionSolution:
     """LTF seed plus globally-best marginal rejection loop."""
-    sizes = [t.cycles for t in problem.tasks]
-    seed = ltf_partition(sizes, problem.m, capacity=problem.capacity)
+    seed = ltf_partition(problem.cycles, problem.m, capacity=problem.capacity)
     buckets = [list(b) for b in seed.assignments]
     rejected = list(seed.unassigned)
     _improvement_pass(
-        problem.tasks,
+        problem.cycles,
+        problem.penalties,
         problem.core_energy_fns,
         problem.core_caps,
         buckets,
@@ -349,7 +362,8 @@ def global_greedy_reject(
 
 
 def exhaustive_assignment(
-    tasks: FrameTaskSet,
+    sizes: Sequence[float],
+    penalties: Sequence[float],
     fns: Sequence[EnergyFunction],
     caps: Sequence[float],
 ) -> tuple[list[list[int]], list[int]]:
@@ -366,9 +380,7 @@ def exhaustive_assignment(
     per distinct (curve, load) when its load changes.  The guard
     (:func:`check_enumeration`) still counts the raw ``(C+1)^n``.
     """
-    check_enumeration(len(fns), len(tasks))
-    sizes = [t.cycles for t in tasks]
-    penalties = [t.penalty for t in tasks]
+    check_enumeration(len(fns), len(sizes))
     n, cores = len(sizes), range(len(fns))
     limits = [capacity_limit(cap) for cap in caps]
     by_fn: dict[EnergyFunction, dict[float, float]] = {fn: {} for fn in fns}
@@ -425,7 +437,7 @@ def exhaustive_multiproc(
     is :func:`exhaustive_assignment`'s.
     """
     buckets, rejected = exhaustive_assignment(
-        problem.tasks, problem.core_energy_fns, problem.core_caps
+        problem.cycles, problem.penalties, problem.core_energy_fns, problem.core_caps
     )
     return _finish(problem, buckets, rejected, "exhaustive_multiproc")
 

@@ -57,10 +57,8 @@ def _build_frontier(
     states = 1
     peak = 1
     with span(f"solve.{label}", n=problem.n):
-        for task in problem.tasks:
-            step = kern.frontier_step(
-                workloads, penalties, task.cycles, task.penalty, cap
-            )
+        for cycles, penalty in zip(problem.cycles, problem.penalties):
+            step = kern.frontier_step(workloads, penalties, cycles, penalty, cap)
             states += step.candidates
             workloads, penalties = step.workloads, step.penalties
             history.append((step.sources, step.accepted))

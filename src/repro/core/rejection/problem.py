@@ -35,6 +35,15 @@ class CostBreakdown:
         return self.energy + self.penalty
 
 
+def task_columns(tasks: FrameTaskSet) -> tuple[tuple, tuple]:
+    """``(cycles, penalties)`` of *tasks*, each a tuple in task order.
+
+    The values are stored as given (not cast), so sums over a column add
+    the same numbers in the same order as sums over the tasks.
+    """
+    return tuple(t.cycles for t in tasks), tuple(t.penalty for t in tasks)
+
+
 @dataclass(frozen=True)
 class RejectionProblem:
     """An instance of REJECT-MIN.
@@ -46,23 +55,40 @@ class RejectionProblem:
     energy_fn:
         The processor's workload→energy function; its ``max_workload``
         is the feasibility cap ``s_max · D``.
+    cycles, penalties:
+        The tasks' cycles and penalties, tuples in task order, fixed at
+        construction so solvers and evaluations read plain values.
+    acceptable:
+        Indices of the tasks whose cycles alone fit the capacity.
+
+    The columns take no part in ``==``, ``hash`` or ``repr``.
     """
 
     tasks: FrameTaskSet
     energy_fn: EnergyFunction
+    cycles: tuple = field(init=False, repr=False, compare=False)
+    penalties: tuple = field(init=False, repr=False, compare=False)
+    acceptable: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.tasks) == 0:
             raise ValueError("a rejection problem needs at least one task")
-        infeasible = [
-            t.name
-            for t in self.tasks
-            if not fits(t.cycles, self.energy_fn.max_workload)
-        ]
+        cycles, penalties = task_columns(self.tasks)
+        cap = self.energy_fn.max_workload
+        acceptable: list[int] = []
         # A single task larger than the capacity can never be accepted;
         # that is legal (it will always be rejected) but worth allowing
         # explicitly rather than crashing mid-algorithm.
-        object.__setattr__(self, "_never_acceptable", frozenset(infeasible))
+        never: list[str] = []
+        for i, (task, c) in enumerate(zip(self.tasks, cycles)):
+            if fits(c, cap):
+                acceptable.append(i)
+            else:
+                never.append(task.name)
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "penalties", penalties)
+        object.__setattr__(self, "acceptable", tuple(acceptable))
+        object.__setattr__(self, "_never_acceptable", frozenset(never))
 
     @property
     def n(self) -> int:
@@ -92,8 +118,18 @@ class RejectionProblem:
     # ------------------------------------------------------------------ #
 
     def workload(self, accepted: Iterable[int]) -> float:
-        """Total cycles of the tasks at *accepted* indices."""
-        return sum(self.tasks[i].cycles for i in set(accepted))
+        """Total cycles of the tasks at *accepted* indices.
+
+        Each distinct index counts once.  Raises ``IndexError`` for an
+        index outside ``range(n)``: a negative one must not alias a task
+        counted from the end.
+        """
+        chosen = set(accepted)
+        cycles = self.cycles
+        if chosen and (min(chosen) < 0 or max(chosen) >= len(cycles)):
+            bad = next(i for i in chosen if not 0 <= i < len(cycles))
+            raise IndexError(f"task index {bad} out of range")
+        return sum(map(cycles.__getitem__, chosen))
 
     def fits(self, load: float) -> bool:
         """True when *load* cycles fit the capacity (shared fp tolerance).
@@ -111,15 +147,13 @@ class RejectionProblem:
     def cost(self, accepted: Iterable[int]) -> CostBreakdown:
         """Cost of accepting exactly the tasks at *accepted* indices.
 
-        Raises ValueError when the accepted workload is infeasible.
+        Raises ValueError when the accepted workload is infeasible, and
+        IndexError (from :meth:`workload`) for an index outside ``range(n)``.
         """
         accepted_set = set(accepted)
-        for i in accepted_set:
-            if not 0 <= i < self.n:
-                raise IndexError(f"task index {i} out of range")
         energy = self.energy_fn.energy(self.workload(accepted_set))
         penalty = sum(
-            t.penalty for i, t in enumerate(self.tasks) if i not in accepted_set
+            [p for i, p in enumerate(self.penalties) if i not in accepted_set]
         )
         return CostBreakdown(energy=energy, penalty=penalty)
 

@@ -106,13 +106,10 @@ class FractionalRelaxation:
 def fractional_relaxation(problem: RejectionProblem) -> FractionalRelaxation:
     """Solve the fractional relaxation exactly (see module docstring)."""
     g = _require_convex(problem.energy_fn)
-    tasks = problem.tasks
     kern = get_kernel()
-    order = kern.density_order(
-        [t.cycles for t in tasks], [t.penalty for t in tasks]
-    )
-    cycles = [tasks[i].cycles for i in order]
-    penalties = [tasks[i].penalty for i in order]
+    order = kern.density_order(problem.cycles, problem.penalties)
+    cycles = [problem.cycles[i] for i in order]
+    penalties = [problem.penalties[i] for i in order]
 
     total = sum(cycles)
     cap = problem.capacity
@@ -221,15 +218,14 @@ def lp_rounding(problem: RejectionProblem) -> RejectionSolution:
     # density prefix one step past the optimum restores feasibility when
     # rounding up did not.
     if not candidates:
-        order = sorted(
-            range(problem.n), key=lambda i: problem.tasks[i].penalty_density
-        )
+        cycles, penalties = problem.cycles, problem.penalties
+        order = sorted(range(problem.n), key=lambda i: penalties[i] / cycles[i])
         accepted = set(order)
         workload = problem.workload(accepted)
         for i in order:
             if problem.fits(workload):
                 break
             accepted.discard(i)
-            workload -= problem.tasks[i].cycles
+            workload -= cycles[i]
         candidates.append(problem.solution(accepted, algorithm="lp_rounding"))
     return best_solution(*candidates)

@@ -12,9 +12,11 @@ term is a constant offset controlled by ``include_static_floor``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 from repro.energy.base import EnergyFunction, SpeedPlan, SpeedSegment
 from repro.power.base import PowerModel
+from repro.power.polynomial import prices_as_polynomial
 
 
 class ContinuousEnergyFunction(EnergyFunction):
@@ -34,6 +36,9 @@ class ContinuousEnergyFunction(EnergyFunction):
         constant offset.
     """
 
+    #: True when :meth:`energy_many` may run its flat loop (see there).
+    _flat = False
+
     def __init__(
         self,
         power_model: PowerModel,
@@ -45,6 +50,12 @@ class ContinuousEnergyFunction(EnergyFunction):
         self._model = power_model
         self._floor = (
             power_model.static_power * self._deadline if include_static_floor else 0.0
+        )
+        cls = type(self)
+        self._flat = (
+            prices_as_polynomial(power_model)
+            and cls._energy is ContinuousEnergyFunction._energy
+            and cls._speed is ContinuousEnergyFunction._speed
         )
         self._fix_limit()
 
@@ -89,6 +100,47 @@ class ContinuousEnergyFunction(EnergyFunction):
             return self._floor
         dynamic = (workload / speed) * self._model._dynamic_power(speed)
         return dynamic + self._floor
+
+    def energy_many(self, workloads: Iterable[float]) -> list[float]:
+        """:meth:`EnergyFunction.energy_many`, as one flat loop when it can.
+
+        On a model that :func:`~repro.power.polynomial.prices_as_polynomial`
+        (and with ``_energy`` and ``_speed`` not overridden) the chain
+        ``_check_workload`` fast path → :meth:`_speed` →
+        ``_clamp_speed`` → ``_dynamic_power`` is inlined, with the
+        deadline, speed range, ``beta1``/``alpha`` and floor hoisted.
+        Each element does :meth:`_energy`'s float operations in the same
+        order, so the results are bit-identical and a bad element raises
+        what the scalar call raises.  Any other model, or a subclass
+        that reprices, takes the base loop.
+        """
+        if not self._flat:
+            return super().energy_many(workloads)
+        model = self._model
+        limit, check = self._limit, self._check_workload
+        deadline, floor = self._deadline, self._floor
+        s_min, s_max = model._s_min, model._s_max
+        beta1, alpha = model._beta1, model._alpha
+        out: list[float] = []
+        append = out.append
+        for w in workloads:
+            if not (type(w) is float and 0.0 <= w <= limit):
+                w = check(w)
+            if w == 0.0:
+                append(floor)
+                continue
+            speed = w / deadline
+            if speed == math.inf:  # only an unbounded s_max lets W/D overflow
+                speed = model.clamp_speed(speed)  # raises
+            if s_min > speed:
+                speed = s_min
+            if s_max < speed:
+                speed = s_max
+            if speed == 0.0:  # a denormal W/D underflowed
+                append(floor)
+                continue
+            append((w / speed) * (beta1 * speed**alpha) + floor)
+        return out
 
     def plan(self, workload: float) -> SpeedPlan:
         """Constant-speed plan: execute, then idle until the deadline."""

@@ -29,7 +29,7 @@ Algorithms (mirroring the homogeneous roster in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro._validation import fits
@@ -41,7 +41,11 @@ from repro.core.rejection.multiproc import (
     exhaustive_assignment,
     partition_cost,
 )
-from repro.core.rejection.problem import CostBreakdown, RejectionProblem
+from repro.core.rejection.problem import (
+    CostBreakdown,
+    RejectionProblem,
+    task_columns,
+)
 from repro.core.rejection.relaxation import (
     _minimize_convex,
     fractional_lower_bound,
@@ -84,15 +88,24 @@ class HeteroRejectionProblem:
         Optional (m,k)-firm spec carried by the instance for the online
         layers (`repro sim` / `repro serve`); the offline assignment
         solvers do not constrain on it.
+    cycles, penalties:
+        The task columns the partitioned code path reads (see
+        :class:`~repro.core.rejection.multiproc.MultiprocRejectionProblem`);
+        they take no part in ``==``, ``hash`` or ``repr``.
     """
 
     tasks: FrameTaskSet
     platform: Platform
     mk: MKSpec | None = None
+    cycles: tuple = field(init=False, repr=False, compare=False)
+    penalties: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.tasks) == 0:
             raise ValueError("a rejection problem needs at least one task")
+        cycles, penalties = task_columns(self.tasks)
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "penalties", penalties)
 
     @property
     def n(self) -> int:
@@ -164,7 +177,7 @@ def typed_ltf_reject(problem: HeteroRejectionProblem) -> HeteroRejectionSolution
     :func:`~repro.core.rejection.multiproc.ltf_reject`, fed each core's
     own curve and capacity, then prices every accept against its penalty.
     """
-    sizes = [t.cycles for t in problem.tasks]
+    sizes = problem.cycles
     fns = problem.core_energy_fns
     caps = problem.core_caps
     order = sorted(range(problem.n), key=lambda i: sizes[i], reverse=True)
@@ -186,7 +199,7 @@ def typed_ltf_reject(problem: HeteroRejectionProblem) -> HeteroRejectionSolution
             buckets[best_core].append(i)
             loads[best_core] += sizes[i]
     _improvement_pass(
-        problem.tasks, fns, caps, buckets, rejected, single_best=False
+        sizes, problem.penalties, fns, caps, buckets, rejected, single_best=False
     )
     return _finish(problem, buckets, rejected, "typed_ltf")
 
@@ -207,7 +220,7 @@ def typed_global_reject(problem: HeteroRejectionProblem) -> HeteroRejectionSolut
     a genuine upper bound; the gap to stage 1's fluid view is exactly
     the global-vs-partitioned price Nélis et al. study.
     """
-    sizes = [t.cycles for t in problem.tasks]
+    sizes = problem.cycles
     type_fns = problem.platform.energy_functions()
     pools: list[PooledEnergyFunction | None] = []
     for core_type, fn in zip(problem.platform.core_types, type_fns):
@@ -236,7 +249,7 @@ def typed_global_reject(problem: HeteroRejectionProblem) -> HeteroRejectionSolut
             )
             if marginal < best_marginal - 1e-15:
                 best_type, best_marginal = t, marginal
-        if best_type is None or best_marginal >= problem.tasks[i].penalty:
+        if best_type is None or best_marginal >= problem.penalties[i]:
             rejected.append(i)
         else:
             routed[best_type].append(i)
@@ -267,7 +280,7 @@ def exhaustive_hetero(problem: HeteroRejectionProblem) -> HeteroRejectionSolutio
     load.  The guard still counts the raw ``(C+1)^n``.
     """
     buckets, rejected = exhaustive_assignment(
-        problem.tasks, problem.core_energy_fns, problem.core_caps
+        problem.cycles, problem.penalties, problem.core_energy_fns, problem.core_caps
     )
     return _finish(problem, buckets, rejected, "exhaustive_hetero")
 

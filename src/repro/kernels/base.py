@@ -25,11 +25,13 @@ consequences shape the interface:
   Python floats, to ``energy_fn.energy_many`` in *both* backends.  That
   entry point validates each workload once and then runs the scalar
   CPython formula, so its results are bit-identical to per-element
-  ``energy`` calls.  Evaluating ``g`` is the largest single cost of the
-  solvers.  On the seeded ``perfbench`` solve mix (seed 1, 400 solves,
-  numpy kernel, cProfile), ``g`` takes ~39% of solve time, down from
-  ~55% before :meth:`Kernel.best_penalty_level` priced only its
-  staircase; in ``dp_penalty`` it fell from ~87% to ~38%.
+  ``energy`` calls (the continuous and critical-speed curves run it as
+  one flat loop on stock polynomial models; see docs/kernels.md).
+  Evaluating ``g`` is the largest single cost of the solvers: on the
+  seeded ``perfbench`` solve mix (seed 1, 400 solves, numpy kernel,
+  cProfile), ``g`` takes ~31% of solve time, down from ~35% before that
+  flat loop and ~55% before :meth:`Kernel.best_penalty_level` priced
+  only its staircase.
 * **Sums are specified, not incidental.**  Reductions use strict
   left-to-right accumulation (:meth:`Kernel.cumsum` ==
   ``np.add.accumulate``), and derived quantities (remaining workload

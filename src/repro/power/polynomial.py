@@ -99,6 +99,23 @@ class PolynomialPowerModel(PowerModel):
         )
 
 
+def prices_as_polynomial(model: PowerModel) -> bool:
+    """True when *model* prices speeds exactly as the stock polynomial does.
+
+    That holds when its unchecked ``_dynamic_power`` is
+    :class:`PolynomialPowerModel`'s (``beta1 * s**alpha``) and its
+    ``_clamp_speed`` and ``_power`` are :class:`PowerModel`'s.  Callers
+    may then inline that arithmetic; a subclass overriding any of the
+    three, and every other model, must be called through its methods.
+    """
+    cls = type(model)
+    return (
+        getattr(cls, "_dynamic_power", None) is PolynomialPowerModel._dynamic_power
+        and getattr(cls, "_clamp_speed", None) is PowerModel._clamp_speed
+        and getattr(cls, "_power", None) is PowerModel._power
+    )
+
+
 def xscale_power_model(*, s_max: float = 1.0) -> PolynomialPowerModel:
     """The normalised Intel XScale model used by the companion text.
 

@@ -1,10 +1,18 @@
 """Tests for RejectionProblem / RejectionSolution value objects."""
 
 import math
+import pickle
+from dataclasses import fields
 
 import pytest
 
-from repro.core.rejection import RejectionProblem, best_solution
+from repro.core.rejection import (
+    MultiprocRejectionProblem,
+    RejectionProblem,
+    best_solution,
+)
+from repro.hetero.assign import HeteroRejectionProblem
+from repro.hetero.platform import lp_hp_platform
 from repro.energy import ContinuousEnergyFunction
 from repro.power import PolynomialPowerModel, xscale_power_model
 from repro.tasks import FrameTask, FrameTaskSet
@@ -51,6 +59,16 @@ class TestProblem:
         with pytest.raises(IndexError):
             problem.cost([5])
 
+    @pytest.mark.parametrize("bad", [[-1], [-1, 1], [3], [0, 3]])
+    def test_every_evaluation_refuses_an_out_of_range_index(self, problem, bad):
+        # A negative index must not alias the last task (nor count task 1
+        # twice in [-1, 1]); all three entry points share one check.
+        wrong = next(i for i in set(bad) if not 0 <= i < problem.n)
+        message = f"task index {wrong} out of range"
+        for evaluate in (problem.workload, problem.is_feasible, problem.cost):
+            with pytest.raises(IndexError, match=message):
+                evaluate(bad)
+
     def test_accept_all_none_when_infeasible(self, problem):
         assert problem.accept_all_cost() is None
 
@@ -72,6 +90,68 @@ class TestProblem:
         g = ContinuousEnergyFunction(xscale_power_model(), deadline=1.0)
         with pytest.raises(ValueError):
             RejectionProblem(tasks=FrameTaskSet([]), energy_fn=g)
+
+
+def _mixed_tasks():
+    return FrameTaskSet(
+        [
+            FrameTask(name="a", cycles=0.4, penalty=1.0),
+            FrameTask(name="huge", cycles=5.0, penalty=3.0),
+            FrameTask(name="b", cycles=1, penalty=0),
+            FrameTask(name="c", cycles=0.6, penalty=0.5),
+        ]
+    )
+
+
+def _problems():
+    g = ContinuousEnergyFunction(xscale_power_model(), deadline=1.0)
+    tasks = _mixed_tasks()
+    return {
+        "uniprocessor": RejectionProblem(tasks=tasks, energy_fn=g),
+        "identical": MultiprocRejectionProblem(tasks=tasks, energy_fn=g, m=2),
+        "typed": HeteroRejectionProblem(tasks=tasks, platform=lp_hp_platform(1, 1)),
+    }
+
+
+class TestColumns:
+    """The task columns fixed at construction, and what they must not touch."""
+
+    @pytest.mark.parametrize("kind", sorted(_problems()))
+    def test_columns_are_the_task_values(self, kind):
+        problem = _problems()[kind]
+        assert problem.cycles == tuple(t.cycles for t in problem.tasks)
+        assert problem.penalties == tuple(t.penalty for t in problem.tasks)
+        assert type(problem.cycles[2]) is int  # values are stored, not cast
+
+    @pytest.mark.parametrize("kind", ["uniprocessor", "identical"])
+    def test_acceptable_indices_are_those_that_fit(self, kind):
+        problem = _problems()[kind]
+        assert problem.acceptable == (0, 2, 3)
+
+    def test_acceptable_and_never_acceptable_partition_the_tasks(self):
+        problem = _problems()["uniprocessor"]
+        never = {i for i, t in enumerate(problem.tasks) if t.name in problem.never_acceptable}
+        assert never == {1}
+        assert never.isdisjoint(problem.acceptable)
+        assert never | set(problem.acceptable) == set(range(problem.n))
+
+    @pytest.mark.parametrize("kind", sorted(_problems()))
+    def test_equality_hash_repr_and_pickle_ignore_the_columns(self, kind):
+        problem = _problems()[kind]
+        given = {f.name: getattr(problem, f.name) for f in fields(problem) if f.init}
+        twin = type(problem)(**given)
+        assert problem == twin
+        assert hash(problem) == hash(twin) == hash(tuple(given.values()))
+        assert repr(problem) == "{}({})".format(
+            type(problem).__name__,
+            ", ".join(f"{name}={value!r}" for name, value in given.items()),
+        )
+        # Energy functions compare by identity, so a copy is checked field
+        # by field: its tasks, and columns equal to the original's.
+        copy = pickle.loads(pickle.dumps(problem))
+        assert type(copy) is type(problem) and copy.tasks == problem.tasks
+        assert copy.cycles == problem.cycles
+        assert copy.penalties == problem.penalties
 
 
 class TestSolution:

@@ -2,11 +2,16 @@
 
 For every subclass: on valid workloads the batch returns the scalar
 results bit for bit, and a list holding a bad element raises exactly the
-exception type and message the scalar loop raises.
+exception type and message the scalar loop raises.  The continuous and
+critical-speed functions run their own flat loop on stock polynomial
+models; the variants below reach each of its branches (speed floor,
+underflowing ``W/D``, static floor, sleep overheads) and the models and
+subclasses that must take the base loop instead.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import hypothesis.strategies as st
@@ -42,6 +47,25 @@ def _poly(beta0: float = 0.1, s_max: float = 1.0) -> PolynomialPowerModel:
 
 _LEVELS = SpeedLevels([0.25, 0.5, 0.75, 1.0])
 
+
+class _Shifted(PolynomialPowerModel):
+    """A polynomial model with its own ``Pd``: must not take a flat loop."""
+
+    def __init__(self, **kw) -> None:
+        super().__init__(**kw)
+        self.calls = 0
+
+    def _dynamic_power(self, speed: float) -> float:
+        self.calls += 1
+        return super()._dynamic_power(speed) + 0.01 * speed
+
+
+class _Floored(PolynomialPowerModel):
+    """A polynomial model with its own clamp: must not take a flat loop."""
+
+    def _clamp_speed(self, speed: float) -> float:
+        return super()._clamp_speed(max(speed, 0.125))
+
 #: One instance of every subclass, with the variants whose arithmetic
 #: differs: static floor, unbounded speed, CMOS power, sleep overheads
 #: (``e_sw > 0`` and ``t_sw > 0``), dormant-disable levels.
@@ -54,7 +78,26 @@ FUNCTIONS = {
     "continuous-cmos": ContinuousEnergyFunction(
         CMOSPowerModel(v_t=0.3, short_circuit_coeff=0.2, static_power=0.05), 1.5
     ),
+    "continuous-smin": ContinuousEnergyFunction(
+        PolynomialPowerModel(beta0=0.05, beta1=1.52, alpha=3.0, s_min=0.3), 4.0
+    ),
+    "continuous-underflow": ContinuousEnergyFunction(_poly(0.0), 4.0),
+    "continuous-subclass": ContinuousEnergyFunction(
+        _Shifted(beta1=1.52, alpha=3.0), 2.0, include_static_floor=True
+    ),
+    "continuous-clamp-subclass": ContinuousEnergyFunction(
+        _Floored(beta1=1.52, alpha=3.0), 1.0
+    ),
     "critical": CriticalSpeedEnergyFunction(_poly(0.2), 1.0),
+    "critical-smin": CriticalSpeedEnergyFunction(
+        PolynomialPowerModel(beta0=0.0, beta1=1.0, alpha=2.5, s_min=0.25), 2.0
+    ),
+    "critical-underflow": CriticalSpeedEnergyFunction(_poly(0.0), 4.0),
+    "critical-subclass": CriticalSpeedEnergyFunction(
+        _Shifted(beta0=0.2, beta1=1.52, alpha=3.0),
+        1.0,
+        dormant=DormantMode(t_sw=0.2, e_sw=0.01),
+    ),
     "critical-overheads": CriticalSpeedEnergyFunction(
         _poly(0.2), 3.0, dormant=DormantMode(t_sw=0.4, e_sw=0.05)
     ),
@@ -73,19 +116,22 @@ FUNCTIONS = {
 
 
 def _specials(fn) -> list:
-    """Valid boundary workloads: zeros, denormals, the capacity edge.
+    """Valid boundary workloads: zeros, denormals, the capacity edge, ints.
 
+    With a deadline above 1 the smallest denormals underflow ``W/D`` to
+    0.  ``fn._limit`` is the largest workload the fast range test admits.
     (The split bound's inner pools reject the top of the outer tolerance
     band, so for it only parity with the scalar call is required.)
     """
     cap = fn.max_workload
-    out = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300]
+    out = [0.0, -0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1e-300]
     if math.isfinite(cap):
         limit = capacity_limit(cap)
+        assert fn._limit == limit
         out += [cap, limit, math.nextafter(limit, 0.0)]
     else:
         out += [1e100]
-    return _with_float64(out) + [0]
+    return _with_float64(out) + [0] + [k for k in (1, 2, 3) if k <= cap]
 
 
 def _bad(fn) -> list:
@@ -166,18 +212,79 @@ def test_every_failure_mode_matches(name, bad_index):
         assert _outcome(lambda: fn.energy_many(workloads)) == scalar, bad
 
 
-@pytest.mark.parametrize(
-    "fn",
-    [
-        ContinuousEnergyFunction(_poly(0.0, math.inf), 0.5),
-        CriticalSpeedEnergyFunction(_poly(0.2, math.inf), 0.5),
-    ],
-    ids=["continuous", "critical"],
-)
-def test_unbounded_speed_overflow_still_raises(fn):
+_UNBOUNDED = {
+    "continuous": ContinuousEnergyFunction(_poly(0.0, math.inf), 0.5),
+    "continuous-smin": ContinuousEnergyFunction(
+        PolynomialPowerModel(beta0=0.1, s_min=0.5, s_max=math.inf), 0.25
+    ),
+    "critical": CriticalSpeedEnergyFunction(_poly(0.2, math.inf), 0.5),
+    "critical-smin": CriticalSpeedEnergyFunction(
+        PolynomialPowerModel(beta0=0.0, s_min=0.5, s_max=math.inf), 0.25
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNBOUNDED))
+def test_unbounded_speed_overflow_still_raises(name):
     # W/D overflows to inf with an unbounded s_max: the checked
-    # clamp_speed has always refused that speed, and still does.
+    # clamp_speed has always refused that speed, and still does, on the
+    # same element as the scalar loop.
+    fn = _UNBOUNDED[name]
     with pytest.raises(ValueError, match="speed must be finite"):
         fn.energy(1e308)
-    scalar = _outcome(lambda: [fn.energy(1e308)])
-    assert _outcome(lambda: fn.energy_many([1.0, 1e308])) == scalar
+    for workloads in ([1.0, 1e308], [1.0, 1e308, -1.0], [-1.0, 1e308], [1e308, 2.0]):
+        scalar = _outcome(lambda: [fn.energy(w) for w in workloads])
+        assert not isinstance(scalar, list)
+        assert _outcome(lambda: fn.energy_many(workloads)) == scalar
+    fine = [0.0, 5e-324, 1.0, 1e300]
+    assert _outcome(lambda: fn.energy_many(fine)) == _outcome(
+        lambda: [fn.energy(w) for w in fine]
+    )
+
+
+_STOCK = [
+    name
+    for name in FUNCTIONS
+    if name.startswith(("continuous", "critical"))
+    and "subclass" not in name
+    and "cmos" not in name
+]
+
+
+@pytest.mark.parametrize("name", _STOCK)
+def test_a_stock_polynomial_model_takes_the_flat_loop(name):
+    # The flat loop never calls the scalar _energy; the base loop would
+    # call this instance's replacement and fail.
+    fn = copy.copy(FUNCTIONS[name])
+    workloads = [0.0, 0.3, 0.6]
+    expected = [fn.energy(w) for w in workloads]
+
+    def no_scalar_calls(workload):
+        raise AssertionError("took the base loop")
+
+    fn._energy = no_scalar_calls
+    assert fn.energy_many(workloads) == expected
+
+
+@pytest.mark.parametrize("name", ["continuous-subclass", "critical-subclass"])
+def test_a_model_with_its_own_power_takes_the_base_loop(name):
+    fn = FUNCTIONS[name]
+    workloads = [0.0, 0.1, 0.5, 0.9]
+    before = fn.power_model.calls
+    scalar = [fn.energy(w) for w in workloads]
+    per_scalar_loop = fn.power_model.calls - before
+    assert per_scalar_loop > 0
+    assert fn.energy_many(workloads) == scalar
+    assert fn.power_model.calls - before == 2 * per_scalar_loop
+
+
+@pytest.mark.parametrize("cls", [ContinuousEnergyFunction, CriticalSpeedEnergyFunction])
+def test_a_subclass_with_its_own_energy_takes_the_base_loop(cls):
+    class Doubled(cls):
+        def _energy(self, workload):
+            return 2.0 * super()._energy(workload)
+
+    fn = Doubled(_poly(0.1), 1.0)
+    workloads = [0.0, 0.25, 1.0]
+    assert fn.energy_many(workloads) == [fn.energy(w) for w in workloads]
+    assert fn.energy_many([0.25]) == [2.0 * cls(_poly(0.1), 1.0).energy(0.25)]
