@@ -112,10 +112,9 @@ class MultiprocRejectionProblem:
         the per-processor capacity.
     m:
         Number of processors.
-    cycles, penalties, acceptable:
+    cycles, penalties:
         The task columns of :class:`RejectionProblem`, fixed at
-        construction; ``acceptable`` holds the indices whose cycles fit
-        one processor.  They take no part in ``==``, ``hash`` or ``repr``.
+        construction.  They take no part in ``==``, ``hash`` or ``repr``.
     """
 
     tasks: FrameTaskSet
@@ -123,7 +122,6 @@ class MultiprocRejectionProblem:
     m: int
     cycles: tuple = field(init=False, repr=False, compare=False)
     penalties: tuple = field(init=False, repr=False, compare=False)
-    acceptable: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -131,12 +129,8 @@ class MultiprocRejectionProblem:
         if len(self.tasks) == 0:
             raise ValueError("a rejection problem needs at least one task")
         cycles, penalties = task_columns(self.tasks)
-        cap = self.capacity
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "penalties", penalties)
-        object.__setattr__(
-            self, "acceptable", tuple(i for i, c in enumerate(cycles) if fits(c, cap))
-        )
 
     @property
     def n(self) -> int:

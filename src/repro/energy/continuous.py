@@ -111,10 +111,12 @@ class ContinuousEnergyFunction(EnergyFunction):
         deadline, speed range, ``beta1``/``alpha`` and floor hoisted.
         Each element does :meth:`_energy`'s float operations in the same
         order, so the results are bit-identical and a bad element raises
-        what the scalar call raises.  Any other model, or a subclass
-        that reprices, takes the base loop.
+        what the scalar call raises.  Any other model, a subclass that
+        reprices, or an instance whose ``_energy``/``_speed`` was
+        replaced (which :meth:`energy` would call) takes the base loop.
         """
-        if not self._flat:
+        own = self.__dict__
+        if not self._flat or "_energy" in own or "_speed" in own:
             return super().energy_many(workloads)
         model = self._model
         limit, check = self._limit, self._check_workload

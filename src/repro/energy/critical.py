@@ -23,11 +23,9 @@ relaxation, a true pointwise lower bound).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 
 from repro.energy.base import EnergyFunction, SpeedPlan, SpeedSegment
 from repro.power.base import DormantMode, PowerModel
-from repro.power.polynomial import prices_as_polynomial
 
 
 class CriticalSpeedEnergyFunction(EnergyFunction):
@@ -45,9 +43,6 @@ class CriticalSpeedEnergyFunction(EnergyFunction):
         the convex ``e_sw = 0`` model of the LA+LTF analysis.
     """
 
-    #: True when :meth:`energy_many` may run its flat loop (see there).
-    _flat = False
-
     def __init__(
         self,
         power_model: PowerModel,
@@ -59,13 +54,6 @@ class CriticalSpeedEnergyFunction(EnergyFunction):
         self._model = power_model
         self._dormant = dormant if dormant is not None else DormantMode()
         self._s_star = power_model.critical_speed()
-        cls = type(self)
-        self._flat = (
-            prices_as_polynomial(power_model)
-            and cls._energy is CriticalSpeedEnergyFunction._energy
-            and cls._speed is CriticalSpeedEnergyFunction._speed
-            and cls._slack_cost is CriticalSpeedEnergyFunction._slack_cost
-        )
         self._fix_limit()
 
     @property
@@ -144,60 +132,6 @@ class CriticalSpeedEnergyFunction(EnergyFunction):
         busy = workload / speed
         slack_energy, _ = self._slack_cost(self._deadline - busy)
         return busy * self._model._power(speed) + slack_energy
-
-    def energy_many(self, workloads: Iterable[float]) -> list[float]:
-        """:meth:`EnergyFunction.energy_many`, as one flat loop when it can.
-
-        On a model that :func:`~repro.power.polynomial.prices_as_polynomial`
-        (and with ``_energy``, ``_speed`` and ``_slack_cost`` not
-        overridden) the chain ``_check_workload`` fast path →
-        :meth:`_speed` → ``_clamp_speed`` → ``_power`` →
-        :meth:`_slack_cost` is inlined, with the deadline, ``s*``, speed
-        range, ``beta1``/``alpha``, leakage and sleep overheads hoisted.
-        Each element does :meth:`_energy`'s float operations in the same
-        order, so the results are bit-identical and a bad element raises
-        what the scalar call raises.  Any other model, or a subclass
-        that reprices, takes the base loop.
-        """
-        if not self._flat:
-            return super().energy_many(workloads)
-        model = self._model
-        limit, check = self._limit, self._check_workload
-        deadline, s_star = self._deadline, self._s_star
-        s_min, s_max = model._s_min, model._s_max
-        beta1, alpha, static = model._beta1, model._alpha, model._static_power
-        t_sw, e_sw = self._dormant.t_sw, self._dormant.e_sw
-        idle_all = self._slack_cost(deadline)[0]
-        out: list[float] = []
-        append = out.append
-        for w in workloads:
-            if not (type(w) is float and 0.0 <= w <= limit):
-                w = check(w)
-            if w == 0.0:
-                append(idle_all)
-                continue
-            speed = w / deadline
-            if s_star > speed:
-                speed = s_star
-            if speed == math.inf:  # only an unbounded s_max lets W/D overflow
-                speed = model.clamp_speed(speed)  # raises
-            if s_min > speed:
-                speed = s_min
-            if s_max < speed:
-                speed = s_max
-            if speed == 0.0:  # a denormal W/D underflowed (s* == 0)
-                append(idle_all)
-                continue
-            busy = w / speed
-            slack = deadline - busy
-            if slack <= 1e-12:
-                slack_energy = 0.0
-            else:
-                slack_energy = static * slack
-                if slack >= t_sw and e_sw < slack_energy:
-                    slack_energy = e_sw
-            append(busy * (beta1 * speed**alpha + static) + slack_energy)
-        return out
 
     def plan(self, workload: float) -> SpeedPlan:
         """Execute at the clamped speed, then sleep or idle through slack."""

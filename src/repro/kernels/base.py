@@ -25,8 +25,8 @@ consequences shape the interface:
   Python floats, to ``energy_fn.energy_many`` in *both* backends.  That
   entry point validates each workload once and then runs the scalar
   CPython formula, so its results are bit-identical to per-element
-  ``energy`` calls (the continuous and critical-speed curves run it as
-  one flat loop on stock polynomial models; see docs/kernels.md).
+  ``energy`` calls (the continuous curve runs it as one flat loop on
+  stock polynomial models; see docs/kernels.md).
   Evaluating ``g`` is the largest single cost of the solvers: on the
   seeded ``perfbench`` solve mix (seed 1, 400 solves, numpy kernel,
   cProfile), ``g`` takes ~31% of solve time, down from ~35% before that

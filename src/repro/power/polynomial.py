@@ -104,15 +104,14 @@ def prices_as_polynomial(model: PowerModel) -> bool:
 
     That holds when its unchecked ``_dynamic_power`` is
     :class:`PolynomialPowerModel`'s (``beta1 * s**alpha``) and its
-    ``_clamp_speed`` and ``_power`` are :class:`PowerModel`'s.  Callers
-    may then inline that arithmetic; a subclass overriding any of the
-    three, and every other model, must be called through its methods.
+    ``_clamp_speed`` is :class:`PowerModel`'s.  Callers may then inline
+    that arithmetic; a subclass overriding either, and every other
+    model, must be called through its methods.
     """
     cls = type(model)
     return (
         getattr(cls, "_dynamic_power", None) is PolynomialPowerModel._dynamic_power
         and getattr(cls, "_clamp_speed", None) is PowerModel._clamp_speed
-        and getattr(cls, "_power", None) is PowerModel._power
     )
 
 

@@ -123,9 +123,8 @@ class TestColumns:
         assert problem.penalties == tuple(t.penalty for t in problem.tasks)
         assert type(problem.cycles[2]) is int  # values are stored, not cast
 
-    @pytest.mark.parametrize("kind", ["uniprocessor", "identical"])
-    def test_acceptable_indices_are_those_that_fit(self, kind):
-        problem = _problems()[kind]
+    def test_acceptable_indices_are_those_that_fit(self):
+        problem = _problems()["uniprocessor"]
         assert problem.acceptable == (0, 2, 3)
 
     def test_acceptable_and_never_acceptable_partition_the_tasks(self):

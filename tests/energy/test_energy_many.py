@@ -2,11 +2,11 @@
 
 For every subclass: on valid workloads the batch returns the scalar
 results bit for bit, and a list holding a bad element raises exactly the
-exception type and message the scalar loop raises.  The continuous and
-critical-speed functions run their own flat loop on stock polynomial
-models; the variants below reach each of its branches (speed floor,
-underflowing ``W/D``, static floor, sleep overheads) and the models and
-subclasses that must take the base loop instead.
+exception type and message the scalar loop raises.  The continuous
+function runs its own flat loop on stock polynomial models; the
+variants below reach each of its branches (speed floor, underflowing
+``W/D``, static floor, unbounded speed) and the models, subclasses and
+instances that must take the base loop instead.
 """
 
 from __future__ import annotations
@@ -89,15 +89,6 @@ FUNCTIONS = {
         _Floored(beta1=1.52, alpha=3.0), 1.0
     ),
     "critical": CriticalSpeedEnergyFunction(_poly(0.2), 1.0),
-    "critical-smin": CriticalSpeedEnergyFunction(
-        PolynomialPowerModel(beta0=0.0, beta1=1.0, alpha=2.5, s_min=0.25), 2.0
-    ),
-    "critical-underflow": CriticalSpeedEnergyFunction(_poly(0.0), 4.0),
-    "critical-subclass": CriticalSpeedEnergyFunction(
-        _Shifted(beta0=0.2, beta1=1.52, alpha=3.0),
-        1.0,
-        dormant=DormantMode(t_sw=0.2, e_sw=0.01),
-    ),
     "critical-overheads": CriticalSpeedEnergyFunction(
         _poly(0.2), 3.0, dormant=DormantMode(t_sw=0.4, e_sw=0.05)
     ),
@@ -218,9 +209,6 @@ _UNBOUNDED = {
         PolynomialPowerModel(beta0=0.1, s_min=0.5, s_max=math.inf), 0.25
     ),
     "critical": CriticalSpeedEnergyFunction(_poly(0.2, math.inf), 0.5),
-    "critical-smin": CriticalSpeedEnergyFunction(
-        PolynomialPowerModel(beta0=0.0, s_min=0.5, s_max=math.inf), 0.25
-    ),
 }
 
 
@@ -245,30 +233,28 @@ def test_unbounded_speed_overflow_still_raises(name):
 _STOCK = [
     name
     for name in FUNCTIONS
-    if name.startswith(("continuous", "critical"))
-    and "subclass" not in name
-    and "cmos" not in name
+    if name.startswith("continuous") and "subclass" not in name and "cmos" not in name
 ]
 
 
 @pytest.mark.parametrize("name", _STOCK)
-def test_a_stock_polynomial_model_takes_the_flat_loop(name):
-    # The flat loop never calls the scalar _energy; the base loop would
-    # call this instance's replacement and fail.
-    fn = copy.copy(FUNCTIONS[name])
+def test_a_stock_polynomial_model_takes_the_flat_loop(name, monkeypatch):
+    # The flat loop inlines Pd(s); the base loop would call the stock
+    # PolynomialPowerModel._dynamic_power, replaced here by one that fails.
+    fn = FUNCTIONS[name]
     workloads = [0.0, 0.3, 0.6]
     expected = [fn.energy(w) for w in workloads]
 
-    def no_scalar_calls(workload):
+    def no_model_calls(self, speed):
         raise AssertionError("took the base loop")
 
-    fn._energy = no_scalar_calls
+    monkeypatch.setattr(PolynomialPowerModel, "_dynamic_power", no_model_calls)
+    assert fn._flat
     assert fn.energy_many(workloads) == expected
 
 
-@pytest.mark.parametrize("name", ["continuous-subclass", "critical-subclass"])
-def test_a_model_with_its_own_power_takes_the_base_loop(name):
-    fn = FUNCTIONS[name]
+def test_a_model_with_its_own_power_takes_the_base_loop():
+    fn = FUNCTIONS["continuous-subclass"]
     workloads = [0.0, 0.1, 0.5, 0.9]
     before = fn.power_model.calls
     scalar = [fn.energy(w) for w in workloads]
@@ -278,13 +264,26 @@ def test_a_model_with_its_own_power_takes_the_base_loop(name):
     assert fn.power_model.calls - before == 2 * per_scalar_loop
 
 
-@pytest.mark.parametrize("cls", [ContinuousEnergyFunction, CriticalSpeedEnergyFunction])
-def test_a_subclass_with_its_own_energy_takes_the_base_loop(cls):
-    class Doubled(cls):
+def test_a_subclass_with_its_own_energy_takes_the_base_loop():
+    class Doubled(ContinuousEnergyFunction):
         def _energy(self, workload):
             return 2.0 * super()._energy(workload)
 
     fn = Doubled(_poly(0.1), 1.0)
     workloads = [0.0, 0.25, 1.0]
     assert fn.energy_many(workloads) == [fn.energy(w) for w in workloads]
-    assert fn.energy_many([0.25]) == [2.0 * cls(_poly(0.1), 1.0).energy(0.25)]
+    assert fn.energy_many([0.25]) == [
+        2.0 * ContinuousEnergyFunction(_poly(0.1), 1.0).energy(0.25)
+    ]
+
+
+@pytest.mark.parametrize("attr", ["_energy", "_speed"])
+def test_an_instance_with_its_own_scalar_path_takes_the_base_loop(attr):
+    # energy() calls an instance's replacement; energy_many must agree.
+    fn = copy.copy(FUNCTIONS["continuous"])
+    stock = getattr(fn, attr)
+    setattr(fn, attr, lambda workload: 2.0 * stock(workload))
+    workloads = [0.0, 0.25, 1.0]
+    assert fn._flat
+    assert fn.energy_many(workloads) == [fn.energy(w) for w in workloads]
+    assert fn.energy(0.25) != FUNCTIONS["continuous"].energy(0.25)
