@@ -11,26 +11,28 @@ visiting a tiny fraction of the tree; it extends the exact range to the
 mid-20s and serves as an independent implementation to cross-check the
 oracle in tests.
 
-Subset-sum tables, the feasible-subset scan, and the piecewise-linear
-breakpoint sweep of the fractional bound run on the active array kernel
-(:mod:`repro.kernels`).
+Subset-sum tables and the feasible-subset scan run on the active array
+kernel (:mod:`repro.kernels`); each node's bound is one λ search of
+:func:`~repro.core.rejection.relaxation.relax_suffix`.
 """
 
 from __future__ import annotations
 
-import math
-
 from repro._validation import fits
 from repro.core.rejection.greedy import greedy_marginal
 from repro.core.rejection.problem import RejectionProblem, RejectionSolution
-from repro.core.rejection.relaxation import _minimize_convex, _require_convex
+from repro.core.rejection.relaxation import _require_convex, relax_suffix
 from repro.kernels import get_kernel
-from repro.kernels.base import suffix_shed_cost
 from repro.obs import counters as obs_counters
 from repro.obs.trace import span
 
 #: Hard guard: beyond this, subset enumeration is a programming error.
 MAX_EXHAUSTIVE_TASKS = 24
+
+#: Branch-and-bound's margins, relative to the incumbent's cost so the
+#: search is the same in any unit: a node whose bound comes within
+#: ``PRUNE_RTOL`` of it is pruned, and a leaf must beat it by ``LEAF_RTOL``.
+PRUNE_RTOL, LEAF_RTOL = 1e-12, 1e-15
 
 
 def exhaustive(problem: RejectionProblem) -> RejectionSolution:
@@ -69,60 +71,6 @@ def exhaustive(problem: RejectionProblem) -> RejectionSolution:
     return problem.solution(accepted, algorithm="exhaustive")
 
 
-def _suffix_fractional_value(
-    kern,
-    energy_fn,
-    cap: float,
-    base_workload: float,
-    base_penalty: float,
-    densities: list[float],
-    cum_c,
-    cum_p,
-    start: int,
-) -> float:
-    """Lower bound on completing a partial solution.
-
-    The first ``start`` tasks (density order) are already decided with
-    ``base_workload`` accepted cycles and ``base_penalty`` rejected
-    penalty; the remaining suffix may be accepted fractionally.  Returns
-    the convex-relaxation value of the best completion: the golden-section
-    minimum of the continuous objective, tightened by the kernel's sweep
-    over the shed-cost breakpoints.
-    """
-    suffix_total = cum_c[-1] - cum_c[start]
-    room = cap - base_workload
-    if room < -1e-12:
-        return math.inf
-    w_hi = min(suffix_total, max(room, 0.0))
-
-    g_energy = energy_fn.energy
-
-    def objective(w: float) -> float:
-        return (
-            base_penalty
-            + g_energy(min(base_workload + w, cap))
-            + suffix_shed_cost(cum_c, cum_p, densities, start, suffix_total - w)
-        )
-
-    _, val = _minimize_convex(objective, 0.0, w_hi)
-    # Breakpoints of the piecewise-linear shed cost, for robustness.
-    return min(
-        val,
-        kern.bound_breakpoint_min(
-            cum_c,
-            cum_p,
-            densities,
-            start,
-            base_workload,
-            base_penalty,
-            w_hi,
-            suffix_total,
-            cap,
-            energy_fn,
-        ),
-    )
-
-
 def branch_and_bound(problem: RejectionProblem) -> RejectionSolution:
     """Optimal solution by depth-first search with fractional pruning.
 
@@ -139,8 +87,8 @@ def branch_and_bound(problem: RejectionProblem) -> RejectionSolution:
     cycles = [problem.cycles[i] for i in order]
     penalties = [problem.penalties[i] for i in order]
     densities = [p / c for p, c in zip(penalties, cycles)]
-    # Plain-float prefix sums (on every kernel): the bound objective
-    # feeds these into the scalar energy function.
+    # Plain-float prefix sums (on every kernel): the bound feeds these
+    # into the scalar energy function.
     cum_c = kern.prefix_sums(cycles)
     cum_p = kern.prefix_sums(penalties)
 
@@ -158,23 +106,18 @@ def branch_and_bound(problem: RejectionProblem) -> RejectionSolution:
         nodes += 1
         if depth == n:
             cost = exact_g(min(workload, cap)) + rejected_penalty
-            if cost < best_cost - 1e-15:
+            if cost < best_cost - LEAF_RTOL * abs(best_cost):
                 best_cost = cost
                 best_accept_ranks = [k for k in range(n) if chosen[k]]
                 incumbents += 1
             return
-        bound = _suffix_fractional_value(
-            kern,
-            g_all,
-            cap,
-            workload,
-            rejected_penalty,
-            densities,
-            cum_c,
-            cum_p,
-            depth,
-        )
-        if bound >= best_cost - 1e-12:
+        if workload < cap:
+            relaxed, _, _ = relax_suffix(
+                g_all, densities, cum_c, cum_p, depth, workload, cap
+            )
+        else:  # a full node can only reject the rest
+            relaxed = g_all.energy(cap) + (cum_p[n] - cum_p[depth])
+        if rejected_penalty + relaxed >= best_cost - PRUNE_RTOL * abs(best_cost):
             pruned += 1
             return
         # Reject branch first (matches the relaxation's preference).

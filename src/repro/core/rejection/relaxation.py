@@ -3,14 +3,17 @@
 Allowing a task to be rejected *fractionally* (``xi ∈ [0, 1]``) turns
 REJECT-MIN into a convex program:
 
-    minimize  g(Σ ci (1 − xi)) + Σ ρi xi     s.t.  Σ ci (1 − xi) ≤ cap.
+    minimize  g(W) + Σ ρi xi     s.t.  W = Σ ci (1 − xi) ≤ cap.
 
-For a fixed accepted workload ``w``, the cheapest fractional way to shed
-``C − w`` cycles is the fractional knapsack: reject prefixes of the tasks
-sorted by penalty density ``ρ/c``.  That yields a piecewise-linear convex
-shedding cost ``h(C − w)``, so the relaxation reduces to minimising the
-1-D convex function ``g(w) + h(C − w)`` — solved here by evaluating every
-breakpoint and golden-sectioning inside the bracketing pieces.
+Pricing a cycle at ``λ`` gives its Lagrangian dual
+``d(λ) = Σ min(λ ci, ρi) − g*(λ)``, with ``g*`` the convex conjugate of
+``g``: a lower bound for every ``λ``, concave, and maximal at the
+relaxation optimum.  Between consecutive penalty densities ``ρ/c``, ``d``
+is ``Σ_{i<k} ρi + λ A_k − g*(λ)`` (``A_k``: the cycles left once the first
+``k`` tasks go), so the search bisects over ``k`` for the piece where the
+workload ``W*(λ)`` that ``g*`` picks crosses ``A_k``, then solves for
+``λ`` inside it (docs/theory.md §5).  A curve without a closed-form
+conjugate takes one golden-section search on the primal instead.
 
 The optimum is a **valid lower bound** on REJECT-MIN (used to normalise
 the large-instance experiments, mirroring the companion text's "relaxed
@@ -22,6 +25,7 @@ and keeps the better feasible result.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.core.rejection.problem import (
@@ -33,6 +37,10 @@ from repro.energy.base import EnergyFunction
 from repro.kernels import get_kernel
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: A λ search stops once its bracket, or ``W*(λ)``'s miss of the target,
+#: is this small relative to it; or after ``_LAM_STEPS`` steps.
+_LAM_RTOL, _LAM_STEPS = 2.0**-50, 100
 
 
 def _require_convex(energy_fn: EnergyFunction) -> EnergyFunction:
@@ -53,18 +61,20 @@ def _require_convex(energy_fn: EnergyFunction) -> EnergyFunction:
     return lower()
 
 
-def _minimize_convex(fn, lo: float, hi: float, *, iters: int = 120) -> tuple[float, float]:
-    """(argmin, min) of the convex *fn* on [lo, hi] by golden section."""
+def _minimize_convex(fn, lo: float, hi: float) -> tuple[float, float]:
+    """(argmin, min) of the convex *fn* on [lo, hi] by golden section,
+    to a bracket of ``1e-12`` of the interval's magnitude (in any unit)."""
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    if math.isclose(lo, hi, rel_tol=0, abs_tol=1e-15):
+    if lo == hi:
         return lo, fn(lo)
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if (b - a) <= 1e-12 * max(1.0, abs(lo) + abs(hi)):
+    tol = 1e-12 * (abs(lo) + abs(hi))
+    for _ in range(120):
+        if (b - a) <= tol:
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -76,6 +86,154 @@ def _minimize_convex(fn, lo: float, hi: float, *, iters: int = 120) -> tuple[flo
             fd = fn(d)
     x = (a + b) / 2.0
     return x, fn(x)
+
+
+def closed_conjugate(energy_fn):
+    """*energy_fn*'s ``conjugate`` when it has a closed form, else None."""
+    conjugate = getattr(energy_fn, "conjugate", None)
+    if conjugate is None or conjugate(0.0) is None:
+        return None
+    return conjugate
+
+
+def dual_crossing(conjugate, target: float, lo: float, hi: float) -> float:
+    """``max λ·target − g*(λ)`` over ``λ ∈ [lo, hi]``.
+
+    Needs ``W*(lo) ≤ target ≤ W*(hi)``: the concave objective then peaks
+    where ``W*(λ)`` crosses *target*.  Illinois false position on
+    ``W*(λ) − target`` closes in on the crossing, and the best value met
+    is returned, since every ``λ`` gives a lower bound.
+    """
+    star_lo, w_lo = conjugate(lo)
+    star_hi, w_hi = conjugate(hi)
+    best = max(lo * target - star_lo, hi * target - star_hi)
+    f_lo, f_hi = w_lo - target, w_hi - target
+    near = _LAM_RTOL * target
+    side = 0
+    for _ in range(_LAM_STEPS):
+        if -f_lo <= near or f_hi <= near or hi - lo <= _LAM_RTOL * hi:
+            break
+        lam = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < lam < hi:
+            lam = 0.5 * (lo + hi)
+        star, w = conjugate(lam)
+        best = max(best, lam * target - star)
+        f = w - target
+        if f >= 0.0:
+            hi, f_hi = lam, f
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+        else:
+            lo, f_lo = lam, f
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+    return best
+
+
+def relax_suffix(
+    energy_fn,
+    densities,
+    cum_c,
+    cum_p,
+    start: int,
+    base: float,
+    cap: float,
+) -> tuple[float, int, float]:
+    """Relax the tasks ``start..`` on top of *base* accepted cycles.
+
+    The tasks are in density order with ``densities[k] = ρk / ck`` and
+    ``cum_c``/``cum_p`` their cycle/penalty prefix sums (length
+    ``n + 1``, leading 0); the tasks before *start* are decided, with
+    *base* cycles accepted (``base < cap``).  Returns ``(value, k, w)``:
+    the optimum of ``g(W) + shed(W)`` over ``base ≤ W ≤ cap`` (penalties
+    of decided tasks excluded), with ``start..k−1`` fully rejected and
+    ``w`` accepted cycles; task ``k`` is partly rejected when ``w`` is
+    below the cycles rejecting ``start..k−1`` leaves.
+    """
+    n = len(densities)
+    rest = cum_c[n]
+
+    def accepted(k: int) -> float:
+        return base + (rest - cum_c[k])
+
+    conjugate = closed_conjugate(energy_fn)
+    if conjugate is None:
+        return _golden_suffix(
+            energy_fn.energy, densities, cum_c, cum_p, start, base,
+            min(accepted(start), cap), accepted,
+        )
+    if base > 0.0:  # W* clamped to [base, cap]
+        free, g_base = conjugate, energy_fn.energy(base)
+
+        def conjugate(lam: float) -> tuple[float, float]:
+            star, w = free(lam)
+            return (lam * base - g_base, base) if w < base else (star, w)
+
+    # The first k at whose density g* takes at least what rejecting
+    # tasks start..k leaves.
+    k = start + bisect_left(
+        range(start, n - 1),
+        True,
+        key=lambda i: conjugate(densities[i])[1] >= accepted(i + 1),
+    )
+    lam = densities[k]
+    star, w = conjugate(lam)
+    top = accepted(k)
+    shed = cum_p[k] - cum_p[start]
+    if w < top:  # λ* = d_k, and task k is split at w
+        value = shed + lam * top - star
+        return value, (k + 1 if w <= accepted(k + 1) else k), w
+    low = densities[k - 1] if k > start else 0.0
+    return shed + dual_crossing(conjugate, top, low, lam), k, top
+
+
+def suffix_shed_cost(cum_c, cum_p, densities, start: int, rejected: float) -> float:
+    """Cheapest penalty to shed *rejected* cycles from tasks ``start..``.
+
+    Shedding is fractional: whole tasks are rejected in density order
+    until the remainder fits inside one task, which is charged pro rata
+    (the arguments are :func:`relax_suffix`'s).
+    """
+    if rejected <= 0.0:
+        return 0.0
+    n = len(densities)
+    j = max(bisect_left(cum_c, rejected + cum_c[start]), start + 1)
+    if j > n:
+        return cum_p[n] - cum_p[start]
+    k = j - 1
+    return (cum_p[k] - cum_p[start]) + (
+        rejected - (cum_c[k] - cum_c[start])
+    ) * densities[k]
+
+
+def _golden_suffix(energy, densities, cum_c, cum_p, start, base, hi, accepted):
+    """:func:`relax_suffix` for a curve without a closed-form conjugate.
+
+    One golden-section search over the convex ``g(W) + shed(W)``, then
+    the breakpoints on either side of its argmin, where the minimum of
+    a piecewise function may sit exactly.
+    """
+    top = accepted(start)
+    tasks = range(start, len(densities) - 1)
+
+    def piece(w: float) -> int:
+        """The first ``k`` whose rejection leaves no more than *w* cycles."""
+        return start + bisect_left(tasks, True, key=lambda i: accepted(i + 1) <= w)
+
+    def objective(w: float) -> float:
+        return energy(w) + suffix_shed_cost(cum_c, cum_p, densities, start, top - w)
+
+    w, value = _minimize_convex(objective, base, hi)
+    k = piece(w)
+    for edge in (accepted(k), accepted(k + 1)):
+        if base <= edge <= hi:
+            edge_value = objective(edge)
+            if edge_value < value:
+                w, value = edge, edge_value
+    k = piece(w)
+    return value, (k + 1 if w <= accepted(k + 1) else k), w
 
 
 @dataclass(frozen=True)
@@ -104,79 +262,35 @@ class FractionalRelaxation:
 
 
 def fractional_relaxation(problem: RejectionProblem) -> FractionalRelaxation:
-    """Solve the fractional relaxation exactly (see module docstring)."""
+    """Solve the fractional relaxation exactly (see module docstring).
+
+    The witness comes from the breakpoint the search stops on, so it
+    involves no tolerance and reads the same in any unit of measure.
+    """
     g = _require_convex(problem.energy_fn)
     kern = get_kernel()
     order = kern.density_order(problem.cycles, problem.penalties)
     cycles = [problem.cycles[i] for i in order]
     penalties = [problem.penalties[i] for i in order]
-
-    total = sum(cycles)
-    cap = problem.capacity
-    w_hi = min(total, cap)
-    w_lo = 0.0
-
-    # Prefix sums: rejecting the first k tasks (density order) sheds
-    # cum_c[k] cycles at cum_p[k] penalty, accumulated strictly left to
-    # right as plain floats on every kernel.
+    densities = [p / c for p, c in zip(penalties, cycles)]
+    # Rejecting the first k tasks (density order) sheds cum_c[k] cycles
+    # at cum_p[k] penalty, accumulated strictly left to right.
     cum_c = kern.prefix_sums(cycles)
     cum_p = kern.prefix_sums(penalties)
-
-    def shed_cost(rejected_cycles: float) -> float:
-        """Min fractional penalty to shed *rejected_cycles* (piecewise lin)."""
-        if rejected_cycles <= 0.0:
-            return 0.0
-        # Find the piece: smallest k with cum_c[k] >= rejected_cycles.
-        lo, hi = 0, len(cum_c) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cum_c[mid] >= rejected_cycles - 1e-15:
-                hi = mid
-            else:
-                lo = mid + 1
-        k = lo
-        if k == 0:
-            return 0.0
-        partial = rejected_cycles - cum_c[k - 1]
-        density = penalties[k - 1] / cycles[k - 1]
-        return cum_p[k - 1] + max(partial, 0.0) * density
-
-    def objective(w: float) -> float:
-        return g.energy(min(max(w, 0.0), w_hi)) + shed_cost(total - w)
-
-    # Candidates: every prefix breakpoint inside [w_lo, w_hi] plus the
-    # golden-section optimum over the whole (convex) range.
-    best_w, best_val = _minimize_convex(objective, w_lo, w_hi)
-    for k in range(len(cum_c)):
-        w = total - cum_c[k]
-        if w_lo - 1e-12 <= w <= w_hi + 1e-12:
-            w = min(max(w, w_lo), w_hi)
-            val = objective(w)
-            if val < best_val:
-                best_w, best_val = w, val
-
-    # Recover the witness: how many tasks are fully rejected at best_w.
-    rejected_cycles = total - best_w
-    fully: list[int] = []
+    value, k, w = relax_suffix(
+        g, densities, cum_c, cum_p, 0, 0.0, problem.capacity
+    )
     fractional: int | None = None
     fraction = 0.0
-    remaining = rejected_cycles
-    for rank, i in enumerate(order):
-        c = cycles[rank]
-        if remaining >= c - 1e-9:
-            fully.append(i)
-            remaining -= c
-        elif remaining > 1e-9:
-            fractional = i
-            fraction = remaining / c
-            remaining = 0.0
-            break
-        else:
-            break
+    if k < len(order):
+        top = cum_c[-1] - cum_c[k]
+        if w < top:
+            fractional = order[k]
+            fraction = (top - w) / cycles[k]
     return FractionalRelaxation(
-        value=best_val,
-        accepted_workload=best_w,
-        fully_rejected=tuple(fully),
+        value=value,
+        accepted_workload=w,
+        fully_rejected=tuple(order[:k]),
         fractional_task=fractional,
         fraction=fraction,
     )
@@ -192,40 +306,18 @@ def lp_rounding(problem: RejectionProblem) -> RejectionSolution:
 
     Candidate A rejects the fractional task fully; candidate B accepts
     it (kept only when feasible).  Both retain the fully rejected prefix;
-    the cheaper feasible candidate wins.
+    the cheaper feasible candidate wins.  Candidate A accepts no more
+    than the relaxation's workload, which fits, so one always exists.
     """
     relaxed = fractional_relaxation(problem)
-    everyone = set(range(problem.n))
-    base_accept = everyone - set(relaxed.fully_rejected)
-
-    candidates: list[RejectionSolution | None] = []
-
-    if relaxed.fractional_task is None:
-        if problem.is_feasible(base_accept):
-            candidates.append(
-                problem.solution(base_accept, algorithm="lp_rounding")
-            )
-    else:
-        reject_it = base_accept - {relaxed.fractional_task}
-        if problem.is_feasible(reject_it):
-            candidates.append(problem.solution(reject_it, algorithm="lp_rounding"))
-        if problem.is_feasible(base_accept):
-            candidates.append(
-                problem.solution(base_accept, algorithm="lp_rounding")
-            )
-
-    # Robust fallbacks: rejecting everything is always feasible, and the
-    # density prefix one step past the optimum restores feasibility when
-    # rounding up did not.
-    if not candidates:
-        cycles, penalties = problem.cycles, problem.penalties
-        order = sorted(range(problem.n), key=lambda i: penalties[i] / cycles[i])
-        accepted = set(order)
-        workload = problem.workload(accepted)
-        for i in order:
-            if problem.fits(workload):
-                break
-            accepted.discard(i)
-            workload -= cycles[i]
-        candidates.append(problem.solution(accepted, algorithm="lp_rounding"))
-    return best_solution(*candidates)
+    base_accept = set(range(problem.n)) - set(relaxed.fully_rejected)
+    candidates = [base_accept]
+    if relaxed.fractional_task is not None:
+        candidates.insert(0, base_accept - {relaxed.fractional_task})
+    return best_solution(
+        *(
+            problem.solution(accepted, algorithm="lp_rounding")
+            for accepted in candidates
+            if problem.is_feasible(accepted)
+        )
+    )

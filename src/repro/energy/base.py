@@ -180,6 +180,12 @@ class EnergyFunction(ABC):
     def plan(self, workload: float) -> SpeedPlan:
         """A speed plan achieving :meth:`energy` for *workload*."""
 
+    def conjugate(self, lam: float) -> tuple[float, float] | None:
+        """``(g*(λ), W*)``, ``g*(λ) = sup λW − g(W)`` over the feasible
+        workloads and ``W*`` attaining it; None (here) without a closed form.
+        """
+        return None
+
     # ------------------------------------------------------------------ #
     # Conveniences shared by all implementations                         #
     # ------------------------------------------------------------------ #

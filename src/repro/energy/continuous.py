@@ -144,6 +144,27 @@ class ContinuousEnergyFunction(EnergyFunction):
             append((w / speed) * (beta1 * speed**alpha) + floor)
         return out
 
+    def conjugate(self, lam: float) -> tuple[float, float] | None:
+        """:meth:`EnergyFunction.conjugate`, closed form on the stock model.
+
+        Where :meth:`energy_many` runs its flat loop, ``g`` is linear at
+        slope ``β1·s_min^(α−1)`` up to ``D·s_min`` and ``D·β1·(W/D)^α``
+        above, so ``W* = D·clamp((λ/(αβ1))^(1/(α−1)))``, or 0 below that
+        slope; the static floor shifts ``g*``.  Other models return None.
+        """
+        if not self._flat:
+            return None
+        model = self._model
+        beta1, alpha, s_min = model._beta1, model._alpha, model._s_min
+        if lam <= beta1 * s_min ** (alpha - 1.0):
+            return -self._floor, 0.0
+        speed = (lam / (alpha * beta1)) ** (1.0 / (alpha - 1.0))
+        speed = min(max(speed, s_min), model._s_max)
+        deadline = self._deadline
+        return deadline * (lam * speed - beta1 * speed**alpha) - self._floor, (
+            deadline * speed
+        )
+
     def plan(self, workload: float) -> SpeedPlan:
         """Constant-speed plan: execute, then idle until the deadline."""
         workload = self._check_workload(workload)
@@ -155,6 +176,6 @@ class ContinuousEnergyFunction(EnergyFunction):
         busy = workload / speed
         busy = min(busy, self._deadline)  # guard fp noise at exactly-full load
         segments = [SpeedSegment(0.0, busy, speed)]
-        if not math.isclose(busy, self._deadline, rel_tol=0, abs_tol=1e-12):
+        if not math.isclose(busy, self._deadline, rel_tol=1e-12, abs_tol=0.0):
             segments.append(SpeedSegment(busy, self._deadline, 0.0))
         return SpeedPlan(segments=tuple(segments), energy=energy)

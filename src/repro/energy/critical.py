@@ -114,7 +114,7 @@ class CriticalSpeedEnergyFunction(EnergyFunction):
 
     def _slack_cost(self, slack: float) -> tuple[float, bool]:
         """(energy, slept) for spending *slack* time off the workload."""
-        if slack <= 1e-12:
+        if slack <= 1e-12 * self._deadline:
             return (0.0, False)
         idle_cost = self._model.static_power * slack
         can_sleep = slack >= self._dormant.t_sw
@@ -147,7 +147,7 @@ class CriticalSpeedEnergyFunction(EnergyFunction):
         busy = min(workload / speed, self._deadline)
         segments = [SpeedSegment(0.0, busy, speed)]
         slack = self._deadline - busy
-        if slack > 1e-12:
+        if slack > 1e-12 * self._deadline:
             _, slept = self._slack_cost(slack)
             tail = SpeedPlan.SLEEP_SPEED if slept else 0.0
             segments.append(SpeedSegment(busy, self._deadline, tail))

@@ -139,7 +139,7 @@ class DiscreteEnergyFunction(EnergyFunction):
 
     def _slack_cost(self, slack: float) -> tuple[float, bool]:
         """(energy, slept) for *slack* time units of no execution."""
-        if slack <= 1e-12:
+        if slack <= 1e-12 * self._deadline:
             return (0.0, False)
         if self._dormant is None:
             # Dormant-disable: idle dynamic power is zero; the static part
@@ -190,14 +190,14 @@ class DiscreteEnergyFunction(EnergyFunction):
         clock = 0.0
         if workload > 0.0:
             (lo, t_lo), (hi, t_hi) = self._split(workload)
-            if t_lo > 1e-12:
+            if t_lo > 1e-12 * self._deadline:
                 segments.append(SpeedSegment(clock, clock + t_lo, lo))
                 clock += t_lo
-            if t_hi > 1e-12:
+            if t_hi > 1e-12 * self._deadline:
                 segments.append(SpeedSegment(clock, clock + t_hi, hi))
                 clock += t_hi
         slack = self._deadline - clock
-        if slack > 1e-12:
+        if slack > 1e-12 * self._deadline:
             _, slept = self._slack_cost(slack)
             tail = SpeedPlan.SLEEP_SPEED if slept else 0.0
             segments.append(SpeedSegment(clock, self._deadline, tail))

@@ -30,7 +30,6 @@ _EXPORTS = {
     # assignment
     "HeteroRejectionProblem": "repro.hetero.assign",
     "HeteroRejectionSolution": "repro.hetero.assign",
-    "SplitPooledEnergyFunction": "repro.hetero.assign",
     "exhaustive_hetero": "repro.hetero.assign",
     "hetero_pooled_lower_bound": "repro.hetero.assign",
     "typed_global_reject": "repro.hetero.assign",

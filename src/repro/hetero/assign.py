@@ -47,7 +47,8 @@ from repro.core.rejection.problem import (
     task_columns,
 )
 from repro.core.rejection.relaxation import (
-    _minimize_convex,
+    closed_conjugate,
+    dual_crossing,
     fractional_lower_bound,
 )
 from repro.energy.base import EnergyFunction, SpeedPlan
@@ -61,7 +62,6 @@ __all__ = [
     "MAX_ENUM_ASSIGNMENTS",
     "HeteroRejectionProblem",
     "HeteroRejectionSolution",
-    "SplitPooledEnergyFunction",
     "exhaustive_hetero",
     "hetero_pooled_lower_bound",
     "typed_global_reject",
@@ -285,7 +285,7 @@ def exhaustive_hetero(problem: HeteroRejectionProblem) -> HeteroRejectionSolutio
     return _finish(problem, buckets, rejected, "exhaustive_hetero")
 
 
-class SplitPooledEnergyFunction(EnergyFunction):
+class InfConvolution(EnergyFunction):
     """Inf-convolution of two convex pools: the optimal fluid LP/HP split.
 
     ``g(W) = min_x  A(x) + B(W - x)`` over the feasible split — convex
@@ -294,7 +294,9 @@ class SplitPooledEnergyFunction(EnergyFunction):
     (each pool is already a Jensen lower bound for its type).  Folding
     left-associatively extends it to any number of types.
 
-    This is a *bound*, not a schedule: :meth:`plan` is unsupported.
+    Its conjugate is ``A* + B*`` (both pools need a closed form), and
+    ``g(W) = max_λ λW − A*(λ) − B*(λ)`` is one λ search.  This is a
+    *bound*, not a schedule: :meth:`plan` is unsupported.
     """
 
     def __init__(self, pool_a: EnergyFunction, pool_b: EnergyFunction) -> None:
@@ -303,6 +305,8 @@ class SplitPooledEnergyFunction(EnergyFunction):
                 f"pools disagree on the deadline: "
                 f"{pool_a.deadline!r} vs {pool_b.deadline!r}"
             )
+        if closed_conjugate(pool_a) is None or closed_conjugate(pool_b) is None:
+            raise ValueError("both pools need a closed-form conjugate")
         super().__init__(pool_a.deadline)
         self._a = pool_a
         self._b = pool_b
@@ -318,38 +322,23 @@ class SplitPooledEnergyFunction(EnergyFunction):
         """True: inf-convolution preserves convexity."""
         return True
 
-    def split(self, workload: float) -> float:
-        """The optimal share of *workload* routed to pool A."""
-        workload = self._check_workload(workload)
-        lo = max(0.0, workload - self._b.max_workload)
-        hi = min(workload, self._a.max_workload)
-        if hi <= lo:
-            return lo
-        x, _ = _minimize_convex(
-            lambda x: self._a.energy(x) + self._b.energy(workload - x), lo, hi
-        )
-        return x
+    def conjugate(self, lam: float) -> tuple[float, float]:
+        """``A*(λ) + B*(λ)``, at the sum of the pools' workloads."""
+        star_a, w_a = self._a.conjugate(lam)
+        star_b, w_b = self._b.conjugate(lam)
+        return star_a + star_b, w_a + w_b
 
     def _energy(self, workload: float) -> float:
-        """``min_x A(x) + B(W - x)`` by golden section on the convex split."""
-        lo = max(0.0, workload - self._b.max_workload)
-        hi = min(workload, self._a.max_workload)
-        if hi <= lo:
-            return self._a.energy(lo) + self._b.energy(workload - lo)
-        _, value = _minimize_convex(
-            lambda x: self._a.energy(x) + self._b.energy(workload - x), lo, hi
-        )
-        # The bracket endpoints are valid splits too; golden section can
-        # stop a hair above them.
-        for x in (lo, hi):
-            candidate = self._a.energy(x) + self._b.energy(workload - x)
-            if candidate < value:
-                value = candidate
-        return value
+        """``max_λ λW − g*(λ)``, capped at the capacity."""
+        workload = min(workload, self.max_workload)
+        hi = 1.0
+        while self.conjugate(hi)[1] < workload:
+            hi *= 2.0
+        return dual_crossing(self.conjugate, workload, 0.0, hi)
 
     def plan(self, workload: float) -> SpeedPlan:
         raise NotImplementedError(
-            "SplitPooledEnergyFunction is a lower bound, not a schedulable "
+            "InfConvolution is a lower bound, not a schedulable "
             "energy model; it has no speed plan"
         )
 
@@ -371,6 +360,6 @@ def hetero_pooled_lower_bound(problem: HeteroRejectionProblem) -> float:
         raise ValueError("platform has no cores")
     combined = pools[0]
     for pool in pools[1:]:
-        combined = SplitPooledEnergyFunction(combined, pool)
+        combined = InfConvolution(combined, pool)
     relaxed = RejectionProblem(tasks=problem.tasks, energy_fn=combined)
     return fractional_lower_bound(relaxed)

@@ -231,7 +231,7 @@ class NumpyKernel(PythonKernel):
         return best, float(costs[best])
 
     # ------------------------------------------------------------------ #
-    # Exhaustive enumeration and branch-and-bound                        #
+    # Exhaustive enumeration                                             #
     # ------------------------------------------------------------------ #
 
     def subset_sums(self, values: Sequence[float]) -> np.ndarray:

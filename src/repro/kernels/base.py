@@ -3,7 +3,7 @@
 A :class:`Kernel` bundles the array primitives behind the hot inner
 loops of the REJECT-MIN solvers — DP row relaxation, Pareto-frontier
 dominance filtering, prefix-capacity sweeps, penalty-density scoring,
-energy-table evaluation, and the branch-and-bound shed-cost search.
+energy-table evaluation, and the exhaustive subset scan.
 Two backends implement it:
 
 * :mod:`repro.kernels.pyref` — the pure-python reference; always
@@ -35,7 +35,7 @@ consequences shape the interface:
 * **Sums are specified, not incidental.**  Reductions use strict
   left-to-right accumulation (:meth:`Kernel.cumsum` ==
   ``np.add.accumulate``), and derived quantities (remaining workload
-  after ``k`` rejections, suffix shed costs) are defined as *one*
+  after ``k`` rejections) are defined as *one*
   subtraction against a cumulative sum rather than a chain of running
   subtractions, so both backends round identically.
 
@@ -47,9 +47,7 @@ bit rows support ``row[i]`` truth-testing (``bytearray`` vs bool
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
@@ -61,10 +59,6 @@ from repro._validation import CAPACITY_RTOL
 #: when the energy saved beats the penalty by more than fp noise.)
 IMPROVE_RTOL = 1e-12
 
-#: Slack used when matching a rejected-cycles amount against the shed
-#: breakpoints (mirrors the historical branch-and-bound tolerance).
-SHED_ATOL = 1e-15
-
 #: Relative floor on the per-level price of a penalty DP row: below
 #: ``STAIRCASE_RTOL * g(W_max)`` :meth:`Kernel.best_penalty_level` prices
 #: every feasible level (see :func:`staircase_applies`).
@@ -74,40 +68,6 @@ STAIRCASE_RTOL = 2.0**-40
 def improves(saving: float, penalty: float) -> bool:
     """True when rejecting (saving energy *saving* at *penalty*) helps."""
     return saving - penalty > IMPROVE_RTOL * max(abs(saving), abs(penalty), 1.0)
-
-
-def suffix_shed_cost(
-    cum_c: Sequence[float],
-    cum_p: Sequence[float],
-    densities: Sequence[float],
-    start: int,
-    rejected: float,
-) -> float:
-    """Cheapest penalty to shed *rejected* cycles from the suffix.
-
-    The tasks are in density order; ``cum_c``/``cum_p`` are their global
-    cycle/penalty prefix sums (length ``n + 1``, leading 0) and
-    ``densities[k] = penalties[k] / cycles[k]``.  Shedding is fractional:
-    whole tasks from ``start`` onward are rejected until the remainder
-    fits inside one task, which is charged pro rata.
-
-    This scalar form is shared verbatim by both kernels (it backs the
-    golden-section objective in the branch-and-bound relaxation); the
-    vectorised breakpoint sweep in
-    :meth:`Kernel.bound_breakpoint_min` replays the same arithmetic
-    elementwise.
-    """
-    if rejected <= 0.0:
-        return 0.0
-    n = len(densities)
-    target = (rejected - SHED_ATOL) + cum_c[start]
-    j = max(bisect_left(cum_c, target), start + 1)
-    if j > n:
-        return cum_p[n] - cum_p[start]
-    k = j - 1
-    return (cum_p[k] - cum_p[start]) + (
-        rejected - (cum_c[k] - cum_c[start])
-    ) * densities[k]
 
 
 def staircase_applies(price: float, top_energy: float) -> bool:
@@ -181,9 +141,9 @@ class Kernel(ABC):
     def prefix_sums(self, values: Sequence[float]) -> list[float]:
         """:meth:`cumsum` with a leading 0 (length ``n + 1``).
 
-        The branch-and-bound shed-cost tables index these as
-        ``cum[k] - cum[start]`` and feed them to the scalar energy
-        function, so every backend returns plain floats.
+        The fractional bounds index these as ``cum[k] - cum[start]``
+        and feed them to the scalar energy function, so every backend
+        returns plain floats.
         """
         return list(accumulate(values, initial=0.0))
 
@@ -385,7 +345,7 @@ class Kernel(ABC):
         """First index minimising ``g(min(w, capacity)) + p`` and its cost."""
 
     # ------------------------------------------------------------------ #
-    # Exhaustive enumeration and branch-and-bound                        #
+    # Exhaustive enumeration                                             #
     # ------------------------------------------------------------------ #
 
     @abstractmethod
@@ -412,34 +372,6 @@ class Kernel(ABC):
         ``cost = g(min(w, capacity)) + (total_penalty -
         accepted_penalties[mask])``; returns the first mask attaining the
         minimum and its cost.
-        """
-
-    @abstractmethod
-    def bound_breakpoint_min(
-        self,
-        cum_c: Sequence[float],
-        cum_p: Sequence[float],
-        densities: Sequence[float],
-        start: int,
-        base_workload: float,
-        base_penalty: float,
-        w_hi: float,
-        suffix_total: float,
-        capacity: float,
-        energy_fn,
-    ) -> float:
-        """Minimum of the fractional bound over its shed breakpoints.
-
-        For each ``k`` in ``[start, n]`` with
-        ``w_k = suffix_total - (cum_c[k] - cum_c[start])`` and
-        ``0 <= w_k <= w_hi + 1e-12``, evaluates (at ``wc = min(w_k,
-        w_hi)``)::
-
-            base_penalty + g(min(base_workload + wc, capacity))
-                         + suffix_shed_cost(..., suffix_total - wc)
-
-        and returns the minimum (``inf`` if no breakpoint qualifies,
-        which cannot happen: ``k = n`` gives ``w = 0``).
         """
 
     # ------------------------------------------------------------------ #

@@ -81,6 +81,13 @@ class PooledEnergyFunction(EnergyFunction):
         """``M · g(W / M)``."""
         return self._m * self._inner.energy(workload / self._m)
 
+    def conjugate(self, lam: float) -> tuple[float, float] | None:
+        """``M · g*(λ)`` at ``M · W*``: pooling scales the conjugate."""
+        inner = self._inner.conjugate(lam)
+        if inner is None:
+            return None
+        return self._m * inner[0], self._m * inner[1]
+
     def plan(self, workload: float) -> SpeedPlan:
         """The per-processor plan for the balanced share ``W / M``."""
         workload = self._check_workload(workload)

@@ -78,7 +78,8 @@ from repro.verify.invariants import (
     check_solution,
 )
 
-#: Cost-agreement tolerance between two exact solvers.
+#: Cost-agreement tolerance between two exact solvers, relative to the
+#: costs compared, so an instance in tiny units is checked as closely.
 EXACT_RTOL = 1e-9
 
 #: Largest n handed to the subset-enumeration oracle.
@@ -89,7 +90,7 @@ FPTAS_EPS = (0.5, 0.1)
 
 
 def _tol(*values: float) -> float:
-    return EXACT_RTOL * max(1.0, *(abs(v) for v in values))
+    return EXACT_RTOL * max(abs(v) for v in values)
 
 
 def _run(

@@ -17,11 +17,14 @@ wrong and builds a random instance of it from a seeded NumPy generator:
   sleep-overhead combination (``t_sw > 0``, ``e_sw > 0``), the regime of
   the ``is_convex`` bug;
 * ``critical_leakage`` — the continuous dormant-enable analogue;
+* ``tied_density``     — penalties ∝ cycles (densities tie or sit ulps
+  apart), sometimes in units scaled by ``1e-10``;
 * ``multiproc*``       — partitioned instances small enough for the
   exhaustive multiprocessor oracle;
 * ``hetero*``          — two-type (LP/HP) platforms small enough for the
   exhaustive typed-assignment oracle, with and without an (m,k)-firm
-  skip contract, including per-type-capacity boundary tasks.
+  skip contract, with per-type-capacity boundary tasks or
+  ``tied_density``'s tasks.
 
 Everything an instance needs travels through :mod:`repro.io`, so failing
 instances can be written as reproducer JSON and replayed bit-exactly.
@@ -136,6 +139,26 @@ def _tasks(
         FrameTask(name=f"t{i}", cycles=float(c), penalty=float(p))
         for i, (c, p) in enumerate(zip(cycles, penalties))
     ]
+
+
+def _tied_tasks(rng: np.random.Generator, n: int, capacity: float) -> list[FrameTask]:
+    """Tasks on one or two penalty densities, each jittered by 0-2 ulp."""
+    raw = rng.uniform(0.5, 2.0, size=n)
+    cycles = raw * (float(rng.uniform(0.5, 2.0)) * capacity / raw.sum())
+    levels = rng.uniform(0.3, 3.0, size=int(rng.integers(1, 3)))
+    tasks = []
+    for i, c in enumerate(cycles):
+        penalty = float(levels[int(rng.integers(0, len(levels)))] * c)
+        toward = np.inf if rng.random() < 0.5 else 0.0
+        for _ in range(int(rng.integers(0, 3))):
+            penalty = float(np.nextafter(penalty, toward))
+        tasks.append(FrameTask(name=f"t{i}", cycles=float(c), penalty=penalty))
+    return tasks
+
+
+def _tied_scale(rng: np.random.Generator) -> float:
+    """The deadline: 1e-10 a third of the time (the same problem in tiny units)."""
+    return 1e-10 if rng.random() < 1 / 3 else 1.0
 
 
 def _problem(tasks: list[FrameTask], fn: EnergyFunction) -> RejectionProblem:
@@ -290,6 +313,13 @@ def build_critical_leakage(rng: np.random.Generator) -> RejectionProblem:
     return _problem(tasks, fn)
 
 
+def build_tied_density(rng: np.random.Generator) -> RejectionProblem:
+    """Tied and near-tied densities, at the base or a tiny unit scale."""
+    fn = random_energy_fn(rng, deadline=_tied_scale(rng))
+    n = int(rng.integers(2, 10))
+    return _problem(_tied_tasks(rng, n, fn.max_workload), fn)
+
+
 # --------------------------------------------------------------------- #
 # Multiprocessor strategies                                             #
 # --------------------------------------------------------------------- #
@@ -402,6 +432,15 @@ def build_hetero_boundary(rng: np.random.Generator) -> HeteroRejectionProblem:
     )
 
 
+def build_hetero_tied_density(rng: np.random.Generator) -> HeteroRejectionProblem:
+    """LP/HP instances with ``tied_density``'s tasks and unit scales."""
+    lp, hp = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    platform = lp_hp_platform(lp, hp, deadline=_tied_scale(rng))
+    lp_cap, hp_cap = platform.capacities()
+    tasks = _tied_tasks(rng, int(rng.integers(2, 6)), lp * lp_cap + hp * hp_cap)
+    return HeteroRejectionProblem(tasks=FrameTaskSet(tasks), platform=platform)
+
+
 #: The uniprocessor strategy registry, in fuzzing rotation order.
 UNIPROC_STRATEGIES: tuple[Strategy, ...] = (
     Strategy("boundary", "uniproc", build_boundary),
@@ -412,6 +451,7 @@ UNIPROC_STRATEGIES: tuple[Strategy, ...] = (
     Strategy("integer", "uniproc", build_integer),
     Strategy("discrete_leakage", "uniproc", build_discrete_leakage),
     Strategy("critical_leakage", "uniproc", build_critical_leakage),
+    Strategy("tied_density", "uniproc", build_tied_density),
 )
 
 #: The multiprocessor strategy registry.
@@ -424,6 +464,7 @@ MULTIPROC_STRATEGIES: tuple[Strategy, ...] = (
 HETERO_STRATEGIES: tuple[Strategy, ...] = (
     Strategy("hetero", "hetero", build_hetero),
     Strategy("hetero_boundary", "hetero", build_hetero_boundary),
+    Strategy("hetero_tied_density", "hetero", build_hetero_tied_density),
 )
 
 #: Every strategy, the harness's default rotation.

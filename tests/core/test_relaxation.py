@@ -1,16 +1,25 @@
 """Tests for the fractional relaxation and LP rounding."""
 
+from itertools import accumulate
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 
 from repro.core.rejection import (
+    MultiprocRejectionProblem,
     RejectionProblem,
     exhaustive,
     fractional_lower_bound,
     fractional_relaxation,
     lp_rounding,
+    pooled_lower_bound,
 )
+from repro.core.rejection.relaxation import _minimize_convex, relax_suffix
 from repro.energy import ContinuousEnergyFunction
+from repro.hetero.assign import HeteroRejectionProblem, hetero_pooled_lower_bound
+from repro.hetero.platform import lp_hp_platform
+from repro.multiproc.pooled import PooledEnergyFunction
 from repro.power import PolynomialPowerModel, xscale_power_model
 from repro.tasks import FrameTask, FrameTaskSet
 
@@ -99,3 +108,131 @@ class TestLpRounding:
         p = simple_problem(tasks)
         sol = lp_rounding(p)
         assert sol.accepted == {0}
+
+
+# --------------------------------------------------------------------- #
+# The λ search against one golden-section search on the primal          #
+# --------------------------------------------------------------------- #
+
+
+def _golden_reference(energy, cycles, penalties, cap, *, base=0.0):
+    """``min g(w) + shed(w)`` over ``base ≤ w ≤ cap`` by one golden search.
+
+    The shed cost of keeping ``w − base`` of the tasks' cycles is the
+    fractional knapsack in density order; every breakpoint is checked
+    too, since the minimum of the piecewise objective may sit on one.
+    """
+    order = sorted(range(len(cycles)), key=lambda i: penalties[i] / cycles[i])
+    total = sum(cycles)
+
+    def shed(w):
+        gone, cost = total - (w - base), 0.0
+        for i in order:
+            take = min(cycles[i], max(gone, 0.0))
+            cost += take * penalties[i] / cycles[i]
+            gone -= take
+        return cost
+
+    hi = min(base + total, cap)
+    objective = lambda w: energy(min(w, hi)) + shed(w)  # noqa: E731
+    _, best = _minimize_convex(objective, base, hi)
+    left = base + total
+    for i in [None] + order:
+        if i is not None:
+            left -= cycles[i]
+        if base <= left <= hi:
+            best = min(best, objective(left))
+    return best
+
+
+def _family(seed, cap):
+    rng = Random(f"golden-reference:{seed}")
+    n = rng.randint(3, 16)
+    load = rng.uniform(0.4, 2.0)
+    cycles = [load * cap / n * rng.uniform(0.4, 1.6) for _ in range(n)]
+    penalties = [c * rng.uniform(0.2, 5.0) for c in cycles]
+    return FrameTaskSet(
+        FrameTask(name=f"t{i}", cycles=c, penalty=p)
+        for i, (c, p) in enumerate(zip(cycles, penalties))
+    )
+
+
+_CURVES = {
+    "xscale": ContinuousEnergyFunction(xscale_power_model(), 1.0),
+    "smin-floor": ContinuousEnergyFunction(
+        PolynomialPowerModel(beta0=0.05, beta1=1.0, alpha=2.5, s_min=0.3),
+        2.0,
+        include_static_floor=True,
+    ),
+}
+
+
+class TestAgainstGoldenReference:
+    @pytest.mark.parametrize("curve", sorted(_CURVES))
+    def test_fractional_bound(self, curve):
+        g = _CURVES[curve]
+        for seed in range(30):
+            p = RejectionProblem(tasks=_family(seed, g.max_workload), energy_fn=g)
+            expected = _golden_reference(
+                g.energy, p.cycles, p.penalties, p.capacity
+            )
+            assert fractional_lower_bound(p) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_pooled_bound(self, m):
+        per = _CURVES["smin-floor"]
+        pool = PooledEnergyFunction(per, m)
+        for seed in range(20):
+            p = MultiprocRejectionProblem(
+                tasks=_family(seed, pool.max_workload), energy_fn=per, m=m
+            )
+            expected = _golden_reference(
+                pool.energy, p.cycles, p.penalties, pool.max_workload
+            )
+            assert pooled_lower_bound(p) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("lp,hp", [(1, 1), (2, 1), (1, 2)])
+    def test_hetero_bound(self, lp, hp):
+        platform = lp_hp_platform(lp, hp)
+        pools = [
+            PooledEnergyFunction(fn, t.count)
+            for t, fn in zip(platform.core_types, platform.energy_functions())
+        ]
+
+        def split(w):  # the inf-convolution, by a golden search per call
+            lo = max(0.0, w - pools[1].max_workload)
+            hi = min(w, pools[0].max_workload)
+            cost = lambda x: pools[0].energy(x) + pools[1].energy(  # noqa: E731
+                min(w - x, pools[1].max_workload)
+            )
+            return min(_minimize_convex(cost, lo, hi)[1], cost(lo), cost(hi))
+
+        cap = pools[0].max_workload + pools[1].max_workload
+        for seed in range(6):
+            p = HeteroRejectionProblem(tasks=_family(seed, cap), platform=platform)
+            expected = _golden_reference(split, p.cycles, p.penalties, cap)
+            assert hetero_pooled_lower_bound(p) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("curve", sorted(_CURVES))
+    def test_branch_and_bound_node_bound(self, curve):
+        g = _CURVES[curve]
+        for seed in range(30):
+            p = RejectionProblem(tasks=_family(seed, g.max_workload), energy_fn=g)
+            order = sorted(range(p.n), key=lambda i: p.penalties[i] / p.cycles[i])
+            cycles = [p.cycles[i] for i in order]
+            penalties = [p.penalties[i] for i in order]
+            start = seed % p.n
+            base = 0.5 * p.capacity * (seed % 3) / 3
+            value, _, _ = relax_suffix(
+                g,
+                [q / c for q, c in zip(penalties, cycles)],
+                list(accumulate(cycles, initial=0.0)),
+                list(accumulate(penalties, initial=0.0)),
+                start,
+                base,
+                p.capacity,
+            )
+            expected = _golden_reference(
+                g.energy, cycles[start:], penalties[start:], p.capacity, base=base
+            )
+            assert value == pytest.approx(expected, rel=1e-9)

@@ -13,7 +13,7 @@ from repro.energy import (
     DiscreteEnergyFunction,
 )
 from repro.energy.base import EnergyFunction, SpeedPlan, SpeedSegment
-from repro.hetero.assign import SplitPooledEnergyFunction
+from repro.hetero.assign import InfConvolution
 from repro.multiproc.pooled import PooledEnergyFunction
 from repro.power import DormantMode, PolynomialPowerModel, SpeedLevels
 
@@ -108,9 +108,11 @@ FUNCTIONS = {
     ),
     "unbounded-subclass": _Unbounded(_poly(0.0), 1.0),
     "pooled": PooledEnergyFunction(ContinuousEnergyFunction(_poly(0.0), 1.0), 3),
-    "split": SplitPooledEnergyFunction(
+    "split": InfConvolution(
         PooledEnergyFunction(ContinuousEnergyFunction(_poly(0.0, 0.5), 1.0), 2),
-        PooledEnergyFunction(CriticalSpeedEnergyFunction(_poly(0.2), 1.0), 1),
+        PooledEnergyFunction(
+            ContinuousEnergyFunction(_poly(0.2), 1.0, include_static_floor=True), 1
+        ),
     ),
 }
 

@@ -24,7 +24,7 @@ from repro.energy import (
     CriticalSpeedEnergyFunction,
     DiscreteEnergyFunction,
 )
-from repro.hetero.assign import SplitPooledEnergyFunction
+from repro.hetero.assign import InfConvolution
 from repro.multiproc.pooled import PooledEnergyFunction
 from repro.power import CMOSPowerModel, DormantMode, PolynomialPowerModel, SpeedLevels
 
@@ -99,9 +99,11 @@ FUNCTIONS = {
         _poly(0.05), _LEVELS, 1.0, include_static_floor=True
     ),
     "pooled": PooledEnergyFunction(CriticalSpeedEnergyFunction(_poly(0.2), 1.0), 3),
-    "split": SplitPooledEnergyFunction(
+    "split": InfConvolution(
         PooledEnergyFunction(ContinuousEnergyFunction(_poly(0.0, 0.5), 1.0), 2),
-        PooledEnergyFunction(CriticalSpeedEnergyFunction(_poly(0.2), 1.0), 1),
+        PooledEnergyFunction(
+            ContinuousEnergyFunction(_poly(0.2), 1.0, include_static_floor=True), 1
+        ),
     ),
 }
 
@@ -111,8 +113,8 @@ def _specials(fn) -> list:
 
     With a deadline above 1 the smallest denormals underflow ``W/D`` to
     0.  ``fn._limit`` is the largest workload the fast range test admits.
-    (The split bound's inner pools reject the top of the outer tolerance
-    band, so for it only parity with the scalar call is required.)
+    (The split bound prices the top of its tolerance band at its
+    capacity, so for it only parity with the scalar call is required.)
     """
     cap = fn.max_workload
     out = [0.0, -0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1e-300]

@@ -11,7 +11,7 @@ from repro._validation import fits
 from repro.hetero.assign import (
     MAX_ENUM_ASSIGNMENTS,
     HeteroRejectionProblem,
-    SplitPooledEnergyFunction,
+    InfConvolution,
     exhaustive_hetero,
     hetero_pooled_lower_bound,
     typed_global_reject,
@@ -140,7 +140,7 @@ def test_split_pool_is_a_pointwise_min_over_splits():
     lp_fn, hp_fn = platform.energy_functions()
     pool_a = PooledEnergyFunction(lp_fn, 2)
     pool_b = PooledEnergyFunction(hp_fn, 2)
-    combined = SplitPooledEnergyFunction(pool_a, pool_b)
+    combined = InfConvolution(pool_a, pool_b)
     assert combined.max_workload == pytest.approx(
         pool_a.max_workload + pool_b.max_workload
     )

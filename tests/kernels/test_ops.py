@@ -13,8 +13,8 @@ import math
 import pytest
 
 from repro._validation import CAPACITY_RTOL
+from repro.core.rejection.relaxation import suffix_shed_cost
 from repro.kernels import get_kernel, kernel_names, numpy_available, use_kernel
-from repro.kernels.base import suffix_shed_cost
 
 
 @pytest.fixture(params=kernel_names())
@@ -270,30 +270,6 @@ def test_suffix_shed_cost_charges_fractional_task(kern):
     assert suffix_shed_cost(cum_c, cum_p, densities, 0, 3.0) == 8.0
     # Shedding nothing is free.
     assert suffix_shed_cost(cum_c, cum_p, densities, 0, 0.0) == 0.0
-
-
-def test_bound_breakpoint_min_matches_scalar_enumeration(kern):
-    g = _Cubic()
-    cum_c = [0.0, 1.0, 3.0, 4.0]
-    cum_p = [0.0, 2.0, 8.0, 9.0]
-    densities = [2.0, 3.0, 1.0]
-    suffix_total = cum_c[-1]
-    w_hi = 2.5
-    expected = math.inf
-    for k in range(0, 4):
-        w = suffix_total - cum_c[k]
-        if not 0.0 <= w <= w_hi + 1e-12:
-            continue
-        wc = min(w, w_hi)
-        expected = min(
-            expected,
-            g.energy(min(0.0 + wc, 10.0))
-            + suffix_shed_cost(cum_c, cum_p, densities, 0, suffix_total - wc),
-        )
-    got = kern.bound_breakpoint_min(
-        cum_c, cum_p, densities, 0, 0.0, 0.0, w_hi, suffix_total, 10.0, g
-    )
-    assert got == expected
 
 
 def test_get_kernel_reflects_use_kernel_nesting(kern):
