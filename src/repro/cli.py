@@ -928,7 +928,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError as exc:  # pragma: no cover - no-numpy environment
+        raise _Refusal(f"repro generate requires numpy: {exc}")
 
     from repro.core.rejection import RejectionProblem
     from repro.energy import ContinuousEnergyFunction

@@ -27,7 +27,7 @@ from repro.hetero.assign import (
     typed_ltf_reject,
 )
 from repro.hetero.platform import lp_hp_platform
-from repro.runner import map_trials, trial_seeds
+from repro.runner import map_sweep, trial_seeds
 from repro.tasks import frame_instance
 
 
@@ -95,17 +95,18 @@ def run(
             "closely at every mix",
         ],
     )
-    for hp in range(cores + 1):
-        lp = cores - hp
-        # Same seeds at every mix: each row re-solves the identical
-        # instance stream on a different platform.
-        fragments = map_trials(
-            _trial,
+    mixes = [(cores - hp, hp) for hp in range(cores + 1)]
+    # Same seeds at every mix: each row re-solves the identical
+    # instance stream on a different platform.
+    points = [
+        (
             trial_seeds(seed, trials),
             {"lp": lp, "hp": hp, "n": n_tasks, "load": load},
-            jobs=jobs,
-            label=f"fig_h1[lp={lp},hp={hp}]",
+            f"fig_h1[lp={lp},hp={hp}]",
         )
+        for lp, hp in mixes
+    ]
+    for (lp, hp), fragments in zip(mixes, map_sweep(_trial, points, jobs=jobs)):
         table.add_row(
             lp,
             hp,

@@ -26,7 +26,7 @@ from repro.core.rejection import (
     run_online,
 )
 from repro.experiments.common import derived_rng, trial_rng, xscale_energy
-from repro.runner import map_trials, trial_seeds
+from repro.runner import map_sweep, trial_seeds
 from repro.tasks import frame_instance
 
 
@@ -80,14 +80,16 @@ def run(
             "monotonically with m; m=k forbids skipping entirely",
         ],
     )
-    for m in range(1, k + 1):
-        fragments = map_trials(
-            _trial,
+    m_values = range(1, k + 1)
+    points = [
+        (
             trial_seeds(seed + 7 * m, trials),
             {"m": m, "k": k, "n": n_tasks, "load": load},
-            jobs=jobs,
-            label=f"fig_h2[m={m}]",
+            f"fig_h2[m={m}]",
         )
+        for m in m_values
+    ]
+    for m, fragments in zip(m_values, map_sweep(_trial, points, jobs=jobs)):
         table.add_row(
             m,
             k,

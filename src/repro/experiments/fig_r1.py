@@ -19,7 +19,7 @@ from repro.experiments.common import (
     standard_instance,
     trial_rng,
 )
-from repro.runner import map_trials, trial_seeds
+from repro.runner import map_sweep, trial_seeds
 
 
 def _trial(seed_tuple, params):
@@ -53,14 +53,11 @@ def run(
             "random worst",
         ],
     )
-    for n in sizes:
-        fragments = map_trials(
-            _trial,
-            trial_seeds(seed + n, trials),
-            {"n": n},
-            jobs=jobs,
-            label=f"fig_r1[n={n}]",
-        )
+    points = [
+        (trial_seeds(seed + n, trials), {"n": n}, f"fig_r1[n={n}]")
+        for n in sizes
+    ]
+    for n, fragments in zip(sizes, map_sweep(_trial, points, jobs=jobs)):
         table.add_row(
             n,
             *(

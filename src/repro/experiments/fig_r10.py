@@ -26,7 +26,7 @@ from repro.core.rejection import (
     tasks_from_frame,
 )
 from repro.experiments.common import standard_instance, trial_rng
-from repro.runner import map_trials, trial_seeds
+from repro.runner import map_sweep, trial_seeds
 
 
 def _pe_utilizations(rng, tasks, model: str) -> list[float]:
@@ -95,27 +95,34 @@ def run(
             "as pe_power grows; inverse model uses the PE more",
         ],
     )
-    for pe_model in ("proportional", "inverse"):
-        for pe_power in pe_powers:
-            fragments = map_trials(
-                _trial,
-                trial_seeds(seed + int(pe_power * 100), trials),
-                {
-                    "n_tasks": n_tasks,
-                    "load": load,
-                    "pe_model": pe_model,
-                    "pe_power": pe_power,
-                },
-                jobs=jobs,
-                label=f"fig_r10[{pe_model},pe={pe_power}]",
-            )
-            table.add_row(
-                pe_model,
-                pe_power,
-                summarize([f["ratio"] for f in fragments]).mean,
-                summarize([f["opt_cost"] for f in fragments]).mean,
-                summarize([f["on_pe"] for f in fragments]).mean,
-            )
+    cells = [
+        (pe_model, pe_power)
+        for pe_model in ("proportional", "inverse")
+        for pe_power in pe_powers
+    ]
+    points = [
+        (
+            trial_seeds(seed + int(pe_power * 100), trials),
+            {
+                "n_tasks": n_tasks,
+                "load": load,
+                "pe_model": pe_model,
+                "pe_power": pe_power,
+            },
+            f"fig_r10[{pe_model},pe={pe_power}]",
+        )
+        for pe_model, pe_power in cells
+    ]
+    for (pe_model, pe_power), fragments in zip(
+        cells, map_sweep(_trial, points, jobs=jobs)
+    ):
+        table.add_row(
+            pe_model,
+            pe_power,
+            summarize([f["ratio"] for f in fragments]).mean,
+            summarize([f["opt_cost"] for f in fragments]).mean,
+            summarize([f["on_pe"] for f in fragments]).mean,
+        )
     return table
 
 

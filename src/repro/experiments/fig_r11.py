@@ -30,7 +30,7 @@ from repro.core.rejection import (
 )
 from repro.experiments.common import trial_rng
 from repro.power import xscale_power_model
-from repro.runner import map_trials, trial_seeds
+from repro.runner import map_sweep, trial_seeds
 from repro.sched import simulate_edf
 from repro.tasks import periodic_instance
 
@@ -106,23 +106,21 @@ def run(
             "earlier; zero misses always",
         ],
     )
-    for fraction in fractions:
-        fragments = [
-            f
-            for f in map_trials(
-                _trial,
-                trial_seeds(seed + int(fraction * 100), trials),
-                {
-                    "n_tasks": n_tasks,
-                    "total_utilization": total_utilization,
-                    "fraction": fraction,
-                    "seed": seed,
-                },
-                jobs=jobs,
-                label=f"fig_r11[f={fraction}]",
-            )
-            if f is not None
-        ]
+    points = [
+        (
+            trial_seeds(seed + int(fraction * 100), trials),
+            {
+                "n_tasks": n_tasks,
+                "total_utilization": total_utilization,
+                "fraction": fraction,
+                "seed": seed,
+            },
+            f"fig_r11[f={fraction}]",
+        )
+        for fraction in fractions
+    ]
+    for fraction, outcomes in zip(fractions, map_sweep(_trial, points, jobs=jobs)):
+        fragments = [f for f in outcomes if f is not None]
         table.add_row(
             fraction,
             summarize([f["static"] for f in fragments]).mean,

@@ -23,7 +23,7 @@ from repro.core.rejection import (
 )
 from repro.experiments.common import trial_rng
 from repro.power import xscale_power_model
-from repro.runner import map_trials, trial_seeds
+from repro.runner import map_sweep, trial_seeds
 
 
 def _instance(rng, *, n_jobs: int, overlap: float, load: float) -> AperiodicProblem:
@@ -97,14 +97,15 @@ def run(
             "keeping the peak under s_max)",
         ],
     )
-    for overlap in overlaps:
-        fragments = map_trials(
-            _trial,
+    points = [
+        (
             trial_seeds(seed + int(overlap * 100), trials),
             {"n_jobs": n_jobs, "overlap": overlap, "load": load},
-            jobs=jobs,
-            label=f"fig_r12[ov={overlap}]",
+            f"fig_r12[ov={overlap}]",
         )
+        for overlap in overlaps
+    ]
+    for overlap, fragments in zip(overlaps, map_sweep(_trial, points, jobs=jobs)):
         table.add_row(
             overlap,
             summarize([f["ratio"] for f in fragments]).mean,

@@ -30,7 +30,7 @@ from repro.core.rejection import (
     pareto_exact,
 )
 from repro.experiments.common import trial_rng
-from repro.runner import map_trials, trial_seeds
+from repro.runner import map_sweep, trial_seeds
 
 ALPHA = 3.0
 
@@ -113,14 +113,15 @@ def run(
             "expected: equal at spread 1; blind ratio grows with spread",
         ],
     )
-    for spread in spreads:
-        fragments = map_trials(
-            _trial,
+    points = [
+        (
             trial_seeds(seed + int(spread * 10), trials),
             {"n_tasks": n_tasks, "spread": spread},
-            jobs=jobs,
-            label=f"fig_r13[spread={spread}]",
+            f"fig_r13[spread={spread}]",
         )
+        for spread in spreads
+    ]
+    for spread, fragments in zip(spreads, map_sweep(_trial, points, jobs=jobs)):
         table.add_row(
             spread,
             # aware IS the optimum by construction

@@ -19,7 +19,7 @@ from repro.experiments.common import (
     standard_instance,
     trial_rng,
 )
-from repro.runner import map_trials, trial_seeds
+from repro.runner import map_sweep, trial_seeds
 
 
 def _trial(seed_tuple, params):
@@ -54,14 +54,15 @@ def run(
             "overload",
         ],
     )
-    for load in loads:
-        fragments = map_trials(
-            _trial,
+    points = [
+        (
             trial_seeds(seed + int(load * 100), trials),
             {"n_tasks": n_tasks, "load": load},
-            jobs=jobs,
-            label=f"fig_r2[load={load}]",
+            f"fig_r2[load={load}]",
         )
+        for load in loads
+    ]
+    for load, fragments in zip(loads, map_sweep(_trial, points, jobs=jobs)):
         table.add_row(
             load,
             *(

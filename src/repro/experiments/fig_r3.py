@@ -21,7 +21,7 @@ from repro.experiments.common import (
     standard_instance,
     trial_rng,
 )
-from repro.runner import map_trials, trial_seeds
+from repro.runner import map_sweep, trial_seeds
 
 
 def _trial(seed_tuple, params):
@@ -61,14 +61,15 @@ def run(
             "worst at small scales",
         ],
     )
-    for scale in scales:
-        fragments = map_trials(
-            _trial,
+    points = [
+        (
             trial_seeds(seed + int(scale * 1000), trials),
             {"n_tasks": n_tasks, "load": load, "scale": scale},
-            jobs=jobs,
-            label=f"fig_r3[scale={scale}]",
+            f"fig_r3[scale={scale}]",
         )
+        for scale in scales
+    ]
+    for scale, fragments in zip(scales, map_sweep(_trial, points, jobs=jobs)):
         table.add_row(
             scale,
             *(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.analysis import ExperimentTable, summarize
 from repro.core.rejection import exhaustive, greedy_marginal
 from repro.experiments.common import standard_instance, trial_rng
-from repro.runner import map_trials, trial_seeds
+from repro.runner import map_sweep, trial_seeds
 
 
 def _trial(seed_tuple, params):
@@ -63,14 +63,15 @@ def run(
             "the optimum",
         ],
     )
-    for load in loads:
-        fragments = map_trials(
-            _trial,
+    points = [
+        (
             trial_seeds(seed + int(load * 100), trials),
             {"n_tasks": n_tasks, "load": load},
-            jobs=jobs,
-            label=f"fig_r4[load={load}]",
+            f"fig_r4[load={load}]",
         )
+        for load in loads
+    ]
+    for load, fragments in zip(loads, map_sweep(_trial, points, jobs=jobs)):
         table.add_row(
             load,
             summarize([f["oa"] for f in fragments]).mean,

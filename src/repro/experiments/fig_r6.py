@@ -27,7 +27,7 @@ from repro.core.rejection import RejectionProblem, exhaustive, greedy_marginal
 from repro.energy import ContinuousEnergyFunction, CriticalSpeedEnergyFunction
 from repro.power import PolynomialPowerModel
 from repro.experiments.common import DEADLINE, standard_instance, trial_rng
-from repro.runner import map_trials, trial_seeds
+from repro.runner import map_sweep, trial_seeds
 
 
 def _trial(seed_tuple, params):
@@ -83,9 +83,8 @@ def run(
             "expected: aware ~1 throughout; blind drifts up with beta0",
         ],
     )
-    for beta0 in beta0_values:
-        fragments = map_trials(
-            _trial,
+    points = [
+        (
             trial_seeds(seed + int(beta0 * 1000), trials),
             {
                 "n_tasks": n_tasks,
@@ -93,9 +92,12 @@ def run(
                 "penalty_scale": penalty_scale,
                 "beta0": beta0,
             },
-            jobs=jobs,
-            label=f"fig_r6[beta0={beta0}]",
+            f"fig_r6[beta0={beta0}]",
         )
+        for beta0 in beta0_values
+    ]
+    sweep = map_sweep(_trial, points, jobs=jobs)
+    for beta0, fragments in zip(beta0_values, sweep):
         table.add_row(
             beta0,
             summarize([f["aware"] for f in fragments]).mean,

@@ -26,7 +26,7 @@ from repro.core.rejection import (
     rand_reject,
 )
 from repro.experiments.common import derived_rng, trial_rng, xscale_energy
-from repro.runner import map_trials, trial_seeds
+from repro.runner import map_sweep, trial_seeds
 from repro.tasks import frame_instance
 
 
@@ -79,23 +79,27 @@ def run(
             "at high tasks/core; ratios shrink as tasks/core grows",
         ],
     )
-    for m in processors:
-        for ratio in tasks_per_core:
-            n = max(m, math.floor(ratio * m))
-            fragments = map_trials(
-                _trial,
-                trial_seeds(seed + 97 * m + int(ratio * 10), trials),
-                {"m": m, "n": n, "load_per_core": load_per_core},
-                jobs=jobs,
-                label=f"fig_r7[m={m},tpc={ratio}]",
-            )
-            table.add_row(
-                m,
-                ratio,
-                summarize([f["ltf"] for f in fragments]).mean,
-                summarize([f["gg"] for f in fragments]).mean,
-                summarize([f["rand"] for f in fragments]).mean,
-            )
+    cells = [(m, ratio) for m in processors for ratio in tasks_per_core]
+    points = [
+        (
+            trial_seeds(seed + 97 * m + int(ratio * 10), trials),
+            {
+                "m": m,
+                "n": max(m, math.floor(ratio * m)),
+                "load_per_core": load_per_core,
+            },
+            f"fig_r7[m={m},tpc={ratio}]",
+        )
+        for m, ratio in cells
+    ]
+    for (m, ratio), fragments in zip(cells, map_sweep(_trial, points, jobs=jobs)):
+        table.add_row(
+            m,
+            ratio,
+            summarize([f["ltf"] for f in fragments]).mean,
+            summarize([f["gg"] for f in fragments]).mean,
+            summarize([f["rand"] for f in fragments]).mean,
+        )
     return table
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro.analysis import ExperimentTable, normalized_ratio, summarize
 from repro.core.rejection import exhaustive, greedy_marginal, greedy_ordered
 from repro.experiments.common import standard_instance, trial_rng
-from repro.runner import map_trials, trial_seeds
+from repro.runner import map_sweep, trial_seeds
 
 ORDERINGS = {
     "rho/c": lambda t: t.penalty_density,
@@ -74,24 +74,27 @@ def run(
             "expected: rho/c and marginal dominate rho-only and c-only",
         ],
     )
-    for model in penalty_models:
-        for load in loads:
-            fragments = map_trials(
-                _trial,
-                trial_seeds(seed + int(load * 100), trials),
-                {"n_tasks": n_tasks, "load": load, "penalty_model": model},
-                jobs=jobs,
-                label=f"fig_r8[{model},load={load}]",
-            )
-            table.add_row(
-                model,
-                load,
-                *(
-                    summarize([f[name] for f in fragments]).mean
-                    for name in ORDERINGS
-                ),
-                summarize([f["marginal"] for f in fragments]).mean,
-            )
+    cells = [(model, load) for model in penalty_models for load in loads]
+    points = [
+        (
+            trial_seeds(seed + int(load * 100), trials),
+            {"n_tasks": n_tasks, "load": load, "penalty_model": model},
+            f"fig_r8[{model},load={load}]",
+        )
+        for model, load in cells
+    ]
+    for (model, load), fragments in zip(
+        cells, map_sweep(_trial, points, jobs=jobs)
+    ):
+        table.add_row(
+            model,
+            load,
+            *(
+                summarize([f[name] for f in fragments]).mean
+                for name in ORDERINGS
+            ),
+            summarize([f["marginal"] for f in fragments]).mean,
+        )
     return table
 
 

@@ -25,7 +25,7 @@ from repro.core.rejection import (
     run_online,
 )
 from repro.experiments.common import standard_instance, trial_rng
-from repro.runner import map_trials, trial_seeds
+from repro.runner import map_sweep, trial_seeds
 
 THETAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -82,14 +82,15 @@ def run(
             "first-fit matches theta->inf",
         ],
     )
-    for load in loads:
-        fragments = map_trials(
-            _trial,
+    points = [
+        (
             trial_seeds(seed + int(load * 100), trials),
             {"n_tasks": n_tasks, "load": load},
-            jobs=jobs,
-            label=f"fig_r9[load={load}]",
+            f"fig_r9[load={load}]",
         )
+        for load in loads
+    ]
+    for load, fragments in zip(loads, map_sweep(_trial, points, jobs=jobs)):
         table.add_row(
             load,
             *(

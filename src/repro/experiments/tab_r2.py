@@ -22,7 +22,7 @@ from repro.core.rejection import (
 )
 from repro.experiments.common import trial_rng
 from repro.power import xscale_power_model
-from repro.runner import map_trials, trial_seeds
+from repro.runner import map_sweep, trial_seeds
 from repro.sched import simulate_edf
 from repro.tasks import periodic_instance
 
@@ -95,14 +95,15 @@ def run(
             "expected: rel_err ~ 0, misses = 0 in every row",
         ],
     )
-    for u in utilizations:
-        fragments = map_trials(
-            _trial,
+    points = [
+        (
             trial_seeds(seed + int(u * 100), trials),
             {"n_tasks": n_tasks, "u": u},
-            jobs=jobs,
-            label=f"tab_r2[U={u}]",
+            f"tab_r2[U={u}]",
         )
+        for u in utilizations
+    ]
+    for u, fragments in zip(utilizations, map_sweep(_trial, points, jobs=jobs)):
         table.add_row(
             u,
             summarize([f["acc_u"] for f in fragments]).mean,

@@ -23,7 +23,7 @@ from repro.core.rejection import (
     pareto_exact,
 )
 from repro.experiments.common import standard_instance, trial_rng
-from repro.runner import map_trials, trial_seeds
+from repro.runner import map_sweep, trial_seeds
 
 #: Beyond this, branch-and-bound is skipped (exponential tail).
 BB_LIMIT = 20
@@ -93,14 +93,11 @@ def run(
             "n~100 (frontier-dependent); b&b exponential-tailed",
         ],
     )
-    for n in sizes:
-        fragments = map_trials(
-            _trial,
-            trial_seeds(seed + n, trials),
-            {"n": n, "load": load},
-            jobs=jobs,
-            label=f"tab_r4[n={n}]",
-        )
+    points = [
+        (trial_seeds(seed + n, trials), {"n": n, "load": load}, f"tab_r4[n={n}]")
+        for n in sizes
+    ]
+    for n, fragments in zip(sizes, map_sweep(_trial, points, jobs=jobs)):
         runtimes = {
             name: [f[name] for f in fragments if name in f]
             for name, _ in SOLVERS

@@ -3,8 +3,8 @@
 The substrate every paper-scale sweep goes through:
 
 * :mod:`repro.runner.pool` — deterministic trial-level fan-out
-  (``map_trials``) over a shared process pool, with a no-pool
-  ``jobs=1`` path;
+  (``map_sweep``, one call per experiment; ``map_trials`` for one
+  point) over a shared process pool, with a no-pool ``jobs=1`` path;
 * :mod:`repro.runner.cache` — experiment tables in the package's one
   content-addressed store (:mod:`repro._store`) under ``results/.cache/``;
 * :mod:`repro.runner.metrics` — wall-time / cache / worker counters
@@ -30,7 +30,7 @@ from repro.obs.manifest import write_manifest
 from repro.runner import cache
 from repro.runner.cache import cache_key, code_fingerprint
 from repro.runner.metrics import RunMetrics, collecting, current_collector
-from repro.runner.pool import map_trials, shutdown_pools, trial_seeds
+from repro.runner.pool import map_sweep, map_trials, shutdown_pools, trial_seeds
 
 __all__ = [
     "RunMetrics",
@@ -39,6 +39,7 @@ __all__ = [
     "code_fingerprint",
     "collecting",
     "current_collector",
+    "map_sweep",
     "map_trials",
     "run_experiment",
     "shutdown_pools",

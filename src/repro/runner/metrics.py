@@ -5,12 +5,12 @@ invocation and accumulates per-trial wall times, per-trial solver
 counters (merged from the :mod:`repro.obs` payloads the pool ships
 back), the worker count used for each fan-out, and the cache outcome.
 Experiments do not thread the collector through their signatures:
-:func:`repro.runner.pool.map_trials` looks up the *active* collector
+:func:`repro.runner.pool.map_sweep` looks up the *active* collector
 (installed with :func:`collecting`) and records into it, so the same
 experiment code is instrumented when driven by the runner and free of
 overhead when called directly.
 
-Collectors nest: :func:`collecting` keeps a stack and ``map_trials``
+Collectors nest: :func:`collecting` keeps a stack and ``map_sweep``
 records into the **innermost** collector only, so an experiment driven
 inside another instrumented scope never double-records its trials.
 """
@@ -41,7 +41,8 @@ class RunMetrics:
     trial_seconds:
         ``(label, seconds)`` per executed trial, in merge order.
     pool_jobs:
-        Worker counts actually used by each ``map_trials`` fan-out.
+        Worker count actually used, one entry per fan-out: one
+        ``map_sweep`` call, which covers a whole experiment's sweep.
     counters:
         Aggregated solver counters (:mod:`repro.obs.counters` payloads
         merged in seed order; identical totals for any ``jobs``).
@@ -145,7 +146,7 @@ class RunMetrics:
         return "\n".join(lines)
 
 
-#: Stack of installed collectors; ``map_trials`` records into the top.
+#: Stack of installed collectors; ``map_sweep`` records into the top.
 _STACK: list[RunMetrics] = []
 
 

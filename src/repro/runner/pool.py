@@ -2,12 +2,15 @@
 
 Every experiment sweep point is ``trials`` independent repetitions, each
 fully determined by a seed tuple (the same ``[seed, t]`` sequence that
-``trial_rngs`` feeds ``np.random.default_rng``).  :func:`map_trials`
-runs a pure, module-level *trial function* over those seed tuples —
-serially when ``jobs=1`` (no pool, no pickling, no overhead), or on a
+``trial_rngs`` feeds ``np.random.default_rng``).  :func:`map_sweep`
+runs a pure, module-level *trial function* over every point of a sweep
+— serially when ``jobs=1`` (no pool, no pickling, no overhead), or on a
 shared :class:`~concurrent.futures.ProcessPoolExecutor` when ``jobs>1``
-— and always returns the per-trial fragments **in seed order**, so the
-merged table is identical regardless of worker completion order.
+— and always returns each point's fragments **in seed order**, so the
+merged table is identical regardless of worker completion order.  An
+experiment builds all its points first and makes one call, so the pool
+sees one fan-out per experiment with no barrier between points;
+:func:`map_trials` is the one-point case.
 
 The trial function contract:
 
@@ -22,17 +25,17 @@ Observability rides the same rails: each trial runs under a fresh
 sink installed, an in-memory span buffer), and the worker ships the
 snapshot back with the fragment.  The parent merges counter payloads
 into its active registry and the metrics collector — and re-emits
-captured spans plus one synthetic ``trial`` span per trial — **in seed
-order**, so ``--jobs N`` aggregates to exactly the totals of a serial
-run.
+captured spans plus one synthetic ``trial`` span per trial — **in point
+order, then seed order**, so ``--jobs N`` aggregates to exactly the
+totals of a serial run.
 
 Executors are created lazily, keyed by worker count, reused across
-sweep points and experiments in the same process, and shut down at
-interpreter exit.  A batch smaller than ``jobs`` still runs on the
-``jobs``-worker executor, so mixed batch sizes share one pool.  A
-worker death (``BrokenProcessPool``) evicts the poisoned executor,
-rebuilds it, and retries the batch once before raising, so one crash
-never disables the pool for the rest of the process.
+sweeps and experiments in the same process, and shut down at
+interpreter exit.  A sweep with fewer chunks than ``jobs`` still runs
+on the ``jobs``-worker executor, so mixed sweep sizes share one pool.
+A worker death (``BrokenProcessPool``) evicts the poisoned executor,
+rebuilds it, and retries the whole sweep once before raising, so one
+crash never disables the pool for the rest of the process.
 
 A forked worker inherits every fd its parent had open, and the pool's
 own plumbing is all pipes, so the initializer closes each inherited
@@ -45,7 +48,6 @@ closed its end).
 from __future__ import annotations
 
 import atexit
-import functools
 import os
 import stat
 import time
@@ -60,6 +62,7 @@ from repro.runner.metrics import current_collector
 __all__ = [
     "evict_executor",
     "get_executor",
+    "map_sweep",
     "map_trials",
     "shutdown_pools",
     "trial_seeds",
@@ -125,7 +128,7 @@ def evict_executor(jobs: int) -> None:
     """Drop (and best-effort shut down) the cached executor for *jobs*.
 
     A :class:`BrokenProcessPool` poisons its executor permanently;
-    leaving it in the cache would fail every later ``map_trials`` call in
+    leaving it in the cache would fail every later ``map_sweep`` call in
     the process, so the broken instance must be evicted and replaced.
     """
     executor = _EXECUTORS.pop(jobs, None)
@@ -179,28 +182,50 @@ def _timed_call(
     return fragment, seconds, counters, spans
 
 
-def map_trials(
+def _timed_chunk(trial_fn, params, capture_spans, label, seeds):
+    """Worker-side: run a contiguous run of one point's seeds in one call."""
+    return [
+        _timed_call(trial_fn, seed_tuple, params, capture_spans, label)
+        for seed_tuple in seeds
+    ]
+
+
+def _chunks(seeds: list, count: int) -> list[list]:
+    """*seeds* cut into *count* contiguous runs, sizes differing by <= 1."""
+    n = len(seeds)
+    return [seeds[n * i // count : n * (i + 1) // count] for i in range(count)]
+
+
+def map_sweep(
     trial_fn: Callable,
-    seeds: Iterable[Sequence[int]],
-    params: dict | None = None,
+    points: Iterable[tuple[Iterable[Sequence[int]], dict | None, str | None]],
     *,
     jobs: int = 1,
-    label: str | None = None,
-) -> list:
-    """Run ``trial_fn(seed_tuple, params)`` for every seed tuple.
+) -> list[list]:
+    """Run ``trial_fn(seed_tuple, params)`` over every sweep point at once.
 
-    Returns the fragments in the order of *seeds*, regardless of which
-    worker finishes first.  ``jobs=1`` bypasses the pool entirely and
-    runs in-process; ``jobs`` below 1 is an error.
+    *points* is a list of ``(seeds, params, label)``; the result holds one
+    fragment list per point, each in the order of its *seeds*.  On the
+    pool, each point's seeds are cut into ``min(jobs, len(seeds))``
+    contiguous chunks, one worker call each, and every chunk of every
+    point is submitted before any result is collected.  A chunk never
+    spans two points, so the workers share every point however unequal
+    the points' trial costs are.  Results merge in point order, then seed
+    order: the order of a serial run.  ``jobs=1`` (or a sweep of at most
+    one trial) runs in-process; ``jobs`` below 1 is an error.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    seed_list = [tuple(int(part) for part in seed) for seed in seeds]
+    points = [
+        ([tuple(int(part) for part in seed) for seed in seeds], params, label)
+        for seeds, params, label in points
+    ]
     collector = current_collector()
     registry = obs_counters.active()
     sink = obs_trace.active_sink()
+    capture = sink is not None
 
-    def merge(item) -> object:
+    def merge(item, label) -> object:
         """Fold one trial's payloads into the parent-side consumers."""
         fragment, seconds, counters, spans = item
         if collector is not None:
@@ -212,50 +237,74 @@ def map_trials(
                 sink.emit(record)
         return fragment
 
-    if jobs == 1 or len(seed_list) <= 1:
+    if jobs == 1 or sum(len(seeds) for seeds, _, _ in points) <= 1:
         if collector is not None:
             collector.record_pool(1)
         return [
-            merge(
-                _timed_call(
-                    trial_fn,
-                    seed_tuple,
-                    params,
-                    capture_spans=sink is not None,
-                    label=label,
-                )
-            )
-            for seed_tuple in seed_list
+            [
+                merge(_timed_call(trial_fn, seed, params, capture, label), label)
+                for seed in seeds
+            ]
+            for seeds, params, label in points
         ]
 
+    chunks = [
+        (index, chunk)
+        for index, (seeds, _, _) in enumerate(points)
+        for chunk in _chunks(seeds, min(jobs, len(seeds)))
+    ]
     if collector is not None:
-        collector.record_pool(min(jobs, len(seed_list)))
-    call = functools.partial(
-        _timed_call,
-        trial_fn,
-        params=params,
-        capture_spans=sink is not None,
-        label=label,
-    )
-    # A worker dying mid-batch (OOM-kill, segfault, os._exit in the trial
+        collector.record_pool(min(jobs, len(chunks)))
+    # A worker dying mid-sweep (OOM-kill, segfault, os._exit in the trial
     # fn) breaks the whole pool.  Evict the poisoned executor, rebuild it,
-    # and retry the batch once from scratch — trial fns are pure functions
+    # and retry the sweep once from scratch — trial fns are pure functions
     # of (seed_tuple, params), so a rerun is safe.  A second failure is a
     # deterministic crash in the trial fn itself: surface it clearly.
     for attempt in (1, 2):
-        results = []
+        executor = get_executor(jobs)
+        futures = []
         try:
-            # executor.map preserves input order: the deterministic merge.
-            for item in get_executor(jobs).map(call, seed_list):
-                results.append(item)
+            for index, chunk in chunks:
+                _, params, label = points[index]
+                futures.append(
+                    executor.submit(
+                        _timed_chunk, trial_fn, params, capture, label, chunk
+                    )
+                )
+            results: list[list] = [[] for _ in points]
+            for (index, _), future in zip(chunks, futures):
+                results[index].extend(future.result())
             break
         except BrokenProcessPool as exc:
             evict_executor(jobs)
             if attempt == 2:
                 raise RuntimeError(
-                    f"map_trials({getattr(trial_fn, '__name__', trial_fn)!r}) "
+                    f"map_sweep({getattr(trial_fn, '__name__', trial_fn)!r}) "
                     f"lost a worker process twice in a row; the trial "
                     f"function likely crashes the interpreter "
                     f"(exit/abort/OOM) deterministically"
                 ) from exc
-    return [merge(item) for item in results]
+        finally:
+            # After a failed trial, drop the chunks no worker has started.
+            for future in futures:
+                future.cancel()
+    return [
+        [merge(item, label) for item in items]
+        for items, (_, _, label) in zip(results, points)
+    ]
+
+
+def map_trials(
+    trial_fn: Callable,
+    seeds: Iterable[Sequence[int]],
+    params: dict | None = None,
+    *,
+    jobs: int = 1,
+    label: str | None = None,
+) -> list:
+    """Run ``trial_fn(seed_tuple, params)`` for every seed tuple.
+
+    The one-point case of :func:`map_sweep`: returns the fragments in
+    the order of *seeds*, regardless of which worker finishes first.
+    """
+    return map_sweep(trial_fn, [(seeds, params, label)], jobs=jobs)[0]

@@ -36,7 +36,8 @@ import numpy as np
 from repro.core.rejection.problem import RejectionProblem, RejectionSolution
 from repro.energy.base import EnergyFunction
 
-#: Relative tolerance for all cost comparisons (fp-noise guard).
+#: Tolerance for all cost comparisons (fp-noise guard), relative to the
+#: values compared, so an instance in tiny units is checked as closely.
 COST_RTOL = 1e-9
 
 
@@ -53,7 +54,7 @@ class Violation:
 
 def _tol(*values: float) -> float:
     """Comparison slack scaled to the magnitudes in play."""
-    return COST_RTOL * max(1.0, *(abs(v) for v in values))
+    return COST_RTOL * max(abs(v) for v in values)
 
 
 # --------------------------------------------------------------------- #
@@ -111,8 +112,7 @@ def check_solution(solution: RejectionSolution) -> list[Violation]:
                 f"{algo}: plan energy {plan.energy!r} != energy(W) {direct!r}",
             )
         )
-    cycle_tol = 1e-6 * max(1.0, workload)
-    if abs(plan.total_cycles - workload) > cycle_tol:
+    if abs(plan.total_cycles - workload) > 1e-6 * workload:
         out.append(
             Violation(
                 "plan",
@@ -235,8 +235,7 @@ def check_convexity_claim(
 
     xs = np.linspace(0.0, cap, grid)
     ys = np.array([fn.energy(float(x)) for x in xs])
-    scale = max(1.0, float(np.max(np.abs(ys))))
-    tol = 1e-9 * scale
+    tol = 1e-9 * float(np.max(np.abs(ys)))
 
     drops = np.flatnonzero(ys[1:] < ys[:-1] - tol)
     if drops.size:

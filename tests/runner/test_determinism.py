@@ -13,10 +13,14 @@ simulator validation with integer miss counters).
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS, fig_r1
-from repro.runner import map_trials, run_experiment, trial_seeds
+from repro.obs import MemorySink, counters, tracing
+from repro.runner import map_sweep, map_trials, run_experiment, trial_seeds
+from repro.runner.metrics import RunMetrics, collecting
 
 REPRESENTATIVES = ("fig_r1", "fig_r11", "tab_r2")
 
@@ -54,8 +58,70 @@ class TestSerialParallelIdentical:
         assert parallel == serial
 
 
+    def test_sweep_merges_like_serial_when_later_points_finish_first(self):
+        serial = _sweep(jobs=1)
+        parallel = _sweep(jobs=2)
+        # Precondition: on the pool, every trial of the later points
+        # ended before the slow first point's one trial.
+        ends = {
+            record["attrs"]["label"]: record["t0"] + record["dur"]
+            for record in parallel["spans"]
+            if record["name"] == "trial"
+        }
+        assert max(ends["p1"], ends["p2"]) < ends["p0"]
+        for key in ("fragments", "counters", "labels"):
+            assert parallel[key] == serial[key], key
+        assert [_shape(r) for r in parallel["spans"]] == [
+            _shape(r) for r in serial["spans"]
+        ]
+        assert serial["fragments"] == [
+            [(0, 0)],
+            [(1, t) for t in range(4)],
+            [(2, t) for t in range(3)],
+        ]
+
+    @pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
+    def test_one_fan_out_per_experiment(self, name):
+        _, metrics = run_experiment(name, quick=True, jobs=2, use_cache=False)
+        assert len(metrics.pool_jobs) == 1, metrics.pool_jobs
+
+
 def _echo_seed(seed_tuple, params):
     return seed_tuple
+
+
+def _slow_first_point(seed_tuple, params):
+    """Sleep ``params["delay"]``, count, open a span and echo the seed."""
+    from repro.obs.trace import span
+
+    with span("inner.work", trial=seed_tuple[1]):
+        time.sleep(params["delay"])
+    counters.emit("demo", calls=1, value=seed_tuple[0] + 0.25 * seed_tuple[1])
+    return seed_tuple
+
+
+def _sweep(jobs):
+    """A three-point sweep whose first point is one slow trial."""
+    points = [
+        (trial_seeds(0, 1), {"delay": 0.5}, "p0"),
+        (trial_seeds(1, 4), {"delay": 0.0}, "p1"),
+        (trial_seeds(2, 3), {"delay": 0.0}, "p2"),
+    ]
+    metrics = RunMetrics(experiment="sweep", jobs=jobs)
+    sink = MemorySink()
+    with counters.counting() as registry, collecting(metrics), tracing(sink):
+        fragments = map_sweep(_slow_first_point, points, jobs=jobs)
+    return {
+        "fragments": fragments,
+        "counters": (registry.snapshot(), metrics.counters),
+        "labels": [label for label, _ in metrics.trial_seconds],
+        "spans": sink.records,
+    }
+
+
+def _shape(record):
+    """A span record without its timing and process fields."""
+    return (record["name"], record["depth"], record["attrs"])
 
 
 class TestCacheWarmEqualsCold:

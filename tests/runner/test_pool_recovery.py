@@ -1,4 +1,4 @@
-"""map_trials survives worker deaths and keeps one pool per ``jobs``.
+"""map_sweep survives worker deaths and keeps one pool per ``jobs``.
 
 The trial functions live at module level so worker processes can import
 them by reference; each is a pure function of ``(seed_tuple, params)``.
@@ -10,7 +10,7 @@ import pytest
 
 from repro.runner import pool
 from repro.runner.metrics import RunMetrics, collecting
-from repro.runner.pool import map_trials, shutdown_pools, trial_seeds
+from repro.runner.pool import map_sweep, map_trials, shutdown_pools, trial_seeds
 
 
 @pytest.fixture(autouse=True)
@@ -45,13 +45,26 @@ def _always_crash(seed_tuple, params):
 
 
 def test_recovers_from_a_single_worker_death(tmp_path):
+    _assert_recovers(tmp_path, (6,))
+
+
+def test_recovers_a_whole_sweep_from_a_single_worker_death(tmp_path):
+    _assert_recovers(tmp_path, (3, 1, 4))
+
+
+def _assert_recovers(tmp_path, sizes):
+    """One worker dies mid-sweep; the retried sweep merges every trial once."""
     flag = tmp_path / "crashed-once"
-    seeds = trial_seeds(0, 6)
-    results = map_trials(
-        _crash_once, seeds, {"flag": str(flag)}, jobs=2
-    )
-    assert results == [t * 2 for _, t in seeds]
+    points = [
+        (trial_seeds(index, trials), {"flag": str(flag)}, f"p{index}")
+        for index, trials in enumerate(sizes)
+    ]
+    with collecting(RunMetrics(experiment="crash")) as metrics:
+        results = map_sweep(_crash_once, points, jobs=2)
+    assert results == [[t * 2 for t in range(trials)] for trials in sizes]
     assert flag.exists()
+    assert metrics.trials == sum(sizes)
+    assert metrics.pool_jobs == [2]
 
 
 def test_deterministic_crasher_raises_a_clear_error():

@@ -213,6 +213,33 @@ class TestBrokenPipe:
         assert err == b""
 
 
+class TestWithoutNumpy:
+    @pytest.mark.parametrize(
+        "argv",
+        [["generate", "--n", "4", "--seed", "0", "out.json"], ["verify", "--quick"]],
+    )
+    def test_numpy_commands_refuse_in_one_line(self, tmp_path, argv):
+        # A numpy package that fails to import stands in for a missing one.
+        blocker = tmp_path / "blocked" / "numpy"
+        blocker.mkdir(parents=True)
+        (blocker / "__init__.py").write_text('raise ImportError("numpy blocked")\n')
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=f"{blocker.parent}{os.pathsep}{src}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"repro {argv[0]} requires numpy: numpy blocked"
+        ]
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestServePortInUse:
     @pytest.mark.parametrize("shards", [[], ["--shards", "2"]])
     def test_one_line_refusal(self, capsys, tmp_path, shards):

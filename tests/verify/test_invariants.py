@@ -21,6 +21,7 @@ from repro.verify import (
     check_sandwich,
     check_solution,
 )
+from tests.core.test_scale_free import MODELS, SCALE, _pair
 
 
 @pytest.fixture
@@ -85,6 +86,31 @@ def test_sandwich_flags_impossible_cost(problem):
     assert check_sandwich(problem, sol, lower=sol.cost + 1.0)
     # An upper bound below the optimum must be reported.
     assert check_sandwich(problem, sol, lower=lower, upper=sol.cost - 1.0)
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_checks_read_the_same_in_tiny_units(model):
+    """Tolerances are relative: a bad cost in 1e-10 units is still bad."""
+    base, scaled = _pair(3, MODELS[model])
+    for instance in (base, scaled):
+        sol = exhaustive(instance)
+        cost = sol.cost
+        assert check_solution(sol) == []
+        assert check_sandwich(instance, sol, lower=0.5 * cost) == []
+        assert check_sandwich(instance, sol, lower=3 * cost)
+        assert check_sandwich(instance, sol, lower=0.0, upper=cost / 3)
+        off = dataclasses.replace(
+            sol,
+            breakdown=CostBreakdown(
+                energy=sol.energy * 1.001, penalty=sol.penalty
+            ),
+        )
+        assert any(v.invariant == "cost" for v in check_solution(off))
+        busted = check_fptas_bound(sol, opt=cost / 3, upper=cost / 2, eps=0.1)
+        assert any(v.invariant == "fptas" for v in busted)
+    assert exhaustive(scaled).cost / SCALE == pytest.approx(
+        exhaustive(base).cost, rel=1e-9
+    )
 
 
 def test_fptas_bound_checker(problem):
