@@ -70,6 +70,13 @@ def http_get(port: int, path: str) -> str:
         return reply.read().decode()
 
 
+def kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL the process group *proc* leads, then reap *proc*."""
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait()
+
+
 class Workspace:
     """One scenario's directory and the environment its commands see."""
 
@@ -112,6 +119,35 @@ class Workspace:
         (self.dir / out).write_text(lines[0] + "\n")
         return json.loads(lines[0])
 
+    def start_server(self, flags: str, log: Path) -> tuple[subprocess.Popen, int]:
+        """Start ``repro serve FLAGS`` on a free port, logging to *log*.
+
+        The server leads its own process group, so ``os.killpg`` on its
+        pid reaches its pool workers too.  Returns once ``/healthz``
+        answers; on failure the whole group is killed.
+        """
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with open(log, "w") as sink:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", f"--port={port}"]
+                + flags.split(),
+                cwd=self.dir, env=self.env, stdout=sink, stderr=subprocess.STDOUT,
+                start_new_session=True,
+            )
+        try:
+            for _ in range(50):
+                check(proc.poll() is None, "repro serve stays up", log.read_text())
+                with contextlib.suppress(OSError):
+                    http_get(port, "/healthz")
+                    return proc, port
+                time.sleep(0.2)
+            raise SmokeFailure("/healthz answers within 10 s")
+        except BaseException:
+            kill_group(proc)
+            raise
+
     @contextlib.contextmanager
     def serve(self, flags: str):
         """``repro serve FLAGS`` on a free port; yields it once healthy.
@@ -119,41 +155,18 @@ class Workspace:
         On leaving, SIGTERM drains the server: it must exit within 10 s
         and leave no traceback in serve.log.
         """
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
         log = self.dir / "serve.log"
-        with open(log, "w") as sink:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro", "serve", f"--port={port}"]
-                + flags.split(),
-                cwd=self.dir, env=self.env, stdout=sink, stderr=subprocess.STDOUT,
-                start_new_session=True,  # its own group: kill() reaches the pool
-            )
-
-        def kill() -> None:
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
-
+        proc, port = self.start_server(flags, log)
         try:
-            for _ in range(50):
-                check(proc.poll() is None, "repro serve stays up", log.read_text())
-                with contextlib.suppress(OSError):
-                    http_get(port, "/healthz")
-                    break
-                time.sleep(0.2)
-            else:
-                raise SmokeFailure("/healthz answers within 10 s")
             yield port
         except BaseException:
-            kill()
+            kill_group(proc)
             raise
         proc.send_signal(signal.SIGTERM)
         try:
             proc.wait(timeout=10)
         except subprocess.TimeoutExpired:
-            kill()
+            kill_group(proc)
             raise SmokeFailure("server exits within 10 s of SIGTERM")
         print(log.read_text(), end="")
         check("Traceback" not in log.read_text(), "no traceback in serve.log")
@@ -298,6 +311,21 @@ def service(ws: Workspace) -> None:
     check(access_ids, "the access log carries request ids")
     missing = access_ids - span_ids
     check(not missing, "every request id reaches the span trace", missing)
+    # SIGKILL only the main process of one more server: its pool
+    # workers must notice and exit, leaving the group empty.
+    proc, _ = ws.start_server("--workers 2", ws.dir / "orphan.log")
+    proc.kill()
+    proc.wait()
+    deadline = time.monotonic() + 5.0
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        if time.monotonic() > deadline:
+            kill_group(proc)
+            raise SmokeFailure("no pool worker outlives a SIGKILLed server")
+        time.sleep(0.1)
 
 
 def sim(ws: Workspace) -> None:

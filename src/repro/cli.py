@@ -482,25 +482,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "shards share the disk cache tier)",
     )
     serve.add_argument(
-        "--shard-id",
-        metavar="ID",
-        help="serve as one shard of a multi-process fleet (request ids "
-        "gain an s<ID>- prefix; combine with --budget-file/--cache-dir)",
-    )
-    serve.add_argument(
         "--budget",
         type=float,
         action=_POSITIVE,
         metavar="UNITS",
         help="fleet-wide admission budget in work units (default with "
         "--shards: shards x --capacity when --capacity is given)",
-    )
-    serve.add_argument(
-        "--budget-file",
-        type=Path,
-        metavar="FILE",
-        help="share the budget ledger across processes through FILE "
-        "(file-locked JSON; requires --budget)",
     )
     serve.add_argument(
         "--cache-dir",
@@ -515,12 +502,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action=_POSITIVE,
         metavar="BYTES",
         help="disk-tier byte budget (LRU-by-mtime pruning)",
-    )
-    serve.add_argument(
-        "--reuseport",
-        action="store_true",
-        help="with --shards and SO_REUSEPORT support: additionally bind "
-        "every shard to the kernel-balanced data port <port>+1",
     )
     serve.add_argument(
         "--trace-out",
@@ -1155,13 +1136,6 @@ def _cmd_serve(args) -> int:
         )
     except ValueError as exc:
         raise _Refusal(f"bad SLO configuration: {exc}")
-    if args.shards > 1 and args.shard_id is not None:
-        raise _Refusal(
-            "--shards and --shard-id are mutually exclusive "
-            "(fleet parent vs fleet member)"
-        )
-    if args.budget_file is not None and args.budget is None:
-        raise _Refusal("--budget-file requires --budget")
     policy = _policy(args)
     with contextlib.ExitStack() as stack:
         access_sink = None
@@ -1187,19 +1161,12 @@ def _cmd_serve(args) -> int:
         from repro.service import SolveService
 
         budget = None
-        if args.budget_file is not None:
-            from repro.service.shard import FileBudget
-
-            # A restarting member attaches to the live ledger; its own
-            # stale leases are forfeited inside SolveService.start.
-            budget = FileBudget(args.budget_file, args.budget, reset=False)
-        elif args.budget is not None:
+        if args.budget is not None:
             from repro.service.shard import GlobalBudget
 
             budget = GlobalBudget(args.budget)
         try:
             service = SolveService(
-                shard_id=args.shard_id,
                 budget=budget,
                 cache_dir=args.cache_dir,
                 **service_kwargs,
@@ -1221,36 +1188,18 @@ def _cmd_serve(args) -> int:
 def _serve_fleet(args, service_kwargs) -> int:
     """``repro serve --shards N``: a LocalFleet behind the router."""
     from repro.runner.cache import default_cache_dir
-    from repro.service.shard import (
-        FileBudget,
-        LocalFleet,
-        reuseport_available,
-    )
+    from repro.service.shard import LocalFleet
 
-    budget = None
-    if args.budget_file is not None:
-        budget = FileBudget(args.budget_file, args.budget, reset=True)
     cache_dir = args.cache_dir or default_cache_dir() / "service"
     try:
         fleet = LocalFleet(
             shards=args.shards,
             budget_units=args.budget,
-            budget=budget,
             cache_dir=cache_dir,
             **service_kwargs,
         )
     except OSError as exc:  # the shared disk tier's directory is unusable
         raise _Refusal(f"cannot use --cache-dir {cache_dir}: {exc}")
-    reuseport_port = None
-    if args.reuseport:
-        if reuseport_available():
-            reuseport_port = args.port + 1 if args.port else 0
-        else:  # pragma: no cover - non-SO_REUSEPORT platform
-            print(
-                "repro serve: SO_REUSEPORT unavailable; "
-                "using the round-robin proxy only",
-                file=sys.stderr,
-            )
 
     def banner(host: str, port: int) -> str:
         budget_units = (
@@ -1260,21 +1209,13 @@ def _serve_fleet(args, service_kwargs) -> int:
             f"fleet of {args.shards} shards on "
             f"http://{host}:{port} "
             f"(budget={'none' if budget_units is None else f'{budget_units:.0f} units'}, "
-            f"cache_dir={cache_dir}"
-            + (
-                f", reuseport_port={fleet.reuseport_port}"
-                if fleet.reuseport_port is not None
-                else ""
-            )
-            + ")"
+            f"cache_dir={cache_dir})"
         )
 
-    return _serve_until_signal(
-        args, fleet, banner, "the fleet", reuseport_port=reuseport_port
-    )
+    return _serve_until_signal(args, fleet, banner, "the fleet")
 
 
-def _serve_until_signal(args, server, banner, drained, **start_kwargs) -> int:
+def _serve_until_signal(args, server, banner, drained) -> int:
     """Start *server*, serve until SIGINT/SIGTERM, then drain it.
 
     *server* is a :class:`~repro.service.SolveService` or a
@@ -1287,9 +1228,7 @@ def _serve_until_signal(args, server, banner, drained, **start_kwargs) -> int:
 
     async def _run() -> None:
         try:
-            host, port = await server.start(
-                args.host, args.port, **start_kwargs
-            )
+            host, port = await server.start(args.host, args.port)
         except OSError as exc:
             await server.stop(drain=False)
             raise _Refusal(
@@ -1425,6 +1364,7 @@ def _cmd_replay(args) -> int:
     from repro.obs.runtime import format_slo_line
     from repro.service.loadgen import format_stats, run_replay, slo_results
     from repro.sim import load_trace, paired_summary, simulate
+    from repro.sim.bridge import trace_line
 
     try:
         header, entries = load_trace(args.replay)
@@ -1433,7 +1373,7 @@ def _cmd_replay(args) -> int:
     except (ValueError, json.JSONDecodeError) as exc:
         raise _Refusal(f"cannot read trace {args.replay}: {exc}")
     try:
-        _, report = simulate(header)
+        arrivals, report = simulate(header)
     except (KeyError, ValueError) as exc:
         raise _Refusal(
             f"trace {args.replay} is missing simulation parameters: {exc}"
@@ -1444,6 +1384,15 @@ def _cmd_replay(args) -> int:
             "decision digest differs from the header's (edited trace, or "
             "the admission code changed since it was written)"
         )
+    for index, (arrival, decision, entry) in enumerate(
+        zip(arrivals, report.decisions, entries)
+    ):
+        if json.loads(trace_line(arrival, decision)) != entry:
+            raise _Refusal(
+                f"trace {args.replay} does not reproduce: entry {index} "
+                "differs from the re-simulated arrival (edited trace, or "
+                "the workload code changed since it was written)"
+            )
     try:
         stats, outcomes = run_replay(
             args.host,

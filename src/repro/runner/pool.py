@@ -42,7 +42,9 @@ own plumbing is all pipes, so the initializer closes each inherited
 socket: a server's listener (or its port would keep queueing
 connections after the server closed it) and any open client
 connection (or that client would never see EOF after the server
-closed its end).
+closed its end).  It also starts a watchdog thread in each worker that
+exits the worker once the pool's owner is gone, so a SIGKILLed server
+leaves no orphaned workers behind.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from __future__ import annotations
 import atexit
 import os
 import stat
+import threading
 import time
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -70,6 +73,9 @@ __all__ = [
 
 #: Live executors, keyed by worker count.
 _EXECUTORS: dict[int, ProcessPoolExecutor] = {}
+
+#: Seconds between a pool worker's checks that its parent is alive.
+PARENT_POLL_S = 0.5
 
 
 def trial_seeds(seed: int, trials: int) -> list[tuple[int, int]]:
@@ -103,6 +109,31 @@ def _close_inherited_sockets() -> None:
             continue
 
 
+def _exit_with_parent(parent_pid: int) -> None:
+    """Watchdog loop: ``os._exit`` once the worker's parent has changed.
+
+    A dead parent's children are re-parented, so ``os.getppid()`` stops
+    being *parent_pid* within one poll of its death.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(PARENT_POLL_S)
+    os._exit(0)
+
+
+def _init_worker(parent_pid: int) -> None:
+    """Pool initializer: close inherited sockets, die with the parent.
+
+    The watchdog runs only in a direct child of *parent_pid* (the fork
+    and spawn start methods); a fork server's workers have the server
+    as their parent and are left alone.
+    """
+    _close_inherited_sockets()
+    if os.getppid() == parent_pid:
+        threading.Thread(
+            target=_exit_with_parent, args=(parent_pid,), daemon=True
+        ).start()
+
+
 def get_executor(jobs: int) -> ProcessPoolExecutor:
     """The persistent executor for *jobs* workers (created on first use).
 
@@ -118,7 +149,9 @@ def get_executor(jobs: int) -> ProcessPoolExecutor:
     executor = _EXECUTORS.get(jobs)
     if executor is None:
         executor = ProcessPoolExecutor(
-            max_workers=jobs, initializer=_close_inherited_sockets
+            max_workers=jobs,
+            initializer=_init_worker,
+            initargs=(os.getpid(),),
         )
         _EXECUTORS[jobs] = executor
     return executor

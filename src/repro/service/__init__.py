@@ -32,17 +32,11 @@ from repro.service.models import (
     parse_solve_request,
 )
 from repro.service.server import SolveService
-from repro.service.shard import (
-    FileBudget,
-    GlobalBudget,
-    LocalFleet,
-    ShardRouter,
-)
+from repro.service.shard import GlobalBudget, LocalFleet, ShardRouter
 
 __all__ = [
     "AdmissionController",
     "AdmissionDecision",
-    "FileBudget",
     "GlobalBudget",
     "LocalFleet",
     "PassStats",

@@ -233,7 +233,7 @@ async def read_response(
 
 
 class HttpFront:
-    """The listeners, keep-alive connection loop and drain of one front.
+    """The listener, keep-alive connection loop and drain of one front.
 
     *route* is the front's ``async (method, path, body) -> (status,
     payload, extra_headers)``; every request read off a connection goes
@@ -244,26 +244,23 @@ class HttpFront:
 
     def __init__(self, route) -> None:
         self._route = route
-        self._listeners: list[asyncio.base_events.Server] = []
+        self._listener: asyncio.base_events.Server | None = None
         #: Open connections and the handler task serving each.
         self._handlers: dict[asyncio.StreamWriter, asyncio.Task] = {}
         #: Requests read and not yet answered by *route*.
         self._active = 0
 
-    async def listen(
-        self, host: str, port: int, **kwargs
-    ) -> asyncio.base_events.Server:
-        """Bind one more listener (``asyncio.start_server`` *kwargs*)."""
-        server = await asyncio.start_server(
-            self._serve, host, port, limit=MAX_BODY_BYTES, **kwargs
+    async def listen(self, host: str, port: int) -> asyncio.base_events.Server:
+        """Bind the front's listener on *host*:*port*."""
+        self._listener = await asyncio.start_server(
+            self._serve, host, port, limit=MAX_BODY_BYTES
         )
-        self._listeners.append(server)
-        return server
+        return self._listener
 
     def close(self) -> None:
         """Stop accepting connections; open ones keep being served."""
-        for server in self._listeners:
-            server.close()
+        if self._listener is not None:
+            self._listener.close()
 
     async def drain(self) -> None:
         """Stop accepting, then finish and close every connection.
@@ -283,8 +280,8 @@ class HttpFront:
             writer.close()
         if handlers:
             await asyncio.wait(handlers, timeout=10.0)
-        for server in self._listeners:
-            await server.wait_closed()
+        if self._listener is not None:
+            await self._listener.wait_closed()
 
     async def _serve(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -39,8 +39,8 @@ Connections are served, and drained on :meth:`SolveService.stop`, by
 the :class:`~repro.service.http.HttpFront` the shard router uses too;
 this module supplies only the ``_route`` coroutine it calls.  Around the
 shared drain the server adds its own steps: ``503`` for requests still
-waiting for a dispatch slot (``drain=False``), awaiting the running
-dispatches, and restoring the ambient counter sink.
+waiting for a dispatch slot (``drain=False``) and awaiting the running
+dispatches.
 """
 
 from __future__ import annotations
@@ -122,12 +122,6 @@ class SolveService:
     cache_max_bytes:
         Disk-tier byte budget (LRU-by-mtime pruning; ``None`` =
         unbounded).
-    ambient_counters:
-        Install this server's counter registry as the process-wide
-        :func:`repro.obs.counters.counting` sink while serving
-        (the single-process default).  In-process fleets pass
-        ``False`` — each component already writes to its own shard's
-        registry, and a process-global sink cannot be shared.
     """
 
     def __init__(
@@ -146,7 +140,6 @@ class SolveService:
         budget=None,
         cache_dir: Path | str | None = None,
         cache_max_bytes: int | None = None,
-        ambient_counters: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -159,7 +152,6 @@ class SolveService:
         self.window_s = float(window_s)
         self.shard_id = None if shard_id is None else str(shard_id)
         self._budget = budget
-        self._ambient_counters = bool(ambient_counters)
         self._registry = obs_counters.Counters()
         self._cache = ResultCache(
             max_entries=cache_entries,
@@ -173,12 +165,10 @@ class SolveService:
             sample_interval_s=sample_interval_s,
         )
         self._sampler_task: asyncio.Task | None = None
-        self._counting = None
         self._controller: AdmissionController | None = None
         self._gate: asyncio.Semaphore | None = None
         self._http = HttpFront(self._route)
         self._server: asyncio.base_events.Server | None = None
-        self._reuseport_server: asyncio.base_events.Server | None = None
         #: Pool-bound requests waiting for a dispatch slot (sheddable).
         self._queued: dict[str, asyncio.Future] = {}
         self._dispatches: set[asyncio.Task] = set()
@@ -211,28 +201,11 @@ class SolveService:
     # -- lifecycle ------------------------------------------------------
 
     async def start(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        reuseport_port: int | None = None,
+        self, host: str = "127.0.0.1", port: int = 0
     ) -> tuple[str, int]:
-        """Bind, calibrate capacity, and start serving; returns (host, port).
-
-        *reuseport_port* additionally binds a second listener on that
-        port with ``SO_REUSEPORT``, so N shards can share one public
-        port and let the kernel load-balance accepted connections
-        (``repro serve --shards N --reuseport``).
-        """
+        """Bind, calibrate capacity and start serving; return (host, port)."""
         if self._server is not None:
             raise RuntimeError("service already started")
-        if self._ambient_counters:
-            self._counting = obs_counters.counting(self._registry)
-            self._counting.__enter__()
-        if self._budget is not None and self.shard_id is not None:
-            # Crash recovery: drop any leases a previous incarnation of
-            # this shard left in the ledger, or it can never admit again.
-            self._budget.forfeit(self.shard_id)
         loop = asyncio.get_running_loop()
         executor = get_executor(self.workers)
         rate = self._rate_override
@@ -257,10 +230,6 @@ class SolveService:
         )
         self._server = await self._http.listen(host, port)
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
-        if reuseport_port is not None:
-            self._reuseport_server = await self._http.listen(
-                host, reuseport_port, reuse_port=True
-            )
         self.telemetry.sample(self._sample_state())  # seed the ring
         self._sampler_task = loop.create_task(self._sampler())
         return self.host, self.port
@@ -303,9 +272,6 @@ class SolveService:
             await asyncio.gather(*self._dispatches, return_exceptions=True)
         # Answer what is still in flight, then close every connection.
         await self._http.drain()
-        if self._counting is not None:
-            self._counting.__exit__(None, None, None)
-            self._counting = None
 
     # -- routing --------------------------------------------------------
 

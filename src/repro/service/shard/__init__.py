@@ -4,17 +4,16 @@ The paper's admission policy is a *single* global decision rule; this
 subpackage keeps it that way at fleet scale (ROADMAP item 2):
 
 ``budget``
-    The fleet-wide capacity ledger per-shard admission controllers
-    lease from — in-memory (:class:`GlobalBudget`) for in-process
-    fleets, file-locked (:class:`FileBudget`) across processes.
+    :class:`GlobalBudget`, the fleet-wide capacity ledger every
+    shard's admission controller leases from.
 ``router``
     The front-door proxy: round-robin ``/solve`` fan-out, shard-affine
     ``/result`` routing, aggregated ``/healthz``, and the merged
     ``shard``-labeled ``/metrics`` exposition.
 ``fleet``
     :class:`LocalFleet` wires N shards + budget + shared disk cache +
-    router into one loop (``repro serve --shards N``);
-    :class:`ThreadedFleet` hosts it for synchronous callers.
+    router into one loop (``repro serve --shards N``), the one sharded
+    topology; :class:`ThreadedFleet` hosts it for synchronous callers.
 ``bench``
     The saturation bench behind ``repro bench-serve --shards``: offered
     load vs p50/p99/throughput/rejection at 1/2/4 shards →
@@ -23,19 +22,8 @@ subpackage keeps it that way at fleet scale (ROADMAP item 2):
 
 from __future__ import annotations
 
-from repro.service.shard.budget import FileBudget, GlobalBudget
-from repro.service.shard.fleet import (
-    LocalFleet,
-    ThreadedFleet,
-    reuseport_available,
-)
+from repro.service.shard.budget import GlobalBudget
+from repro.service.shard.fleet import LocalFleet, ThreadedFleet
 from repro.service.shard.router import ShardRouter
 
-__all__ = [
-    "FileBudget",
-    "GlobalBudget",
-    "LocalFleet",
-    "ShardRouter",
-    "ThreadedFleet",
-    "reuseport_available",
-]
+__all__ = ["GlobalBudget", "LocalFleet", "ShardRouter", "ThreadedFleet"]

@@ -2,35 +2,23 @@
 
 :class:`LocalFleet` hosts everything in one asyncio loop — N
 :class:`~repro.service.server.SolveService` shards (each with its own
-counter registry, ``ambient_counters=False``), one shared
+counter registry), one shared
 :class:`~repro.service.shard.budget.GlobalBudget` ledger, one shared
 disk cache directory, and a :class:`~repro.service.shard.router
-.ShardRouter` front door.  This is the topology behind
-``repro serve --shards N``, the saturation bench, and the cross-shard
-test wall; the same wiring works across processes by swapping the
-in-memory ledger for a :class:`~repro.service.shard.budget.FileBudget`
-and pointing every ``repro serve --shard-id k`` at the same
-``--budget-file`` and ``--cache-dir``.
+.ShardRouter` front door.  This is the one sharded topology: it is
+behind ``repro serve --shards N``, the saturation bench, and the
+cross-shard test wall.
 
 Capacity semantics (the Nélis global-vs-partitioned mapping): each
 shard keeps a *local* admission gate sized to its own pool, while the
 fleet-wide ledger caps what all shards may hold **together** — by
 default the same total one unsharded server with the summed capacity
 would enforce, so sharding never relaxes the paper's budget.
-
-``SO_REUSEPORT`` note: where the platform has it
-(:func:`reuseport_available`), :meth:`LocalFleet.start` can additionally
-bind every shard to one shared kernel-balanced data port
-(``reuseport_port``) — clients that want to skip the proxy hop connect
-there and the kernel does the fanning.  The router's round-robin proxy
-is the portable fallback and remains the authoritative address for
-merged ``/metrics`` and aggregated ``/healthz`` either way.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
 import threading
 from pathlib import Path
 
@@ -38,12 +26,7 @@ from repro.service.server import SolveService
 from repro.service.shard.budget import GlobalBudget
 from repro.service.shard.router import ShardRouter
 
-__all__ = ["LocalFleet", "ThreadedFleet", "reuseport_available"]
-
-
-def reuseport_available() -> bool:
-    """Whether this platform can kernel-balance a shared listen port."""
-    return hasattr(socket, "SO_REUSEPORT")
+__all__ = ["LocalFleet", "ThreadedFleet"]
 
 
 class LocalFleet:
@@ -56,12 +39,9 @@ class LocalFleet:
     budget_units:
         The fleet-wide admission budget; ``None`` derives it from the
         per-shard ``capacity_units`` (budget = shards × per-shard
-        capacity — exactly the unsharded total).  Passing an explicit
-        ledger via *budget* overrides both.
-    budget:
-        A pre-built ledger (:class:`GlobalBudget` or
-        :class:`~repro.service.shard.budget.FileBudget`); overrides
-        *budget_units*.
+        capacity — exactly the unsharded total).  With neither, the
+        fleet has no ledger and each shard admits against its own
+        capacity only.
     cache_dir:
         Shared disk-cache directory for the two-tier result cache;
         ``None`` disables the disk tier (shards then only share the
@@ -76,28 +56,25 @@ class LocalFleet:
         *,
         shards: int = 2,
         budget_units: float | None = None,
-        budget=None,
         cache_dir: Path | str | None = None,
         **service_kwargs,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.n_shards = int(shards)
-        if budget is None:
-            if budget_units is None:
-                capacity = service_kwargs.get("capacity_units")
-                if capacity is not None:
-                    budget_units = float(capacity) * self.n_shards
-            if budget_units is not None:
-                budget = GlobalBudget(budget_units)
-        self.budget = budget
+        if budget_units is None:
+            capacity = service_kwargs.get("capacity_units")
+            if capacity is not None:
+                budget_units = float(capacity) * self.n_shards
+        self.budget = (
+            None if budget_units is None else GlobalBudget(budget_units)
+        )
         self.cache_dir = None if cache_dir is None else Path(cache_dir)
         self.services = [
             SolveService(
                 shard_id=str(index),
                 budget=self.budget,
                 cache_dir=self.cache_dir,
-                ambient_counters=False,
                 **service_kwargs,
             )
             for index in range(self.n_shards)
@@ -105,37 +82,14 @@ class LocalFleet:
         self.router: ShardRouter | None = None
         self.host: str | None = None
         self.port: int | None = None
-        self.reuseport_port: int | None = None
 
     async def start(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        reuseport_port: int | None = None,
+        self, host: str = "127.0.0.1", port: int = 0
     ) -> tuple[str, int]:
-        """Start every shard, then the router; returns the public address.
-
-        *reuseport_port* (requires :func:`reuseport_available`) binds
-        every shard to that shared data port with ``SO_REUSEPORT`` in
-        addition to its private one.
-        """
-        if reuseport_port is not None and not reuseport_available():
-            raise RuntimeError(
-                "SO_REUSEPORT is not available on this platform; "
-                "use the router's round-robin proxy instead"
-            )
-        addresses = []
-        for service in self.services:
-            shard_host, shard_port = await service.start(
-                host, 0, reuseport_port=reuseport_port
-            )
-            addresses.append((shard_host, shard_port))
-            if reuseport_port == 0:
-                # First shard got an ephemeral port; the rest share it.
-                sock = service._reuseport_server.sockets[0]
-                reuseport_port = sock.getsockname()[1]
-        self.reuseport_port = reuseport_port
+        """Start every shard, then the router; returns the public address."""
+        addresses = [
+            await service.start(host, 0) for service in self.services
+        ]
         self.router = ShardRouter(addresses)
         self.host, self.port = await self.router.start(host, port)
         return self.host, self.port
@@ -171,13 +125,12 @@ class ThreadedFleet:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        reuseport_port: int | None = None,
         **fleet_kwargs,
     ) -> None:
         self.fleet = LocalFleet(**fleet_kwargs)
         self.host: str | None = None
         self.port: int | None = None
-        self._start_args = (host, port, reuseport_port)
+        self._start_args = (host, port)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._ready = threading.Event()
@@ -186,12 +139,11 @@ class ThreadedFleet:
 
     def _main(self) -> None:
         async def body() -> None:
-            host, port, reuseport_port = self._start_args
             self._loop = asyncio.get_running_loop()
             self._stop = asyncio.Event()
             try:
                 self.host, self.port = await self.fleet.start(
-                    host, port, reuseport_port=reuseport_port
+                    *self._start_args
                 )
             except BaseException as exc:
                 self._error = exc

@@ -12,8 +12,8 @@ not just against a second run of itself.  This module closes that loop:
   ``instance_seed`` via ``random.Random`` (no NumPy), so a trace is
   reproducible from the arrival stream alone;
 * :func:`write_trace` / :func:`load_trace` move traces as JSONL — one
-  header line of metadata, then one line per arrival carrying the
-  timestamp, the body, and the simulator's verdict;
+  header line of metadata, then one :func:`trace_line` per arrival
+  carrying the timestamp, the body, and the simulator's verdict;
 * ``repro bench-serve --replay <trace>`` (see
   :func:`repro.service.loadgen.run_replay`) fires the trace at a live
   server in arrival order and collects per-request verdicts;
@@ -41,7 +41,7 @@ from typing import Any
 from repro.analysis.tables import ExperimentTable
 from repro.energy import ContinuousEnergyFunction
 from repro.power import xscale_power_model
-from repro.sim.engine import SimReport
+from repro.sim.engine import Decision, SimReport
 from repro.sim.workload import Arrival
 from repro.tasks.model import FrameTask, FrameTaskSet
 
@@ -50,6 +50,7 @@ __all__ = [
     "arrival_body",
     "load_trace",
     "paired_summary",
+    "trace_line",
     "write_trace",
 ]
 
@@ -92,6 +93,29 @@ def arrival_body(arrival: Arrival) -> dict[str, Any]:
     }
 
 
+def trace_line(arrival: Arrival, decision: Decision) -> str:
+    """One arrival's trace line (JSON, no newline) with its verdict.
+
+    :func:`write_trace` writes these, and ``bench-serve --replay``
+    rebuilds them from a re-simulation to refuse an edited trace.
+    """
+    return json.dumps(
+        {
+            "i": arrival.index,
+            "t": arrival.time,
+            "req_id": arrival.req_id,
+            "units": arrival.units,
+            "weight": arrival.weight,
+            "deadline_s": arrival.deadline_s,
+            "admitted": decision.admitted,
+            "reason": decision.reason,
+            "shed": list(decision.shed),
+            "body": arrival_body(arrival),
+        },
+        sort_keys=True,
+    )
+
+
 def write_trace(
     path: Path | str,
     arrivals: tuple[Arrival, ...],
@@ -118,24 +142,7 @@ def write_trace(
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for arrival, decision in zip(arrivals, report.decisions):
-            fh.write(
-                json.dumps(
-                    {
-                        "i": arrival.index,
-                        "t": arrival.time,
-                        "req_id": arrival.req_id,
-                        "units": arrival.units,
-                        "weight": arrival.weight,
-                        "deadline_s": arrival.deadline_s,
-                        "admitted": decision.admitted,
-                        "reason": decision.reason,
-                        "shed": list(decision.shed),
-                        "body": arrival_body(arrival),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            fh.write(trace_line(arrival, decision) + "\n")
     return path
 
 

@@ -5,9 +5,15 @@ them by reference; each is a pure function of ``(seed_tuple, params)``.
 """
 
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.runner import pool
 from repro.runner.metrics import RunMetrics, collecting
 from repro.runner.pool import map_sweep, map_trials, shutdown_pools, trial_seeds
@@ -93,3 +99,47 @@ def test_mixed_batch_sizes_share_one_executor():
     assert list(pool._EXECUTORS) == [4]
     # The reported width is still the batch's, not the pool's.
     assert metrics.pool_jobs == [4, 3, 2]
+
+
+#: Opens a 1-worker pool, prints the worker's pid, then waits.
+_HOLD_A_POOL = """
+import os, sys
+from repro.runner.pool import get_executor
+print(get_executor(1).submit(os.getpid).result(), flush=True)
+sys.stdin.read()
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether *pid* runs (a zombie nobody has reaped yet counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+def test_worker_exits_when_its_parent_is_killed():
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _HOLD_A_POOL],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    worker = int(proc.stdout.readline())
+    try:
+        assert _alive(worker)
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while _alive(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(worker)
+    finally:
+        if _alive(worker):
+            os.kill(worker, signal.SIGKILL)
+        proc.kill()
+        proc.stdin.close()
+        proc.stdout.close()

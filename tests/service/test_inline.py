@@ -26,7 +26,6 @@ from repro.service.models import (
     MULTIPROC_SOLVERS,
     parse_solve_request,
 )
-from repro.service.shard import GlobalBudget
 from repro.tasks.model import FrameTask, FrameTaskSet
 
 from tests.io.test_multiproc_roundtrip import _multiproc_problem
@@ -262,14 +261,14 @@ class TestBookkeeping:
 
     def test_fleet_budget_is_returned_after_inline_solves(self):
         async def go():
-            budget = GlobalBudget(BIG)
             fleet = LocalFleet(
                 shards=2,
                 workers=1,
                 rate_units_per_s=1e9,
                 capacity_units=BIG,
-                budget=budget,
+                budget_units=BIG,
             )
+            budget = fleet.budget
             await fleet.start()
             try:
                 await _solve_all(fleet.host, fleet.port, make_bodies(3, 6))

@@ -20,7 +20,7 @@ import pytest
 from repro.service import LocalFleet, models
 from repro.service.loadgen import http_exchange, http_json, make_bodies
 from repro.service.models import estimate_cost
-from repro.service.shard import GlobalBudget, reuseport_available
+from repro.service.shard import GlobalBudget
 
 from tests.service.conftest import BIG, park_pool, run
 
@@ -342,9 +342,9 @@ class TestGlobalBudget:
             # later offer would overdraw, and the parked pool keeps the
             # leases held while the refusals happen — fully
             # deterministic, no timing races.
-            budget = GlobalBudget(80.0)
             park_pool(1, 0.5)
-            fleet = await _start_fleet(budget=budget)
+            fleet = await _start_fleet(budget_units=80.0)
+            budget = fleet.budget
             try:
                 unit_cost = estimate_cost(6, "greedy_marginal")
                 assert unit_cost == 36.0
@@ -435,44 +435,5 @@ class TestDrain:
                 await http_json(
                     fleet.host, fleet.port, "POST", "/solve", request
                 )
-
-        run(body())
-
-
-class TestReuseport:
-    @pytest.mark.skipif(
-        not reuseport_available(), reason="platform lacks SO_REUSEPORT"
-    )
-    def test_shards_share_a_kernel_balanced_data_port(self):
-        async def body():
-            fleet = LocalFleet(
-                shards=2, workers=1, rate_units_per_s=1e9, capacity_units=BIG
-            )
-            await fleet.start(reuseport_port=0)
-            try:
-                assert fleet.reuseport_port
-                request = make_bodies(29, 1)[0]
-                status, payload = await http_json(
-                    "127.0.0.1", fleet.reuseport_port, "POST", "/solve", request
-                )
-                assert status == 200, payload
-                # Some shard answered directly, no router hop.
-                assert payload["id"][:2] in {"s0", "s1"}
-            finally:
-                await fleet.stop()
-
-        run(body())
-
-    def test_requesting_reuseport_without_support_raises(self, monkeypatch):
-        import repro.service.shard.fleet as fleet_mod
-
-        monkeypatch.setattr(
-            fleet_mod, "reuseport_available", lambda: False
-        )
-
-        async def body():
-            fleet = fleet_mod.LocalFleet(shards=1, workers=1)
-            with pytest.raises(RuntimeError, match="SO_REUSEPORT"):
-                await fleet.start(reuseport_port=0)
 
         run(body())

@@ -133,6 +133,22 @@ class TestReplayArguments:
         assert code == 2
         assert "simulation parameters" in capsys.readouterr().err
 
+    def test_replay_refuses_an_edited_entry(self, capsys, tmp_path):
+        # The header's decision digest still matches; only one arrival's
+        # deadline changed.  Refused before any connection is made.
+        trace = tmp_path / "trace.jsonl"
+        assert run_sim(capsys, "--emit-trace", str(trace))[0] == 0
+        lines = trace.read_text().splitlines()
+        entry = json.loads(lines[1 + 5])
+        entry["deadline_s"] = 0.001
+        lines[1 + 5] = json.dumps(entry, sort_keys=True)
+        trace.write_text("\n".join(lines) + "\n")
+        code = main(["bench-serve", "--replay", str(trace), "--port", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert "entry 5 differs" in err
+
 
 class TestSimSloOutput:
     def test_table_mode_prints_grep_able_slo_lines(self, capsys):

@@ -529,6 +529,38 @@ class TestServeFlagValidation:
         assert blocker.read_text() == "a regular file"
 
 
+class TestServeFlagsDoc:
+    def test_flags_table_matches_the_parser(self):
+        # docs/service.md's "## Flags" table names every `repro serve`
+        # option, and no option the parser does not have.
+        import argparse
+        import re
+
+        from repro import cli
+
+        doc = Path(__file__).parent.parent / "docs" / "service.md"
+        section = doc.read_text().split("\n## Flags\n", 1)[1]
+        table = section.strip().split("\n\n", 1)[0]
+        rows = [
+            line.split("|")[1]
+            for line in table.splitlines()
+            if line.startswith("| `")
+        ]
+        documented = set(re.findall(r"--[a-z][a-z-]*", " ".join(rows)))
+        (commands,) = [
+            action
+            for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        parsed = {
+            option
+            for action in commands.choices["serve"]._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        }
+        assert documented == parsed
+
+
 class TestPolicyChoicesSync:
     def test_cli_mirror_matches_the_online_registry(self):
         # serve and sim both offer exactly the spellings
@@ -673,6 +705,10 @@ OUT_OF_BOUNDS = [
     (["bench-serve", "--duration", "0"], "--duration"),
     (["bench-serve", "--workers", "0"], "--workers"),
     (["bench-serve", "--window", "0"], "--window"),
+    # Flags of the deleted cross-process fleet: argparse refuses them.
+    (["serve", "--shard-id", "1"], "--shard-id"),
+    (["serve", "--budget-file", "F"], "--budget-file"),
+    (["serve", "--reuseport"], "--reuseport"),
 ]
 
 
