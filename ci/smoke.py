@@ -70,6 +70,17 @@ def http_get(port: int, path: str) -> str:
         return reply.read().decode()
 
 
+def post_raw(port: int, body: dict) -> bytes:
+    """``POST /solve`` of *body*; the raw response body."""
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}/solve",
+        json.dumps(body).encode(),
+        {"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=30) as reply:
+        return reply.read()
+
+
 def kill_group(proc: subprocess.Popen) -> None:
     """SIGKILL the process group *proc* leads, then reap *proc*."""
     with contextlib.suppress(ProcessLookupError):
@@ -278,15 +289,19 @@ def service(ws: Workspace) -> None:
         body = make_bodies(0, 1, n_min=20, n_max=20)[0]
         units = parse_solve_request(body, "ci").cost_units
         check(units > INLINE_UNITS, "the n = 20 body is not inline", units)
-        request = urllib.request.Request(
-            f"http://127.0.0.1:{port}/solve",
-            json.dumps(body).encode(),
-            {"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=30) as reply:
-            solved = json.load(reply)
+        solved = json.loads(post_raw(port, body))
         check(solved["status"] == "done", "the pool-bound solve is done", solved)
         text, payload = ws.scrape(port)
+        # One new body twice: solved, then answered from the cache with
+        # the same solution text.  Sent after the scrape, so the counts
+        # above stay those of the load.
+        twice = make_bodies(1, 1, n_min=5, n_max=5)[0]
+        twice["instance"]["tasks"][0]["name"] = "smoke-twice"
+        replies = [post_raw(port, twice) for _ in range(2)]
+        caches = [json.loads(raw)["cache"] for raw in replies]
+        check(caches == ["miss", "hit"], "a repeated body misses, then hits", caches)
+        solutions = [raw.partition(b'"solution": ')[2] for raw in replies]
+        check(solutions[0] == solutions[1], "the hit repeats the solution text", replies)
     counters, runtime = payload["counters"], payload["runtime"]
     total = solve_total(counters)
     check(total == 401, "solve.total counts all 401 requests", total)

@@ -37,14 +37,26 @@ def atomic_write_json(path: Path | str, obj, *, indent: int | None = None):
         raise
 
 
+def _size(path: Path) -> int:
+    """*path*'s size in bytes; 0 if it is not there."""
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0
+
+
 class JsonStore:
     """Entries ``<dir>/<key>.json`` holding ``{"format", "key", "value"}``.
 
     An unusable directory raises :class:`OSError` at construction; after
     that, every failure (missing file, torn write, bad JSON, wrong
     schema, a disagreeing embedded key) reads as a miss and a failed
-    write is dropped.  With *max_bytes*, each put prunes entries
-    least-recently-used first (by mtime; a hit touches its entry).
+    write is dropped.  With *max_bytes*, the store keeps a running total
+    of resident bytes: one scan seeds it, each put adds its own size
+    (less the size of a file it overwrote), and a put that takes it past
+    the budget prunes entries least-recently-used first (by mtime; a hit
+    touches its entry), which rescans and resets the total.  Other
+    stores' puts into the same directory are seen only at that rescan.
     """
 
     def __init__(
@@ -55,6 +67,9 @@ class JsonStore:
         self.directory = Path(directory)
         self.max_bytes = max_bytes
         self.directory.mkdir(parents=True, exist_ok=True)
+        #: Resident bytes as this store counts them; ``None`` until the
+        #: first budgeted put scans the directory.
+        self._resident: int | None = None
 
     def get(self, key: str) -> dict | None:
         """The stored value, or ``None`` on miss/corruption."""
@@ -76,12 +91,19 @@ class JsonStore:
         """Store *value* under *key*: the entry path, or ``None`` if dropped."""
         path = self.directory / f"{key}.json"
         entry = {"format": STORE_FORMAT, "key": key, "value": value}
+        counted = self.max_bytes is not None and self._resident is not None
+        replaced = _size(path) if counted else 0
         try:
             atomic_write_json(path, entry)
         except OSError:
             return None
         if self.max_bytes is not None:
-            self.prune()
+            if counted:
+                self._resident += _size(path) - replaced
+            else:
+                self._resident = sum(size for _, size, _ in self._entries())
+            if self._resident > self.max_bytes:
+                self.prune()
         return path
 
     def _entries(self) -> list[tuple[float, int, Path]]:
@@ -107,6 +129,7 @@ class JsonStore:
                 path.unlink()
             total -= size
             evicted += 1
+        self._resident = total
         return evicted
 
     def stats(self) -> dict:

@@ -6,8 +6,9 @@ content-addressed :class:`~repro._store.JsonStore` per result, named by
 a content hash of everything the result depends on:
 
 * the experiment name,
-* the resolved run parameters (canonically serialised, so two dicts with
-  the same items in different insertion order produce the same key),
+* the resolved run parameters (canonically serialised by
+  :func:`canonical_json`, so two dicts with the same items in different
+  insertion order produce the same key),
 * the seed (``None`` means "the experiment's built-in default"),
 * a code-version fingerprint covering every ``.py`` file in the
   ``repro`` package — *any* source edit invalidates *every* entry.
@@ -29,8 +30,10 @@ from repro.analysis.tables import ExperimentTable
 
 __all__ = [
     "cache_key",
+    "canonical_json",
     "code_fingerprint",
     "default_cache_dir",
+    "envelope_key",
     "load",
     "store",
 ]
@@ -70,19 +73,16 @@ def code_fingerprint() -> str:
     return _FINGERPRINT
 
 
-def _canonical(value):
-    """Reduce *value* to JSON-stable primitives (tuples become lists)."""
-    if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, (str, bool)) or value is None:
-        return value
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, int):
-        return int(value)
-    return repr(value)
+def canonical_json(value) -> str:
+    """The key scheme's JSON text of *value*: compact, key-sorted.
+
+    Tuples encode as lists and a value JSON cannot encode as its
+    ``repr``.  Dict keys must be strings; every caller's are (run
+    parameters and parsed request bodies).
+    """
+    return json.dumps(
+        value, sort_keys=True, separators=(",", ":"), default=repr
+    )
 
 
 def cache_key(
@@ -92,18 +92,28 @@ def cache_key(
     code_version: str | None = None,
 ) -> str:
     """Content hash identifying one experiment result."""
+    return envelope_key(experiment, canonical_json(params), seed, code_version)
+
+
+def envelope_key(
+    experiment: str,
+    params_json: str,
+    seed: int | None = None,
+    code_version: str | None = None,
+) -> str:
+    """:func:`cache_key` around params encoded by :func:`canonical_json`.
+
+    The envelope is spliced in the key order ``canonical_json`` sorts
+    it into, so the hash matches encoding the whole envelope at once.
+    """
     if code_version is None:
         code_version = code_fingerprint()
-    payload = json.dumps(
-        {
-            "format": CACHE_FORMAT,
-            "experiment": experiment,
-            "params": _canonical(params),
-            "seed": _canonical(seed),
-            "code": code_version,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+    payload = (
+        f'{{"code":{json.dumps(code_version)},'
+        f'"experiment":{json.dumps(experiment)},'
+        f'"format":{CACHE_FORMAT},'
+        f'"params":{params_json},'
+        f'"seed":{canonical_json(seed)}}}'
     )
     return hashlib.sha256(payload.encode()).hexdigest()
 

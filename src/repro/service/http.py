@@ -145,7 +145,8 @@ async def write_response(
 
     *payload* is a JSON-able dict (the common case), a pre-rendered
     text string (the Prometheus exposition), or a raw
-    ``(body_bytes, content_type)`` pair (the router's proxy path, which
+    ``(body_bytes, content_type)`` pair (a solved request's body, spliced
+    around its stored solution text, and the router's proxy path, which
     must forward shard responses byte for byte).
     """
     if isinstance(payload, tuple):

@@ -20,7 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
+
+from repro.runner.cache import canonical_json
+from repro.service.cache import solve_key
+from repro.service.worker import rand_reject_seed
 
 __all__ = [
     "EXACT_SOLVERS",
@@ -135,7 +140,8 @@ class SolveRequest:
         Server-assigned identifier (also the admission task's name).
     instance:
         The :func:`repro.io.instance_to_dict` payload, passed through to
-        the worker untouched (it is also the cache key's content).
+        the worker untouched (it is also the cache key's content, encoded
+        once as :attr:`instance_json`).
     algorithm, eps:
         Solver choice; ``eps`` only matters for ``fptas``.
     deadline_s:
@@ -184,14 +190,31 @@ class SolveRequest:
             and self.cost_units <= INLINE_UNITS
         )
 
+    @cached_property
+    def instance_json(self) -> str:
+        """The instance's canonical JSON, encoded once per request.
+
+        Both the cache key and the ``rand_reject`` seed are hashed
+        around this one string.
+        """
+        return canonical_json(self.instance)
+
+    @cached_property
+    def cache_key(self) -> str:
+        """The result-cache key of this solve."""
+        return solve_key(self.instance_json, self.algorithm, self.eps)
+
     def worker_payload(self) -> dict[str, Any]:
         """The picklable payload a solve runs from, pooled or inline."""
-        return {
+        payload = {
             "req_id": self.req_id,
             "instance": self.instance,
             "algorithm": self.algorithm,
             "eps": self.eps,
         }
+        if self.algorithm == "rand_reject":
+            payload["seed"] = rand_reject_seed(self.instance_json)
+        return payload
 
 
 def _positive_number(body: dict, key: str, default: float) -> float:

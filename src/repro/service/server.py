@@ -7,7 +7,9 @@ REJECT-MIN loop in miniature:
 1. ``POST /solve`` carries an :func:`repro.io.instance_to_dict` payload
    plus solver choice, client deadline, and weight;
 2. a content-addressed cache (:mod:`repro.service.cache`, keyed exactly
-   like the experiment runner's) answers repeats without solving;
+   like the experiment runner's) answers repeats without solving; the
+   instance is encoded once per request, for the key, and a hit is
+   answered from the solution text stored when it was solved;
 3. the admission controller (:mod:`repro.service.admission`) prices the
    request's estimated work against the pool's measured capacity with a
    real :class:`~repro.core.rejection.online.OnlinePolicy` — saturation
@@ -277,7 +279,7 @@ class SolveService:
 
     async def _route(
         self, method: str, path: str, body: bytes
-    ) -> tuple[int, dict | str, dict[str, str] | None]:
+    ) -> tuple[int, dict | str | tuple[bytes, str], dict[str, str] | None]:
         path, _, query = path.partition("?")
         route = route_of(path)
         endpoint = "/result" if route == "/result/" else route
@@ -327,7 +329,7 @@ class SolveService:
         query: str,
         body: bytes,
         req_id: str | None,
-    ) -> tuple[int, dict | str]:
+    ) -> tuple[int, dict | str | tuple[bytes, str]]:
         refused = refusal(method, route)
         if refused is not None:
             return refused
@@ -448,7 +450,9 @@ class SolveService:
 
     # -- the solve path -------------------------------------------------
 
-    async def _solve(self, body: bytes, req_id: str) -> tuple[int, dict]:
+    async def _solve(
+        self, body: bytes, req_id: str
+    ) -> tuple[int, dict | tuple[bytes, str]]:
         self._emit("service.solve", total=1)
         try:
             parsed = json.loads(body.decode() or "null")
@@ -456,16 +460,10 @@ class SolveService:
         except (RequestError, ValueError) as exc:
             self._emit("service.solve", invalid=1)
             return 400, {"status": "error", "id": req_id, "error": str(exc)}
-        key = self._cache.key(request.instance, request.algorithm, request.eps)
-        cached = self._cache.get(key)
+        cached = self._cache.get(request.cache_key)
         if cached is not None:
             self._emit("service.solve", cached=1)
-            return 200, {
-                "status": "done",
-                "id": request.req_id,
-                "cache": "hit",
-                "solution": cached,
-            }
+            return 200, _done(request.req_id, "hit", cached)
         if self._draining:
             self._emit("service.solve", unavailable=1)
             return 503, {"status": "error", "id": req_id, "error": "draining"}
@@ -499,11 +497,11 @@ class SolveService:
                     )
                 )
         if request.inline:
-            return self._solve_inline(request, key)
+            return self._solve_inline(request)
         loop = asyncio.get_running_loop()
         future = loop.create_future()
         self._queued[request.req_id] = future
-        task = loop.create_task(self._solve_pooled(request, key, future))
+        task = loop.create_task(self._solve_pooled(request, future))
         self._dispatches.add(task)
         task.add_done_callback(self._dispatches.discard)
         if request.mode == "async":
@@ -515,8 +513,8 @@ class SolveService:
         return status, payload
 
     def _solve_inline(
-        self, request: SolveRequest, cache_key: str
-    ) -> tuple[int, dict]:
+        self, request: SolveRequest
+    ) -> tuple[int, dict | tuple[bytes, str]]:
         """Solve an admitted request on the event-loop thread.
 
         The venue rule lives in :attr:`SolveRequest.inline`: the solve
@@ -534,9 +532,9 @@ class SolveService:
         with span("service.batch", requests=1, venue="inline"):
             result = worker_mod.solve_payload(payload)
         self._emit("service.solve", inline=1)
-        return self._settle(request.req_id, cache_key, result)
+        return self._settle(request, result)
 
-    def _result(self, req_id: str) -> tuple[int, dict]:
+    def _result(self, req_id: str) -> tuple[int, dict | tuple[bytes, str]]:
         future = self._tickets.get(req_id)
         if future is None:
             return 404, {"status": "error", "error": f"unknown id {req_id!r}"}
@@ -548,7 +546,7 @@ class SolveService:
     # -- pool dispatch --------------------------------------------------
 
     async def _solve_pooled(
-        self, request: SolveRequest, cache_key: str, future: asyncio.Future
+        self, request: SolveRequest, future: asyncio.Future
     ) -> None:
         """Wait for a dispatch slot, solve on the pool, resolve *future*.
 
@@ -566,7 +564,7 @@ class SolveService:
             with span("service.batch", requests=1):
                 result = await self._pool_round_trip(payload)
             try:
-                reply = self._settle(request.req_id, cache_key, result)
+                reply = self._settle(request, result)
             except Exception as exc:  # noqa: BLE001 - the waiter needs a reply
                 self._emit("service.errors", internal=1)
                 reply = 500, {
@@ -607,13 +605,15 @@ class SolveService:
         }
 
     def _settle(
-        self, req_id: str, cache_key: str | None, result: dict
-    ) -> tuple[int, dict]:
+        self, request: SolveRequest, result: dict
+    ) -> tuple[int, dict | tuple[bytes, str]]:
         """Account for one finished solve and build its reply.
 
         Releases the lease, merges the solve's counters, re-emits its
-        spans and caches a success, whichever venue ran it.
+        spans and caches a success, whichever venue ran it.  A success
+        is answered from the text the cache stored.
         """
+        req_id = request.req_id
         self._controller.release(req_id)
         counters = result.get("counters")
         if counters:
@@ -621,15 +621,8 @@ class SolveService:
         for record in result.get("spans") or ():
             emit_record(record)
         if result["ok"]:
-            solution = result["solution"]
-            if cache_key is not None:
-                self._cache.put(cache_key, solution)
-            return 200, {
-                "status": "done",
-                "id": req_id,
-                "cache": "miss",
-                "solution": solution,
-            }
+            text = self._cache.put(request.cache_key, result["solution"])
+            return 200, _done(req_id, "miss", text)
         kind = result.get("error_kind", "solver")
         self._emit("service.solve", failed=1)
         return 400 if kind == "bad_request" else 500, {
@@ -637,3 +630,18 @@ class SolveService:
             "id": req_id,
             "error": result.get("error", "solve failed"),
         }
+
+
+def _done(req_id: str, cache: str, solution_json: str) -> tuple[bytes, str]:
+    """The encoded ``200`` body of a solved request, around its solution text.
+
+    Byte for byte ``json.dumps(payload, sort_keys=True) + "\n"`` of
+    ``{"status": "done", "id": req_id, "cache": cache, "solution":
+    solution}``, where *solution_json* is ``json.dumps(solution,
+    sort_keys=True)``: the keys are spliced in sorted order.
+    """
+    body = (
+        f'{{"cache": "{cache}", "id": {json.dumps(req_id)}, '
+        f'"solution": {solution_json}, "status": "done"}}\n'
+    )
+    return body.encode(), "application/json"

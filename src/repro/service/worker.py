@@ -25,11 +25,30 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 from repro.obs import counters as obs_counters
 from repro.obs import trace as obs_trace
 
-__all__ = ["calibrate", "solve_payload"]
+__all__ = ["calibrate", "rand_reject_seed", "solve_payload"]
+
+
+def rand_reject_seed(instance_json: str) -> int:
+    """The ``rand_reject`` stream seed of an instance.
+
+    *instance_json* is the instance's
+    :func:`~repro.runner.cache.canonical_json`.  The seed depends on the
+    instance content alone (no code fingerprint), so identical payloads
+    produce identical results in every worker process and across source
+    edits.
+    """
+    from repro.runner.cache import envelope_key
+
+    key = envelope_key("service:rand_reject", instance_json, code_version="")
+    return int(key[:8], 16)
 
 
 def solve_payload(payload: dict[str, Any]) -> dict[str, Any]:
     """Solve one request payload; never raises.
+
+    A ``rand_reject`` payload may carry its ``"seed"``
+    (:meth:`~repro.service.models.SolveRequest.worker_payload` adds it);
+    without one the seed is derived from the instance here.
 
     Returns ``{"req_id", "ok", "solution" | "error"/"error_kind",
     "counters", "spans", "seconds"}``.  ``error_kind`` is
@@ -104,7 +123,7 @@ _NULL_CTX = _NullCtx()
 def _solve_one(payload: dict[str, Any]):
     """The actual solve, shared by traced and untraced paths."""
     from repro.io import instance_from_dict
-    from repro.runner.cache import cache_key
+    from repro.runner.cache import canonical_json
     from repro.service.models import RequestError, resolve_solver
 
     problem = instance_from_dict(payload["instance"])
@@ -115,13 +134,9 @@ def _solve_one(payload: dict[str, Any]):
     if algorithm == "rand_reject":
         if np is None:  # pragma: no cover - no-numpy CI job
             raise RequestError("rand_reject requires numpy on the server")
-        # Deterministic: derive the stream from the instance content alone
-        # (no code fingerprint), so identical payloads produce identical
-        # results in every worker process and across source edits.
-        key = cache_key(
-            "service:rand_reject", payload["instance"], code_version=""
-        )
-        seed = int(key[:8], 16)
+        seed = payload.get("seed")
+        if seed is None:
+            seed = rand_reject_seed(canonical_json(payload["instance"]))
         return solver(problem, rng=np.random.default_rng(seed))
     return solver(problem)
 

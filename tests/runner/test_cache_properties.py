@@ -9,15 +9,18 @@ truncated, or wrong-format entries.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import given
 
 from repro._store import STORE_FORMAT
 from repro.analysis.tables import ExperimentTable
 from repro.runner import cache
-from repro.runner.cache import cache_key
+from repro.runner.cache import CACHE_FORMAT, cache_key
+from repro.service.cache import ResultCache
 
 #: JSON-ish parameter values the experiments actually pass.
 param_values = st.one_of(
@@ -31,6 +34,99 @@ param_values = st.one_of(
 
 param_dicts = st.dictionaries(
     st.text(min_size=1, max_size=15), param_values, max_size=6
+)
+
+#: Leaves of the oracle property: every JSON scalar, the floats JSON
+#: spells specially, a float subclass, and numpy scalars json cannot
+#: encode.
+key_leaves = st.one_of(
+    st.integers(),
+    st.floats(),  # nan and +-inf included
+    st.just(-0.0),
+    st.text(max_size=10),
+    st.booleans(),
+    st.none(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+#: Nested str-keyed values with tuples: what params and parsed request
+#: bodies hold.
+key_values = st.recursive(
+    key_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def _oracle_canonical(value):
+    """Frozen copy of the key scheme's original canonicaliser."""
+    if isinstance(value, dict):
+        return {str(k): _oracle_canonical(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_oracle_canonical(v) for v in value]
+    if isinstance(value, (str, bool)) or value is None:
+        return value
+    if isinstance(value, float):
+        return float(value)
+    if isinstance(value, int):
+        return int(value)
+    return repr(value)
+
+
+def _oracle_key(experiment, params, seed=None, code_version=None):
+    """Frozen copy of the original ``cache_key``: the bytes keys must keep."""
+    if code_version is None:
+        code_version = cache.code_fingerprint()
+    payload = json.dumps(
+        {
+            "format": CACHE_FORMAT,
+            "experiment": experiment,
+            "params": _oracle_canonical(params),
+            "seed": _oracle_canonical(seed),
+            "code": code_version,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+#: One ``repro bench-serve`` body (``make_bodies(7, 1, n_min=3,
+#: n_max=3)``), frozen.
+SERVICE_BODY = {
+    "instance": {
+        "schema_version": 1,
+        "tasks": [
+            {"name": "t0", "cycles": 0.7112681289287633,
+             "penalty": 0.6402004526147252},
+            {"name": "t1", "cycles": 0.6410237071446717,
+             "penalty": 0.7607520143369599},
+            {"name": "t2", "cycles": 0.322841817173099,
+             "penalty": 0.2429812931267842},
+        ],
+        "energy_fn": {
+            "kind": "continuous",
+            "deadline": 1.0,
+            "power_model": {
+                "kind": "polynomial", "beta0": 0.08, "beta1": 1.52,
+                "alpha": 3.0, "s_min": 0.0, "s_max": 1.0,
+            },
+        },
+    },
+    "algorithm": "greedy_marginal",
+    "eps": 0.1,
+}
+
+#: Its key at code version ``"f" * 64``, as the stores hold it.
+SERVICE_BODY_KEY = (
+    "fee8be7bc3ae6564633146707d72a38805ad80fdff15df4fd1f5b8f5854c7788"
 )
 
 
@@ -82,8 +178,8 @@ class TestKeyCanonicalisation:
     def test_distinct_params_never_collide(self, params_a, params_b, seed):
         key_a = cache_key("fig_r1", params_a, seed)
         key_b = cache_key("fig_r1", params_b, seed)
-        canon_a = json.dumps(cache._canonical(params_a), sort_keys=True)
-        canon_b = json.dumps(cache._canonical(params_b), sort_keys=True)
+        canon_a = json.dumps(_oracle_canonical(params_a), sort_keys=True)
+        canon_b = json.dumps(_oracle_canonical(params_b), sort_keys=True)
         assert (key_a == key_b) == (canon_a == canon_b)
 
     def test_quick_and_full_are_distinct_entries(self):
@@ -95,6 +191,37 @@ class TestKeyCanonicalisation:
         params = {"quick": True}
         assert cache_key("fig_r1", params, 0, code_version="aaa") != cache_key(
             "fig_r1", params, 0, code_version="bbb"
+        )
+
+
+class TestKeyBytes:
+    """Keys name stored entries, so their bytes must never move."""
+
+    @given(
+        experiment=st.text(max_size=12),
+        params=key_values,
+        seed=st.one_of(st.none(), st.integers()),
+        code=st.text(max_size=12),
+    )
+    def test_key_equals_the_original_scheme(
+        self, experiment, params, seed, code
+    ):
+        assert cache_key(experiment, params, seed, code) == _oracle_key(
+            experiment, params, seed, code
+        )
+
+    def test_service_body_key_is_pinned(self, monkeypatch):
+        monkeypatch.setattr(cache, "_FINGERPRINT", "f" * 64)
+        instance = SERVICE_BODY["instance"]
+        params = {"instance": instance, "eps": 0.1}
+        assert _oracle_key("service:greedy_marginal", params) == (
+            SERVICE_BODY_KEY
+        )
+        assert cache_key("service:greedy_marginal", params) == (
+            SERVICE_BODY_KEY
+        )
+        assert ResultCache.key(instance, "greedy_marginal", 0.1) == (
+            SERVICE_BODY_KEY
         )
 
 

@@ -41,8 +41,8 @@ class TestLru:
         cache = ResultCache()
         key = ResultCache.key(INSTANCE, "fptas", 0.1)
         assert cache.get(key) is None
-        cache.put(key, {"cost": 1.0})
-        assert cache.get(key) == {"cost": 1.0}
+        assert cache.put(key, {"cost": 1.0}) == '{"cost": 1.0}'
+        assert cache.get(key) == '{"cost": 1.0}'
         assert cache.stats() == {
             "entries": 1,
             "max_entries": 4096,
@@ -66,7 +66,7 @@ class TestLru:
         cache.put("a", {"v": 1})
         cache.put("a", {"v": 2})
         assert len(cache) == 1
-        assert cache.get("a") == {"v": 2}
+        assert cache.get("a") == '{"v": 2}'
 
     def test_max_entries_validated(self):
         with pytest.raises(ValueError, match="max_entries"):
@@ -164,6 +164,57 @@ class TestDiskTier:
         assert tier.get("k1") == {"v": 1}
         assert tier.stats()["entries"] == 1
 
+    @staticmethod
+    def _count_scans(tier, monkeypatch) -> list:
+        scans = []
+        entries = tier._entries
+        monkeypatch.setattr(
+            tier, "_entries", lambda: scans.append(1) or entries()
+        )
+        return scans
+
+    def test_puts_under_budget_cost_one_scan(self, tmp_path, monkeypatch):
+        tier = JsonStore(tmp_path, max_bytes=10**9)
+        scans = self._count_scans(tier, monkeypatch)
+        for index in range(50):
+            tier.put(f"k{index}", {"v": index})
+        assert len(scans) == 1
+        assert tier.stats()["entries"] == 50
+
+    def test_overwrite_counts_the_replaced_size(self, tmp_path, monkeypatch):
+        tier = JsonStore(tmp_path)
+        tier.put("k0", {"v": 0})
+        # Two entries fit.  Counting the overwritten k0 twice would take
+        # the total past the budget at the k1 put and rescan.
+        tier.max_bytes = 2 * (tmp_path / "k0.json").stat().st_size
+        scans = self._count_scans(tier, monkeypatch)
+        tier.put("k0", {"v": 1})
+        tier.put("k0", {"v": 2})
+        tier.put("k1", {"v": 3})
+        assert len(scans) == 1
+        assert tier.get("k0") == {"v": 2}
+        assert tier.get("k1") == {"v": 3}
+
+    def test_stores_sharing_a_directory_stay_within_the_stated_bound(
+        self, tmp_path
+    ):
+        # docs/service.md: N stores on one directory hold at most
+        # N x max_bytes between rescans, and a rescan evicts back under
+        # max_bytes.
+        probe = JsonStore(tmp_path / "probe")
+        probe.put("k", {"v": 0, "pad": "x" * 64})
+        entry = (tmp_path / "probe" / "k.json").stat().st_size
+        budget = 10 * entry
+        stores = [
+            JsonStore(tmp_path / "shared", max_bytes=budget) for _ in range(2)
+        ]
+        for index in range(200):
+            stores[index % 2].put(f"k{index}", {"v": index, "pad": "x" * 64})
+            resident = stores[0].stats()["bytes"]
+            assert resident <= len(stores) * budget
+        stores[0].prune()
+        assert stores[0].stats()["bytes"] <= budget
+
     def test_failed_write_is_dropped_and_leaves_no_temp_file(self, tmp_path):
         tier = JsonStore(tmp_path)
         (tmp_path / "k1.json").mkdir()  # the rename onto it must fail
@@ -187,11 +238,11 @@ class TestTwoTier:
         first = ResultCache(disk_dir=tmp_path)
         first.put("k1", {"cost": 1.0})
         second = ResultCache(disk_dir=tmp_path)
-        assert second.get("k1") == {"cost": 1.0}
+        assert second.get("k1") == '{"cost": 1.0}'
         assert second.disk_hits == 1
         assert second.hits == 0
         # Promoted: the repeat is a pure memory hit.
-        assert second.get("k1") == {"cost": 1.0}
+        assert second.get("k1") == '{"cost": 1.0}'
         assert second.hits == 1
         assert second.disk_hits == 1
 

@@ -18,9 +18,11 @@ from repro.service import SolveService
 from repro.service import worker as worker_mod
 from repro.service.http import HttpFront
 from repro.service.loadgen import http_json, make_bodies
+from repro.service.models import parse_solve_request
 from repro.service.shard import ShardRouter
 
 from tests.io.test_multiproc_roundtrip import _multiproc_problem
+from tests.runner.test_cache_properties import SERVICE_BODY
 from tests.service.conftest import BIG, park_pool, run
 
 #: Solve outcomes that partition ``service.solve.total``.
@@ -230,6 +232,22 @@ class TestSolvePath:
             assert reply["ok"], reply
             solutions.append(reply["solution"])
         assert solutions[0] == solutions[1] == solutions[2]
+
+    def test_rand_reject_seed_is_pinned(self):
+        # The seed is hashed around the request's one instance encoding;
+        # a payload without one derives the same seed in the worker.
+        instance = dict(SERVICE_BODY["instance"], processors=2)
+        request = parse_solve_request(
+            {"instance": instance, "algorithm": "rand_reject"}, "r1"
+        )
+        payload = request.worker_payload()
+        assert payload["seed"] == 4079892612
+        unseeded = {k: v for k, v in payload.items() if k != "seed"}
+        seeded_reply = worker_mod.solve_payload(payload)
+        assert seeded_reply["ok"], seeded_reply
+        assert seeded_reply["solution"] == (
+            worker_mod.solve_payload(unseeded)["solution"]
+        )
 
     def test_worker_rejects_bad_instance_payload_with_400(self):
         async def body():
