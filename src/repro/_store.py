@@ -37,12 +37,12 @@ def atomic_write_json(path: Path | str, obj, *, indent: int | None = None):
         raise
 
 
-def _size(path: Path) -> int:
-    """*path*'s size in bytes; 0 if it is not there."""
+def _size(path: Path) -> int | None:
+    """*path*'s size in bytes; None if it is not there."""
     try:
         return path.stat().st_size
     except OSError:
-        return 0
+        return None
 
 
 class JsonStore:
@@ -51,11 +51,13 @@ class JsonStore:
     An unusable directory raises :class:`OSError` at construction; after
     that, every failure (missing file, torn write, bad JSON, wrong
     schema, a disagreeing embedded key) reads as a miss and a failed
-    write is dropped.  With *max_bytes*, the store keeps a running total
-    of resident bytes: one scan seeds it, each put adds its own size
-    (less the size of a file it overwrote), and a put that takes it past
-    the budget prunes entries least-recently-used first (by mtime; a hit
-    touches its entry), which rescans and resets the total.  Other
+    write is dropped.  The store keeps running totals of resident
+    entries and bytes: one scan seeds them (the first budgeted put, or
+    the first :meth:`stats`), and after that each put adds its own size
+    (less the size of a file it overwrote) and, when it creates a file,
+    one entry.  With *max_bytes*, a put that takes the total past the
+    budget prunes entries least-recently-used first (by mtime; a hit
+    touches its entry), which rescans and resets both totals.  Other
     stores' puts into the same directory are seen only at that rescan.
     """
 
@@ -67,9 +69,10 @@ class JsonStore:
         self.directory = Path(directory)
         self.max_bytes = max_bytes
         self.directory.mkdir(parents=True, exist_ok=True)
-        #: Resident bytes as this store counts them; ``None`` until the
-        #: first budgeted put scans the directory.
+        #: Resident bytes and entries as this store counts them; ``None``
+        #: until a scan seeds them (see the class docstring).
         self._resident: int | None = None
+        self._count: int | None = None
 
     def get(self, key: str) -> dict | None:
         """The stored value, or ``None`` on miss/corruption."""
@@ -91,20 +94,25 @@ class JsonStore:
         """Store *value* under *key*: the entry path, or ``None`` if dropped."""
         path = self.directory / f"{key}.json"
         entry = {"format": STORE_FORMAT, "key": key, "value": value}
-        counted = self.max_bytes is not None and self._resident is not None
-        replaced = _size(path) if counted else 0
+        counted = self._resident is not None
+        replaced = _size(path) if counted else None
         try:
             atomic_write_json(path, entry)
         except OSError:
             return None
-        if self.max_bytes is not None:
-            if counted:
-                self._resident += _size(path) - replaced
-            else:
-                self._resident = sum(size for _, size, _ in self._entries())
-            if self._resident > self.max_bytes:
-                self.prune()
+        if counted:
+            self._resident += (_size(path) or 0) - (replaced or 0)
+            self._count += replaced is None
+        elif self.max_bytes is not None:
+            self._seed(self._entries())
+        if self.max_bytes is not None and self._resident > self.max_bytes:
+            self.prune()
         return path
+
+    def _seed(self, entries: list[tuple[float, int, Path]]) -> None:
+        """Reset the running totals to those of a fresh scan."""
+        self._resident = sum(size for _, size, _ in entries)
+        self._count = len(entries)
 
     def _entries(self) -> list[tuple[float, int, Path]]:
         """``(mtime, size, path)`` per entry, skipping vanished files."""
@@ -129,15 +137,20 @@ class JsonStore:
                 path.unlink()
             total -= size
             evicted += 1
-        self._resident = total
+        self._seed(entries[evicted:])
         return evicted
 
     def stats(self) -> dict:
-        """JSON-ready snapshot (entry count and resident bytes)."""
-        sizes = [size for _, size, _ in self._entries()]
+        """JSON-ready snapshot (entry count and resident bytes).
+
+        Read from the running totals, so only the first call (when no
+        put has seeded them) scans the directory.
+        """
+        if self._resident is None:
+            self._seed(self._entries())
         return {
             "dir": str(self.directory),
-            "entries": len(sizes),
-            "bytes": sum(sizes),
+            "entries": self._count,
+            "bytes": self._resident,
             "max_bytes": self.max_bytes,
         }

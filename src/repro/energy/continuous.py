@@ -36,7 +36,7 @@ class ContinuousEnergyFunction(EnergyFunction):
         constant offset.
     """
 
-    #: True when :meth:`energy_many` may run its flat loop (see there).
+    #: True when the model and class admit :meth:`flat_terms` (see there).
     _flat = False
 
     def __init__(
@@ -101,28 +101,51 @@ class ContinuousEnergyFunction(EnergyFunction):
         dynamic = (workload / speed) * self._model._dynamic_power(speed)
         return dynamic + self._floor
 
-    def energy_many(self, workloads: Iterable[float]) -> list[float]:
-        """:meth:`EnergyFunction.energy_many`, as one flat loop when it can.
+    def flat_terms(
+        self,
+    ) -> tuple[float, float, float, float, float, float, float] | None:
+        """``(limit, D, s_min, s_max, beta1, alpha, floor)``, or None.
 
-        On a model that :func:`~repro.power.polynomial.prices_as_polynomial`
-        (and with ``_energy`` and ``_speed`` not overridden) the chain
-        ``_check_workload`` fast path → :meth:`_speed` →
-        ``_clamp_speed`` → ``_dynamic_power`` is inlined, with the
-        deadline, speed range, ``beta1``/``alpha`` and floor hoisted.
-        Each element does :meth:`_energy`'s float operations in the same
-        order, so the results are bit-identical and a bad element raises
-        what the scalar call raises.  Any other model, a subclass that
-        reprices, or an instance whose ``_energy``/``_speed`` was
-        replaced (which :meth:`energy` would call) takes the base loop.
+        The constants of ``g`` on a model that
+        :func:`~repro.power.polynomial.prices_as_polynomial` (with
+        ``_energy`` and ``_speed`` not overridden), where
+        ``g(W) = (W / s) * (beta1 * s**alpha) + floor`` at
+        ``s = clamp(W / D)`` for ``0 < W <= limit`` and ``floor`` at
+        ``W = 0`` or an underflowed ``s``.  Callers that price in bulk
+        (:meth:`energy_many`, the numpy kernel's ``energy_table``) and
+        :meth:`conjugate` read them here.  Any other model, a subclass
+        that reprices, or an instance whose ``_energy``/``_speed`` was
+        replaced (which :meth:`energy` would call) gets None.
         """
         own = self.__dict__
         if not self._flat or "_energy" in own or "_speed" in own:
-            return super().energy_many(workloads)
+            return None
         model = self._model
-        limit, check = self._limit, self._check_workload
-        deadline, floor = self._deadline, self._floor
-        s_min, s_max = model._s_min, model._s_max
-        beta1, alpha = model._beta1, model._alpha
+        return (
+            self._limit,
+            self._deadline,
+            model._s_min,
+            model._s_max,
+            model._beta1,
+            model._alpha,
+            self._floor,
+        )
+
+    def energy_many(self, workloads: Iterable[float]) -> list[float]:
+        """:meth:`EnergyFunction.energy_many`, as one flat loop when it can.
+
+        Where :meth:`flat_terms` gives the constants, the chain
+        ``_check_workload`` fast path → :meth:`_speed` →
+        ``_clamp_speed`` → ``_dynamic_power`` is inlined with them.
+        Each element does :meth:`_energy`'s float operations in the same
+        order, so the results are bit-identical and a bad element raises
+        what the scalar call raises.  Otherwise the base loop runs.
+        """
+        terms = self.flat_terms()
+        if terms is None:
+            return super().energy_many(workloads)
+        limit, deadline, s_min, s_max, beta1, alpha, floor = terms
+        model, check = self._model, self._check_workload
         out: list[float] = []
         append = out.append
         for w in workloads:
@@ -147,21 +170,20 @@ class ContinuousEnergyFunction(EnergyFunction):
     def conjugate(self, lam: float) -> tuple[float, float] | None:
         """:meth:`EnergyFunction.conjugate`, closed form on the stock model.
 
-        Where :meth:`energy_many` runs its flat loop, ``g`` is linear at
+        Where :meth:`flat_terms` gives the constants, ``g`` is linear at
         slope ``β1·s_min^(α−1)`` up to ``D·s_min`` and ``D·β1·(W/D)^α``
         above, so ``W* = D·clamp((λ/(αβ1))^(1/(α−1)))``, or 0 below that
         slope; the static floor shifts ``g*``.  Other models return None.
         """
-        if not self._flat:
+        terms = self.flat_terms()
+        if terms is None:
             return None
-        model = self._model
-        beta1, alpha, s_min = model._beta1, model._alpha, model._s_min
+        _, deadline, s_min, s_max, beta1, alpha, floor = terms
         if lam <= beta1 * s_min ** (alpha - 1.0):
-            return -self._floor, 0.0
+            return -floor, 0.0
         speed = (lam / (alpha * beta1)) ** (1.0 / (alpha - 1.0))
-        speed = min(max(speed, s_min), model._s_max)
-        deadline = self._deadline
-        return deadline * (lam * speed - beta1 * speed**alpha) - self._floor, (
+        speed = min(max(speed, s_min), s_max)
+        return deadline * (lam * speed - beta1 * speed**alpha) - floor, (
             deadline * speed
         )
 

@@ -3,19 +3,22 @@
 NumPy's per-call overhead exceeds a short python loop, so
 :class:`NumpyKernel` inherits :class:`~repro.kernels.pyref.PythonKernel`
 and overrides only what the crossover sweep in ``docs/kernels.md``
-("Where numpy pays") shows faster.  Sequence-returning ops are
-vectorised at every size, so callers always get an ``ndarray``;
-``marginal_best`` runs the inherited loop below :data:`VECTOR_MIN_LEN`
-candidates.  Every override reproduces the
-reference bit for bit (the contract in :mod:`repro.kernels.base`):
+("Where numpy pays") shows faster.  Sequence-returning ops always
+return an ``ndarray``; ``marginal_best`` runs the inherited loop below
+:data:`VECTOR_MIN_LEN` candidates, and ``energy_table`` the flat loop
+below :data:`ENERGY_VECTOR_MIN_LEN` workloads.  Every override
+reproduces the reference bit for bit (the contract in
+:mod:`repro.kernels.base`):
 
-* reductions use ``np.add.accumulate`` / elementwise float64 ops, which
-  round exactly like the reference's left-to-right loops;
-* stable sorts (``np.lexsort`` / ``kind="stable"``) replicate the
-  reference's tie-breaking;
-* energy tables go through ``energy_fn.energy_many`` on ``.tolist()``
-  floats, never ``np.float64`` (NumPy's elementwise ``**`` is not
-  bit-equal to CPython's).
+* elementwise float64 ops and running ``np.minimum``/``np.maximum``
+  accumulations round exactly like the reference's loops;
+* stable sorts (``kind="stable"``, and ``np.lexsort`` on tied keys)
+  replicate the reference's tie-breaking;
+* energy tables on the stock continuous curve are float64 array ops in
+  its flat loop's order, except the pow, which is ``math.pow`` per
+  element (``np.power`` is not bit-equal to CPython's ``**`` on every
+  SIMD target); other curves go through ``energy_fn.energy_many`` on
+  ``.tolist()`` floats, never ``np.float64``.
 
 This module must only be imported via :func:`repro.kernels.get_kernel`,
 which guards on NumPy availability.
@@ -23,11 +26,14 @@ which guards on NumPy availability.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
+from itertools import repeat
 
 import numpy as np
 
 from repro._validation import CAPACITY_RTOL
+from repro.energy import ContinuousEnergyFunction
 from repro.kernels.base import (
     IMPROVE_RTOL,
     FrontierStep,
@@ -42,11 +48,59 @@ from repro.kernels.pyref import PythonKernel
 #: both branches return the same bits.
 VECTOR_MIN_LEN = 24
 
+#: ``energy_table`` prices a stock continuous curve with array ops from
+#: this many workloads up; below it, the flat loop of
+#: ``energy_many`` costs less than numpy's per-call overhead.
+ENERGY_VECTOR_MIN_LEN = 64
+
 
 def _as_array(values: Sequence[float]) -> np.ndarray:
     if isinstance(values, np.ndarray) and values.dtype == np.float64:
         return values
     return np.asarray(values, dtype=np.float64)
+
+
+def _flat_energies(
+    w: np.ndarray,
+    limit: float,
+    deadline: float,
+    s_min: float,
+    s_max: float,
+    beta1: float,
+    alpha: float,
+    floor: float,
+) -> np.ndarray | None:
+    """``ContinuousEnergyFunction.energy_many`` on the ``flat_terms``
+    curve, as float64 array ops in its loop's order; None when an
+    element is out of range or ``W/D`` or the pow overflows (the loop
+    raises or clamps there, element by element).
+
+    The pow is CPython's ``math.pow`` per element: like ``float **
+    float`` it calls the C library's ``pow`` on finite positive
+    operands, while ``np.power`` may take a SIMD path whose last ulp
+    differs.
+    """
+    low, high = float(w.min()), float(w.max())  # a NaN fails both tests
+    if not (low >= 0.0 and high <= limit) or high / deadline == math.inf:
+        return None
+    speed = w / deadline
+    np.maximum(speed, s_min, out=speed)
+    np.minimum(speed, s_max, out=speed)
+    # Zero workloads and underflowed speeds cost the floor; a unit speed
+    # there keeps the arithmetic below finite.
+    idle = (w == 0.0) | (speed == 0.0)
+    np.copyto(speed, 1.0, where=idle)
+    try:
+        power = np.fromiter(
+            map(math.pow, speed.tolist(), repeat(alpha)), np.float64, len(w)
+        )
+    except OverflowError:  # the loop's ``**`` raises its own message
+        return None
+    table = w / speed
+    table *= power * beta1
+    table += floor
+    np.copyto(table, floor, where=idle)
+    return table
 
 
 class NumpyKernel(PythonKernel):
@@ -58,18 +112,18 @@ class NumpyKernel(PythonKernel):
     # Scoring and sweeps                                                 #
     # ------------------------------------------------------------------ #
 
-    def fits_mask(self, loads: Sequence[float], capacity: float) -> np.ndarray:
-        return _as_array(loads) <= capacity * (1 + CAPACITY_RTOL)
-
-    def cumsum(self, values: Sequence[float]) -> np.ndarray:
-        return np.add.accumulate(_as_array(values))
-
     def energy_table(
         self, energy_fn, workloads: Sequence[float]
     ) -> np.ndarray:
-        # Scalar CPython arithmetic on plain floats, on purpose: numpy's
-        # ``**`` is not bit-equal to CPython's (see repro.kernels.base).
-        return np.array(energy_many(energy_fn, _as_array(workloads).tolist()))
+        w = _as_array(workloads)
+        if len(w) >= ENERGY_VECTOR_MIN_LEN and isinstance(
+            energy_fn, ContinuousEnergyFunction
+        ):
+            terms = energy_fn.flat_terms()
+            table = None if terms is None else _flat_energies(w, *terms)
+            if table is not None:
+                return table
+        return np.array(energy_many(energy_fn, w.tolist()))
 
     # ------------------------------------------------------------------ #
     # Greedy family                                                      #
@@ -110,22 +164,27 @@ class NumpyKernel(PythonKernel):
         self, row: Sequence[float], shift: int, addend: float
     ) -> tuple[np.ndarray, np.ndarray]:
         arr = _as_array(row)
-        reject = arr + addend
-        accept = np.full_like(arr, np.inf)
-        if shift <= len(arr):
-            accept[shift:] = arr[: len(arr) - shift]
-        take = accept < reject
-        return np.where(take, accept, reject), take
+        size = len(arr)
+        out = arr + addend
+        take = np.zeros(size, dtype=bool)
+        if shift < size:
+            accept = arr[: size - shift]
+            np.less(accept, out[shift:], out=take[shift:])
+            np.copyto(out[shift:], accept, where=take[shift:])
+        return out, take
 
     def dp_relax_max(
         self, row: Sequence[float], shift: int, addend: float
     ) -> tuple[np.ndarray, np.ndarray]:
         arr = _as_array(row)
-        reject = np.full_like(arr, -np.inf)
-        if shift <= len(arr):
-            reject[shift:] = arr[: len(arr) - shift] + addend
-        take = reject > arr
-        return np.where(take, reject, arr), take
+        size = len(arr)
+        out = arr.copy()
+        take = np.zeros(size, dtype=bool)
+        if shift < size:
+            reject = arr[: size - shift] + addend
+            np.greater(reject, arr[shift:], out=take[shift:])
+            np.copyto(out[shift:], reject, where=take[shift:])
+        return out, take
 
     def best_workload_level(
         self, row: Sequence[float], quantum: float, capacity: float, energy_fn
@@ -186,19 +245,22 @@ class NumpyKernel(PythonKernel):
     ) -> FrontierStep:
         w = _as_array(workloads)
         p = _as_array(penalties)
+        size = len(w)
         grown = w + cycles
-        ok = grown <= capacity * (1 + CAPACITY_RTOL)
-        src_all = np.arange(len(w))
-        # Reject candidates first, then the surviving accept candidates:
-        # the stable lexsort keeps that order on full (w, p) ties, which
-        # is exactly the reference merge's reject-branch preference.
-        cand_w = np.concatenate([w, grown[ok]])
-        cand_p = np.concatenate([p + penalty, p[ok]])
-        cand_src = np.concatenate([src_all, src_all[ok]])
-        cand_acc = np.concatenate(
-            [np.zeros(len(w), dtype=bool), np.ones(int(ok.sum()), dtype=bool)]
-        )
-        order = np.lexsort((cand_p, cand_w))
+        fit = np.flatnonzero(grown <= capacity * (1 + CAPACITY_RTOL))
+        # Reject candidates first, then the accept candidates that fit.
+        cand_w = np.concatenate([w, grown[fit]])
+        cand_p = np.concatenate([p + penalty, p[fit]])
+        # A stable sort on the workloads alone orders the candidates as
+        # the reference's (w, p) sort does unless two workloads tie; then
+        # the lexsort breaks ties by penalty, and on full ties both keep
+        # the reject candidate first.  Both halves arrive sorted, which
+        # the stable sort's run merging exploits.
+        order = np.argsort(cand_w, kind="stable")
+        sw = cand_w[order]
+        if (sw[1:] == sw[:-1]).any():
+            order = np.lexsort((cand_p, cand_w))
+            sw = cand_w[order]
         sp = cand_p[order]
         # A candidate survives iff its penalty is strictly below every
         # earlier survivor's; since survivors' penalties are strictly
@@ -208,11 +270,14 @@ class NumpyKernel(PythonKernel):
             keep[0] = True
             np.less(sp[1:], np.minimum.accumulate(sp)[:-1], out=keep[1:])
         kept = order[keep]
+        accepted = kept >= size
+        sources = kept.copy()
+        sources[accepted] = fit[kept[accepted] - size]
         return FrontierStep(
-            workloads=cand_w[kept],
-            penalties=cand_p[kept],
-            sources=cand_src[kept],
-            accepted=cand_acc[kept],
+            workloads=sw[keep],
+            penalties=sp[keep],
+            sources=sources,
+            accepted=accepted,
             candidates=len(cand_w),
         )
 

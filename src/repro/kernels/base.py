@@ -19,25 +19,31 @@ the two backends agree to the last ulp and solvers produce *identical*
 accepted sets, costs, plans, and work counters on either one.  Two
 consequences shape the interface:
 
-* **Energy is batched, not vectorised.**  NumPy's elementwise ``**`` is
-  not bit-equal to CPython's ``**`` (they disagree on ~5% of inputs by
-  an ulp), so :meth:`Kernel.energy_table` hands the workloads, as plain
-  Python floats, to ``energy_fn.energy_many`` in *both* backends.  That
-  entry point validates each workload once and then runs the scalar
-  CPython formula, so its results are bit-identical to per-element
-  ``energy`` calls (the continuous curve runs it as one flat loop on
-  stock polynomial models; see docs/kernels.md).
+* **Energy is vectorised except for its pow.**  CPython's ``**`` and
+  ``math.pow`` both call the C library's ``pow`` on finite positive
+  operands; ``np.power`` may run a SIMD routine instead, and on AVX512
+  builds it differs from CPython in the last ulp on some inputs.  So
+  :meth:`Kernel.energy_table` is ``energy_fn.energy_many`` on plain
+  floats in the reference, which validates each workload once and runs
+  the scalar formula, bit-identical to per-element ``energy`` calls
+  (the continuous curve runs it as one flat loop on stock polynomial
+  models).  The numpy kernel prices that stock curve, from
+  ``ENERGY_VECTOR_MIN_LEN`` workloads up, with float64 array ops in the
+  flat loop's order and only ``s**alpha`` taken per element with
+  ``math.pow``; every other curve, a bad element and an overflow go
+  through ``energy_many`` (see docs/kernels.md).
   Evaluating ``g`` is the largest single cost of the solvers: on the
   seeded ``perfbench`` solve mix (seed 1, 400 solves, numpy kernel,
-  cProfile), ``g`` takes ~31% of solve time, down from ~35% before that
-  flat loop and ~55% before :meth:`Kernel.best_penalty_level` priced
-  only its staircase.
-* **Sums are specified, not incidental.**  Reductions use strict
-  left-to-right accumulation (:meth:`Kernel.cumsum` ==
-  ``np.add.accumulate``), and derived quantities (remaining workload
-  after ``k`` rejections) are defined as *one*
-  subtraction against a cumulative sum rather than a chain of running
-  subtractions, so both backends round identically.
+  cProfile), ``g`` takes ~24% of solve time, down from ~30% before the
+  array ops, ~35% before the flat loop and ~55% before
+  :meth:`Kernel.best_penalty_level` priced only its staircase.
+* **Sums are specified, not incidental.**  Prefix sums accumulate
+  strictly left to right (:meth:`Kernel.prefix_sums`, shared by both
+  backends; a numpy prefix sum would be ``np.add.accumulate``, never a
+  pairwise ``np.sum``), and derived quantities (remaining workload
+  after ``k`` rejections) are defined as *one* subtraction against a
+  cumulative sum rather than a chain of running subtractions, so both
+  backends round identically.
 
 Rows returned by DP ops are backend-native (``list`` vs ``ndarray``);
 solvers must treat them as opaque indexable sequences.  Decision/take
@@ -130,16 +136,8 @@ class Kernel(ABC):
     # Scoring and sweeps                                                 #
     # ------------------------------------------------------------------ #
 
-    @abstractmethod
-    def fits_mask(self, loads: Sequence[float], capacity: float) -> Sequence[bool]:
-        """Elementwise shared-tolerance capacity predicate."""
-
-    @abstractmethod
-    def cumsum(self, values: Sequence[float]) -> Sequence[float]:
-        """Strict left-to-right prefix sums (``out[i] = out[i-1] + v[i]``)."""
-
     def prefix_sums(self, values: Sequence[float]) -> list[float]:
-        """:meth:`cumsum` with a leading 0 (length ``n + 1``).
+        """``[0, v0, v0 + v1, ...]`` summed left to right (``n + 1`` long).
 
         The fractional bounds index these as ``cum[k] - cum[start]``
         and feed them to the scalar energy function, so every backend
@@ -171,8 +169,9 @@ class Kernel(ABC):
     ) -> Sequence[float]:
         """``energy_fn.energy`` at each workload (must all be feasible).
 
-        One :func:`energy_many` call on plain floats in both backends —
-        see the module docstring for why this is *not* vectorised.
+        Bit-identical to one :func:`energy_many` call on plain floats,
+        and raises what that call raises; see the module docstring for
+        which part a backend may vectorise.
         """
 
     # ------------------------------------------------------------------ #

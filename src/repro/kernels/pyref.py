@@ -34,17 +34,6 @@ class PythonKernel(Kernel):
     # Scoring and sweeps                                                 #
     # ------------------------------------------------------------------ #
 
-    def fits_mask(self, loads: Sequence[float], capacity: float) -> list[bool]:
-        return [self.fits(load, capacity) for load in loads]
-
-    def cumsum(self, values: Sequence[float]) -> list[float]:
-        out: list[float] = []
-        acc = 0.0
-        for v in values:
-            acc = acc + v
-            out.append(acc)
-        return out
-
     def density_order(
         self, cycles: Sequence[float], penalties: Sequence[float]
     ) -> list[int]:

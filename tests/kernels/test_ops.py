@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from repro._validation import CAPACITY_RTOL
+from repro._validation import CAPACITY_RTOL, fits
 from repro.core.rejection.relaxation import suffix_shed_cost
 from repro.kernels import get_kernel, kernel_names, numpy_available, use_kernel
 
@@ -31,11 +31,15 @@ class _Cubic:
 
 
 def test_fits_mask_capacity_ulp_boundary(kern):
+    # Every kernel's capacity predicate agrees with the shared one at the
+    # ulp corners of the tolerance bound.
     cap = 1.0
     just_inside = cap * (1 + CAPACITY_RTOL)      # exactly on the bound
     just_outside = cap * (1 + 3 * CAPACITY_RTOL)
     loads = [0.0, cap, math.nextafter(cap, 2.0), just_inside, just_outside]
-    assert list(kern.fits_mask(loads, cap)) == [True, True, True, True, False]
+    want = [True, True, True, True, False]
+    assert [kern.fits(load, cap) for load in loads] == want
+    assert [fits(load, cap) for load in loads] == want
 
 
 def test_prefix_reject_count_stops_at_first_fit(kern):

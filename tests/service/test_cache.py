@@ -173,6 +173,13 @@ class TestDiskTier:
         )
         return scans
 
+    @staticmethod
+    def _forbid_scans(tier, monkeypatch) -> None:
+        def no_scan():
+            raise AssertionError("the store scanned its directory")
+
+        monkeypatch.setattr(tier, "_entries", no_scan)
+
     def test_puts_under_budget_cost_one_scan(self, tmp_path, monkeypatch):
         tier = JsonStore(tmp_path, max_bytes=10**9)
         scans = self._count_scans(tier, monkeypatch)
@@ -208,12 +215,44 @@ class TestDiskTier:
         stores = [
             JsonStore(tmp_path / "shared", max_bytes=budget) for _ in range(2)
         ]
+        shared = tmp_path / "shared"
         for index in range(200):
             stores[index % 2].put(f"k{index}", {"v": index, "pad": "x" * 64})
-            resident = stores[0].stats()["bytes"]
+            resident = sum(p.stat().st_size for p in shared.glob("*.json"))
             assert resident <= len(stores) * budget
         stores[0].prune()
         assert stores[0].stats()["bytes"] <= budget
+        assert stores[0].stats()["bytes"] == sum(
+            p.stat().st_size for p in shared.glob("*.json")
+        )
+
+    def test_stats_after_seeding_reads_the_running_totals(
+        self, tmp_path, monkeypatch
+    ):
+        # /metrics calls stats() on every scrape: one scan seeds the
+        # totals, and later puts (new, overwritten, budgeted or not)
+        # keep them without another glob.
+        (tmp_path / "old.json").write_text("x" * 10)
+        tier = JsonStore(tmp_path)
+        assert tier.stats()["entries"] == 1
+        self._forbid_scans(tier, monkeypatch)
+        tier.put("k0", {"v": 0})
+        tier.put("k1", {"v": 1})
+        tier.put("k0", {"v": 22})
+        stats = tier.stats()
+        assert stats["entries"] == 3
+        assert stats["bytes"] == sum(
+            p.stat().st_size for p in tmp_path.glob("*.json")
+        )
+
+    def test_a_budgeted_put_seeds_the_totals_stats_reads(
+        self, tmp_path, monkeypatch
+    ):
+        tier = JsonStore(tmp_path, max_bytes=10**9)
+        tier.put("k0", {"v": 0})
+        self._forbid_scans(tier, monkeypatch)
+        assert tier.stats()["entries"] == 1
+        assert tier.stats()["bytes"] == (tmp_path / "k0.json").stat().st_size
 
     def test_failed_write_is_dropped_and_leaves_no_temp_file(self, tmp_path):
         tier = JsonStore(tmp_path)
