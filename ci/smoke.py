@@ -81,6 +81,21 @@ def post_raw(port: int, body: dict) -> bytes:
         return reply.read()
 
 
+def miss_then_hit(port: int, name: str) -> list[dict]:
+    """One new body POSTed twice: solved, then answered from a cache
+    with the same solution text.  Returns both replies, decoded."""
+    from repro.service.loadgen import make_bodies
+
+    twice = make_bodies(1, 1, n_min=5, n_max=5)[0]
+    twice["instance"]["tasks"][0]["name"] = name
+    replies = [post_raw(port, twice) for _ in range(2)]
+    caches = [json.loads(raw)["cache"] for raw in replies]
+    check(caches == ["miss", "hit"], "a repeated body misses, then hits", caches)
+    solutions = [raw.partition(b'"solution": ')[2] for raw in replies]
+    check(solutions[0] == solutions[1], "the hit repeats the solution text", replies)
+    return [json.loads(raw) for raw in replies]
+
+
 def kill_group(proc: subprocess.Popen) -> None:
     """SIGKILL the process group *proc* leads, then reap *proc*."""
     with contextlib.suppress(ProcessLookupError):
@@ -292,16 +307,8 @@ def service(ws: Workspace) -> None:
         solved = json.loads(post_raw(port, body))
         check(solved["status"] == "done", "the pool-bound solve is done", solved)
         text, payload = ws.scrape(port)
-        # One new body twice: solved, then answered from the cache with
-        # the same solution text.  Sent after the scrape, so the counts
-        # above stay those of the load.
-        twice = make_bodies(1, 1, n_min=5, n_max=5)[0]
-        twice["instance"]["tasks"][0]["name"] = "smoke-twice"
-        replies = [post_raw(port, twice) for _ in range(2)]
-        caches = [json.loads(raw)["cache"] for raw in replies]
-        check(caches == ["miss", "hit"], "a repeated body misses, then hits", caches)
-        solutions = [raw.partition(b'"solution": ')[2] for raw in replies]
-        check(solutions[0] == solutions[1], "the hit repeats the solution text", replies)
+        # Sent after the scrape, so the counts above stay those of the load.
+        miss_then_hit(port, "smoke-twice")
     counters, runtime = payload["counters"], payload["runtime"]
     total = solve_total(counters)
     check(total == 401, "solve.total counts all 401 requests", total)
@@ -402,6 +409,11 @@ def shard(ws: Workspace) -> None:
         replay(ws, port, "replay.json")
         replay(ws, port, "timed.json", "--replay-mode timed --speedup 8")
         text, payload = ws.scrape(port)
+        # After the scrape, as in the service scenario.  Round-robin sends
+        # the copy to the other shard, which reads the shared disk tier.
+        replies = miss_then_hit(port, "smoke-twice-fleet")
+        shards = [reply["id"].partition("-")[0] for reply in replies]
+        check(shards[0] != shards[1], "the copy lands on the other shard", shards)
     for shard_id in "01":
         for needle in (f'repro_solve_requests_total{{shard="{shard_id}"',
                        f'repro_shard_up{{shard="{shard_id}"}} 1'):

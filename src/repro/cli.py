@@ -995,8 +995,11 @@ def _cmd_solve(args) -> int:
         "exhaustive_hetero": exhaustive_hetero,
     }.get(algorithm) or getattr(rejection, algorithm)
     solver_kwargs = {"eps": args.eps} if algorithm == "fptas" else {}
-    with obs_counters.counting() as registry:
-        solution = solver(problem, **solver_kwargs)
+    try:
+        with obs_counters.counting() as registry:
+            solution = solver(problem, **solver_kwargs)
+    except ValueError as exc:
+        raise _Refusal(f"{algorithm} cannot solve {args.instance}: {exc}")
     if args.output is not None:
         args.output.parent.mkdir(parents=True, exist_ok=True)
         with open(args.output, "w") as fh:

@@ -25,6 +25,19 @@ from repro._validation import (
 )
 
 
+def power_overflow(workload: float, speed: float) -> ValueError:
+    """The refusal of *workload*, whose *speed*'s power overflows a float.
+
+    Only an unbounded speed range (``s_max = inf``) admits such a speed;
+    the energy functions raise this instead of the ``OverflowError`` of
+    the power model's pow.
+    """
+    return ValueError(
+        f"workload {workload!r} needs speed {speed!r}, whose power "
+        "overflows a float; bound the speed range (s_max)"
+    )
+
+
 @dataclass(frozen=True)
 class SpeedSegment:
     """A constant-speed interval of a speed plan.

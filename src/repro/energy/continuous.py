@@ -14,7 +14,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from repro.energy.base import EnergyFunction, SpeedPlan, SpeedSegment
+from repro.energy.base import (
+    EnergyFunction,
+    SpeedPlan,
+    SpeedSegment,
+    power_overflow,
+)
 from repro.power.base import PowerModel
 from repro.power.polynomial import prices_as_polynomial
 
@@ -98,7 +103,10 @@ class ContinuousEnergyFunction(EnergyFunction):
         # measurable energy either way.
         if workload == 0.0 or speed == 0.0:
             return self._floor
-        dynamic = (workload / speed) * self._model._dynamic_power(speed)
+        try:
+            dynamic = (workload / speed) * self._model._dynamic_power(speed)
+        except OverflowError:  # only an unbounded s_max reaches such a speed
+            raise power_overflow(workload, speed) from None
         return dynamic + self._floor
 
     def flat_terms(
@@ -139,7 +147,9 @@ class ContinuousEnergyFunction(EnergyFunction):
         ``_clamp_speed`` → ``_dynamic_power`` is inlined with them.
         Each element does :meth:`_energy`'s float operations in the same
         order, so the results are bit-identical and a bad element raises
-        what the scalar call raises.  Otherwise the base loop runs.
+        what the scalar call raises (:func:`~repro.energy.base
+        .power_overflow` where the pow overflows).  Otherwise the base
+        loop runs.
         """
         terms = self.flat_terms()
         if terms is None:
@@ -164,7 +174,10 @@ class ContinuousEnergyFunction(EnergyFunction):
             if speed == 0.0:  # a denormal W/D underflowed
                 append(floor)
                 continue
-            append((w / speed) * (beta1 * speed**alpha) + floor)
+            try:
+                append((w / speed) * (beta1 * speed**alpha) + floor)
+            except OverflowError:
+                raise power_overflow(w, speed) from None
         return out
 
     def conjugate(self, lam: float) -> tuple[float, float] | None:

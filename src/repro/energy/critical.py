@@ -24,7 +24,12 @@ from __future__ import annotations
 
 import math
 
-from repro.energy.base import EnergyFunction, SpeedPlan, SpeedSegment
+from repro.energy.base import (
+    EnergyFunction,
+    SpeedPlan,
+    SpeedSegment,
+    power_overflow,
+)
 from repro.power.base import DormantMode, PowerModel
 
 
@@ -131,7 +136,10 @@ class CriticalSpeedEnergyFunction(EnergyFunction):
             return self._slack_cost(self._deadline)[0]
         busy = workload / speed
         slack_energy, _ = self._slack_cost(self._deadline - busy)
-        return busy * self._model._power(speed) + slack_energy
+        try:
+            return busy * self._model._power(speed) + slack_energy
+        except OverflowError:  # only an unbounded s_max reaches such a speed
+            raise power_overflow(workload, speed) from None
 
     def plan(self, workload: float) -> SpeedPlan:
         """Execute at the clamped speed, then sleep or idle through slack."""

@@ -94,7 +94,7 @@ def _flat_energies(
         power = np.fromiter(
             map(math.pow, speed.tolist(), repeat(alpha)), np.float64, len(w)
         )
-    except OverflowError:  # the loop's ``**`` raises its own message
+    except OverflowError:  # the loop raises the refusal, naming the workload
         return None
     table = w / speed
     table *= power * beta1

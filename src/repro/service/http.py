@@ -7,9 +7,13 @@ and nothing more: it is not a general web server or client.  Its users:
   shard router (:mod:`repro.service.shard.router`), serve through one
   :class:`HttpFront` (the read → route → write keep-alive loop and the
   drain) and answer 404/405 from one :data:`ROUTES` table;
-* the router's proxy path, and :func:`repro.service.loadgen.http_exchange`
-  (the load generator's, the benchmark's and the tests' client), send
-  with :func:`send_request` and read with :func:`read_response`.
+* :func:`repro.service.loadgen.http_exchange` (the load generator's,
+  the benchmark's and the tests' client) sends with
+  :func:`send_request` and reads with :func:`read_response`.
+
+The router is no client of its shards: it awaits each shard's route
+coroutine in process, and :func:`write_response` encodes the shard's
+answer once, on the router's connection.
 """
 
 from __future__ import annotations
@@ -146,8 +150,7 @@ async def write_response(
     *payload* is a JSON-able dict (the common case), a pre-rendered
     text string (the Prometheus exposition), or a raw
     ``(body_bytes, content_type)`` pair (a solved request's body, spliced
-    around its stored solution text, and the router's proxy path, which
-    must forward shard responses byte for byte).
+    around its stored solution text).
     """
     if isinstance(payload, tuple):
         body, content_type = payload

@@ -39,7 +39,9 @@ worker payload, and the metrics label table
 
 Connections are served, and drained on :meth:`SolveService.stop`, by
 the :class:`~repro.service.http.HttpFront` the shard router uses too;
-this module supplies only the ``_route`` coroutine it calls.  Around the
+this module supplies only the :meth:`SolveService.handle` coroutine it
+calls.  A fleet's router awaits the same ``handle`` of each shard
+directly, so a routed request takes no second HTTP hop.  Around the
 shared drain the server adds its own steps: ``503`` for requests still
 waiting for a dispatch slot (``drain=False``) and awaiting the running
 dispatches.
@@ -169,7 +171,7 @@ class SolveService:
         self._sampler_task: asyncio.Task | None = None
         self._controller: AdmissionController | None = None
         self._gate: asyncio.Semaphore | None = None
-        self._http = HttpFront(self._route)
+        self._http = HttpFront(self.handle)
         self._server: asyncio.base_events.Server | None = None
         #: Pool-bound requests waiting for a dispatch slot (sheddable).
         self._queued: dict[str, asyncio.Future] = {}
@@ -180,6 +182,11 @@ class SolveService:
         self._seq = itertools.count(1)
         self.host: str | None = None
         self.port: int | None = None
+
+    @property
+    def stopped(self) -> bool:
+        """True once :meth:`stop` has been called; the router skips it."""
+        return self._stopped
 
     @property
     def capacity_units(self) -> float | None:
@@ -277,9 +284,15 @@ class SolveService:
 
     # -- routing --------------------------------------------------------
 
-    async def _route(
+    async def handle(
         self, method: str, path: str, body: bytes
     ) -> tuple[int, dict | str | tuple[bytes, str], dict[str, str] | None]:
+        """Answer one request: ``(status, payload, extra_headers)``.
+
+        The one entry point of every request, whether this shard's own
+        :class:`~repro.service.http.HttpFront` read it off a connection
+        or the fleet's router handed it over.
+        """
         path, _, query = path.partition("?")
         route = route_of(path)
         endpoint = "/result" if route == "/result/" else route

@@ -7,7 +7,8 @@ subpackage keeps it that way at fleet scale (ROADMAP item 2):
     :class:`GlobalBudget`, the fleet-wide capacity ledger every
     shard's admission controller leases from.
 ``router``
-    The front-door proxy: round-robin ``/solve`` fan-out, shard-affine
+    The front door, calling each shard's handler directly:
+    round-robin ``/solve`` fan-out, shard-affine
     ``/result`` routing, aggregated ``/healthz``, and the merged
     ``shard``-labeled ``/metrics`` exposition.
 ``fleet``

@@ -5,7 +5,8 @@
 counter registry), one shared
 :class:`~repro.service.shard.budget.GlobalBudget` ledger, one shared
 disk cache directory, and a :class:`~repro.service.shard.router
-.ShardRouter` front door.  This is the one sharded topology: it is
+.ShardRouter` front door that hands each request to a shard's handler
+on the same loop.  This is the one sharded topology: it is
 behind ``repro serve --shards N``, the saturation bench, and the
 cross-shard test wall.
 
@@ -79,7 +80,7 @@ class LocalFleet:
             )
             for index in range(self.n_shards)
         ]
-        self.router: ShardRouter | None = None
+        self.router = ShardRouter(self.services)
         self.host: str | None = None
         self.port: int | None = None
 
@@ -87,17 +88,14 @@ class LocalFleet:
         self, host: str = "127.0.0.1", port: int = 0
     ) -> tuple[str, int]:
         """Start every shard, then the router; returns the public address."""
-        addresses = [
-            await service.start(host, 0) for service in self.services
-        ]
-        self.router = ShardRouter(addresses)
+        for service in self.services:
+            await service.start(host, 0)
         self.host, self.port = await self.router.start(host, port)
         return self.host, self.port
 
     async def stop(self, drain: bool = True) -> None:
         """Stop accepting at the front door, then drain every shard."""
-        if self.router is not None:
-            await self.router.stop()
+        await self.router.stop()
         await asyncio.gather(
             *(service.stop(drain=drain) for service in self.services)
         )

@@ -1,27 +1,30 @@
-"""The fleet's front door: one public port over N worker shards.
+"""The fleet's front door: one public port over N in-process shards.
 
-The router owns the address clients talk to and fans work out:
+The router owns the address clients talk to and hands each request to
+a shard's :meth:`~repro.service.server.SolveService.handle`, awaited
+directly on the shared event loop: no request is re-encoded or sent
+over a socket a second time, and the shard's ``(status, payload,
+extra_headers)`` answer is written to the client unchanged.
 
 ``POST /solve``
-    Round-robin proxy onto the shard fleet over small keep-alive
-    connection pools; the shard's response (status, body, request-id
-    header) passes through byte for byte.  A dead shard is skipped —
-    the request is retried on the next shard, and only when every
-    shard fails does the client see ``502``.
+    Round-robin over the shards; the shard's answer (status, body,
+    request-id header) passes through.  A stopped shard is skipped,
+    counted in ``router.proxy.errors``, and the next one tried; only
+    when every shard is stopped does the client see ``502``.
 
 ``GET /result/<id>``
     Request ids carry their shard (``s<k>-r...``), so async ticket
-    lookups route straight to the shard that minted them; unprefixed
-    ids fall back to asking every shard.
+    lookups go straight to the shard that minted them; unprefixed ids
+    fall back to asking every shard.
 
 ``GET /healthz``
     Aggregated fleet health: ``ok`` only when every shard is ``ok``,
-    with the per-shard verdicts inlined.
+    with the per-shard verdicts inlined (a stopped shard is ``down``).
 
 ``GET /metrics``
-    The fleet exposition.  Each shard serves its full registry as a
-    mergeable snapshot (``/metrics?format=snapshot``); the router
-    relabels every series with ``shard=<k>``
+    The fleet exposition.  Each shard's full registry comes as a
+    mergeable snapshot (its ``/metrics?format=snapshot`` answer); the
+    router relabels every series with ``shard=<k>``
     (:func:`repro.obs.runtime.relabel_snapshot`) and folds them into
     one :class:`~repro.obs.runtime.MetricsRegistry` — per-shard series
     stay disjoint, so every summed family (``repro_solve_requests_total``
@@ -30,55 +33,39 @@ The router owns the address clients talk to and fans work out:
     ``?format=json`` returns the JSON fleet view with the per-shard
     obs-counter registries summed.
 
-Connections are served and drained by the same
+Client connections are served and drained by the same
 :class:`~repro.service.http.HttpFront` as the shard server, and 404/405
 come from the same :data:`~repro.service.http.ROUTES` table; the router
-supplies its ``_route`` coroutine and, on :meth:`ShardRouter.stop`,
-closes its pooled shard connections after the drain.
-
-Where ``SO_REUSEPORT`` is available the fleet can additionally share a
-kernel-balanced data port (see :mod:`repro.service.shard.fleet`); the
-router's proxy path is the portable fallback and stays authoritative
-for merged telemetry either way.
+supplies its ``_route`` coroutine.  Each shard keeps its own listener
+(for direct scrapes); the router never connects to it.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-import json
 import time
 from typing import Any
 
 from repro.obs import counters as obs_counters
 from repro.obs.runtime.metrics import MetricsRegistry, relabel_snapshot
 from repro.obs.runtime.prometheus import render
-from repro.service.http import (
-    MAX_BODY_BYTES,
-    HttpFront,
-    read_response,
-    refusal,
-    route_of,
-    send_request,
-)
+from repro.service.http import HttpFront, refusal, route_of
+from repro.service.server import SolveService
 
 __all__ = ["ShardRouter"]
 
-#: Pooled keep-alive connections the router keeps per shard.
-_POOL_SIZE = 8
+_UNROUTED = 502, {"status": "error", "error": "no shard reachable"}, None
 
 
 class ShardRouter:
-    """Round-robin front door over ``[(host, port), ...]`` shards."""
+    """Round-robin front door over in-process :class:`SolveService` shards."""
 
-    def __init__(self, shards: list[tuple[str, int]]) -> None:
-        self.shards = [(host, int(port)) for host, port in shards]
+    def __init__(self, shards: list[SolveService]) -> None:
+        self.shards = list(shards)
         if not self.shards:
             raise ValueError("router needs at least one shard")
         self._rr = itertools.count()
-        self._pools: list[list[tuple[Any, Any]]] = [
-            [] for _ in self.shards
-        ]
         self._registry = obs_counters.Counters()
         self._http = HttpFront(self._route)
         self._server: asyncio.base_events.Server | None = None
@@ -99,7 +86,7 @@ class ShardRouter:
         return self.host, self.port
 
     async def stop(self) -> None:
-        """Stop accepting and close pooled shard connections.
+        """Stop accepting and finish the router's own connections.
 
         Draining the *shards* is the fleet's job
         (:meth:`repro.service.shard.fleet.LocalFleet.stop`); the router
@@ -108,56 +95,6 @@ class ShardRouter:
         """
         self._draining = True
         await self._http.drain()
-        for pool in self._pools:
-            while pool:
-                _, writer = pool.pop()
-                writer.close()
-
-    # -- shard connection pool ------------------------------------------
-
-    async def _exchange(
-        self,
-        index: int,
-        method: str,
-        path: str,
-        body: bytes = b"",
-        content_type: str = "application/json",
-    ) -> tuple[int, dict[str, str], bytes]:
-        """One request/response against shard *index*, pooled.
-
-        A stale pooled connection (the shard closed it between
-        requests) gets one retry on a fresh connection; transport
-        errors on the fresh one propagate to the caller.
-        """
-        host, port = self.shards[index]
-        pool = self._pools[index]
-        for attempt, fresh in ((1, False), (2, True)):
-            if not fresh and pool:
-                reader, writer = pool.pop()
-            else:
-                reader, writer = await asyncio.open_connection(
-                    host, port, limit=MAX_BODY_BYTES
-                )
-            try:
-                await send_request(
-                    writer, method, path, body,
-                    host=f"{host}:{port}",
-                    content_type=content_type,
-                )
-                status, headers, raw = await read_response(reader)
-            except (ConnectionError, OSError, asyncio.IncompleteReadError):
-                writer.close()
-                if attempt == 2:
-                    raise
-                continue
-            if headers.get("connection", "").lower() == "close":
-                writer.close()
-            elif len(pool) < _POOL_SIZE:
-                pool.append((reader, writer))
-            else:
-                writer.close()
-            return status, headers, raw
-        raise ConnectionError("unreachable")  # pragma: no cover
 
     # -- routing --------------------------------------------------------
 
@@ -193,77 +130,54 @@ class ShardRouter:
         start = next(self._rr) % n
         for hop in range(n):
             index = (start + hop) % n
-            try:
-                status, headers, raw = await self._exchange(
-                    index, "POST", "/solve", body
-                )
-            except (ConnectionError, OSError, asyncio.IncompleteReadError):
+            shard = self.shards[index]
+            if shard.stopped:
                 self._registry.add("router.proxy.errors")
                 continue
             self._registry.add("router.solve.proxied")
             self._registry.add(f"router.solve.shard_{index}")
-            extra = {}
-            req_id = headers.get("x-repro-request-id")
-            if req_id:
-                extra["X-Repro-Request-Id"] = req_id
-            content_type = headers.get("content-type", "application/json")
-            return status, (raw, content_type), extra or None
+            return await shard.handle("POST", "/solve", body)
         self._registry.add("router.solve.unrouted")
-        return 502, {"status": "error", "error": "no shard reachable"}, None
+        return _UNROUTED
 
     async def _proxy_result(
         self, path: str
     ) -> tuple[int, Any, dict[str, str] | None]:
         req_id = path[len("/result/"):]
-        order = list(range(len(self.shards)))
+        order = range(len(self.shards))
         if req_id.startswith("s"):
             shard, sep, _ = req_id[1:].partition("-")
             if sep and shard.isdigit() and int(shard) < len(self.shards):
                 order = [int(shard)]
-        last: tuple[int, Any] | None = None
+        last = None
         for index in order:
-            try:
-                status, headers, raw = await self._exchange(
-                    index, "GET", path
-                )
-            except (ConnectionError, OSError, asyncio.IncompleteReadError):
+            shard = self.shards[index]
+            if shard.stopped:
                 self._registry.add("router.proxy.errors")
                 continue
-            content_type = headers.get("content-type", "application/json")
-            if status != 404:
-                return status, (raw, content_type), None
-            last = (status, (raw, content_type))
-        if last is not None:
-            return last[0], last[1], None
-        return 502, {"status": "error", "error": "no shard reachable"}, None
+            last = await shard.handle("GET", path, b"")
+            if last[0] != 404:
+                return last
+        return _UNROUTED if last is None else last
 
     # -- fleet views ----------------------------------------------------
 
-    async def _shard_json(
-        self, index: int, path: str
-    ) -> dict | None:
-        """One shard's JSON payload, or ``None`` when unreachable."""
-        try:
-            status, _, raw = await self._exchange(index, "GET", path)
-            if status != 200:
-                return None
-            payload = json.loads(raw.decode())
-            return payload if isinstance(payload, dict) else None
-        except (
-            ConnectionError,
-            OSError,
-            asyncio.IncompleteReadError,
-            ValueError,
-        ):
-            return None
+    async def _shard_views(self, path: str) -> list[dict | None]:
+        """Each shard's JSON answer to ``GET path``; ``None`` if stopped."""
+        views: list[dict | None] = []
+        for shard in self.shards:
+            view = None
+            if not shard.stopped:
+                status, payload, _ = await shard.handle("GET", path, b"")
+                if status == 200 and isinstance(payload, dict):
+                    view = payload
+            views.append(view)
+        return views
 
     async def _health(self) -> dict:
-        reports = await asyncio.gather(
-            *(self._shard_json(i, "/healthz") for i in range(len(self.shards)))
-        )
         shards = []
         statuses = []
-        for index, report in enumerate(reports):
+        for index, report in enumerate(await self._shard_views("/healthz")):
             if report is None:
                 shards.append({"shard": str(index), "status": "down"})
                 statuses.append("down")
@@ -284,14 +198,7 @@ class ShardRouter:
         }
 
     async def _snapshots(self) -> list[dict | None]:
-        return list(
-            await asyncio.gather(
-                *(
-                    self._shard_json(i, "/metrics?format=snapshot")
-                    for i in range(len(self.shards))
-                )
-            )
-        )
+        return await self._shard_views("/metrics?format=snapshot")
 
     def _fleet_registry(
         self, snapshots: list[dict | None]

@@ -44,6 +44,16 @@ class TestPolicy:
         stretched = (w / (w / 1.0)) * model.power(w / 1.0)  # run at W/D
         assert g.energy(w) < stretched
 
+    def test_unbounded_speed_overflow_is_refused(self):
+        # s_max = inf admits the workload; its speed's power does not fit
+        # a float, and the refusal names the workload.
+        model = PolynomialPowerModel(beta1=1.52, alpha=3.0, s_max=float("inf"))
+        g = CriticalSpeedEnergyFunction(model, deadline=1.0)
+        with pytest.raises(ValueError, match=r"workload 1e\+120 .* overflows"):
+            g.energy(1e120)
+        with pytest.raises(ValueError, match=r"workload 1e\+120 .* overflows"):
+            g.energy_many([0.5, 1e120])
+
     def test_zero_workload_sleeps_for_free_with_zero_overhead(self, model):
         g = CriticalSpeedEnergyFunction(model, deadline=1.0)
         assert g.energy(0.0) == 0.0

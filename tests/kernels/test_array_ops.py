@@ -123,9 +123,30 @@ def test_energy_table_matches_the_reference_on_corners(name, size, routed):
         routed.clear()
         assert _outcome(lambda: NUMPY.energy_table(fn, workloads)) == want
         # An unbounded speed range overflows the pow at ``_limit``: the
-        # vectorised pass then hands the call to the scalar loop.
+        # vectorised pass then hands the call to the scalar loop, which
+        # refuses that workload with a ValueError naming it.
         overflows = name == "unbounded"
+        if overflows:
+            kind, message = want
+            assert kind is ValueError
+            assert message.startswith(f"workload {fn._limit!r} needs speed")
         assert routed == ([size] if size < GATE or overflows else [])
+
+
+@pytest.mark.parametrize(
+    "entry", ["energy", "energy_many", "python", "numpy"]
+)
+def test_unbounded_overflow_is_refused_by_every_entry_point(entry):
+    fn = CURVES["unbounded"]
+    top = fn._limit
+    call = {
+        "energy": lambda: fn.energy(top),
+        "energy_many": lambda: fn.energy_many([1.0, top]),
+        "python": lambda: PYTHON.energy_table(fn, [1.0, top]),
+        "numpy": lambda: NUMPY.energy_table(fn, [1.0] * GATE + [top]),
+    }[entry]
+    with pytest.raises(ValueError, match="overflows a float"):
+        call()
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))

@@ -164,3 +164,103 @@ class TestFleet:
         _check(second, "miss", request)
         _check(third, "hit", request)
         assert third[1]["x-repro-request-id"].startswith("s0-")
+
+
+async def _wire(host: str, port: int, method: str, path: str, body=None):
+    """The whole response to one request on a fresh connection, as sent."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        await send_request(
+            writer,
+            method,
+            path,
+            b"" if body is None else json.dumps(body).encode(),
+            host=f"{host}:{port}",
+            keep_alive=False,
+        )
+        return await reader.read()
+    finally:
+        writer.close()
+
+
+class TestRouterPassThrough:
+    """The router's answer is the shard front's, status line to body.
+
+    Two identical one-shard fleets get the same requests in the same
+    order, one through its router and one at its shard's own listener,
+    so each answer carries the same request id on both.
+    """
+
+    @staticmethod
+    def _compare(exchange, **fleet_kwargs) -> list[bytes]:
+        async def body():
+            fleets = [
+                LocalFleet(
+                    shards=1,
+                    workers=1,
+                    rate_units_per_s=1e9,
+                    capacity_units=BIG,
+                    **fleet_kwargs,
+                )
+                for _ in range(2)
+            ]
+            for fleet in fleets:
+                await fleet.start()
+            try:
+                routed = await exchange(fleets[0].host, fleets[0].port)
+                direct = await exchange(*fleets[1].shard_addresses[0])
+                return routed, direct
+            finally:
+                for fleet in fleets:
+                    await fleet.stop()
+
+        routed, direct = run(body())
+        assert routed == direct
+        return routed
+
+    def test_bad_body_400(self):
+        async def exchange(host, port):
+            return [await _wire(host, port, "POST", "/solve", {"nope": 1})]
+
+        (reply,) = self._compare(exchange)
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"X-Repro-Request-Id: s0-r00000001\r\n" in reply
+
+    def test_budget_refusal_429(self):
+        # A 36-unit request against a 10-unit fleet budget.
+        request = make_bodies(5, 1, n_min=6, n_max=6)[0]
+
+        async def exchange(host, port):
+            return [await _wire(host, port, "POST", "/solve", request)]
+
+        (reply,) = self._compare(exchange, budget_units=10.0)
+        assert reply.startswith(b"HTTP/1.1 429 Too Many Requests\r\n")
+        assert b'"reason": "budget"' in reply
+
+    def test_async_202_then_result(self):
+        request = dict(make_bodies(6, 1)[0], mode="async")
+
+        async def exchange(host, port):
+            accepted = await _wire(host, port, "POST", "/solve", request)
+            req_id = json.loads(accepted.partition(b"\r\n\r\n")[2])["id"]
+            for _ in range(500):
+                result = await _wire(host, port, "GET", f"/result/{req_id}")
+                if not result.startswith(b"HTTP/1.1 202"):
+                    return [accepted, result]
+                await asyncio.sleep(0.01)
+            raise AssertionError("the async solve never finished")
+
+        accepted, result = self._compare(exchange)
+        assert accepted.startswith(b"HTTP/1.1 202 Accepted\r\n")
+        assert result.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert result.endswith(_expected("s0-r00000001", "miss", request))
+
+    def test_unknown_id_404(self):
+        async def exchange(host, port):
+            return [
+                await _wire(host, port, "GET", path)
+                for path in ("/result/s0-r99999999", "/result/nope")
+            ]
+
+        for reply in self._compare(exchange):
+            assert reply.startswith(b"HTTP/1.1 404 Not Found\r\n")

@@ -283,6 +283,41 @@ class TestSolvePath:
 
         run(body())
 
+    def test_unbounded_speed_overflow_answers_400(self):
+        # An s_max = inf instance whose one task needs a speed whose
+        # power overflows a float: the solver refuses it, a bad request.
+        request = {
+            "instance": {
+                "schema_version": 1,
+                "tasks": [{"name": "t0", "cycles": 1e120, "penalty": 1.0}],
+                "energy_fn": {
+                    "kind": "continuous",
+                    "deadline": 1.0,
+                    "power_model": {
+                        "kind": "polynomial",
+                        "beta0": 0.08,
+                        "beta1": 1.52,
+                        "alpha": 3.0,
+                        "s_min": 0.0,
+                        "s_max": float("inf"),
+                    },
+                },
+            },
+            "algorithm": "greedy_marginal",
+        }
+
+        async def body():
+            svc, host, port = await _start()
+            try:
+                return await http_json(host, port, "POST", "/solve", request)
+            finally:
+                await svc.stop()
+
+        status, payload = run(body())
+        assert status == 400, payload
+        assert "workload 1e+120" in payload["error"]
+        assert "overflows a float" in payload["error"]
+
 
 class TestRejection:
     def test_oversized_request_gets_429_capacity(self):
@@ -669,10 +704,11 @@ class TestGracefulDrain:
 
     def test_router_stop_leaves_no_connection_handler_pending(self):
         async def body():
-            # No shard listens on port 1, so every handler task on this
-            # loop is the router's own (its /healthz reports the shard
-            # down).
-            router = ShardRouter([("127.0.0.1", 1)])
+            # A never-started shard listens nowhere, so every handler
+            # task on this loop is the router's own.
+            router = ShardRouter(
+                [SolveService(workers=1, rate_units_per_s=1e9)]
+            )
             host, port = await router.start()
             return await self._handlers_left_by_stop(router, host, port)
 

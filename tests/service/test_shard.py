@@ -18,6 +18,7 @@ import asyncio
 import pytest
 
 from repro.service import LocalFleet, models
+from repro.service.http import HttpFront
 from repro.service.loadgen import http_exchange, http_json, make_bodies
 from repro.service.models import estimate_cost
 from repro.service.shard import GlobalBudget
@@ -163,6 +164,77 @@ class TestRouterFanOut:
                 await fleet.stop()
 
         run(body())
+
+    def test_every_shard_stopped_answers_502(self):
+        async def body():
+            fleet = await _start_fleet()
+            try:
+                for service in fleet.services:
+                    await service.stop(drain=False)
+                assert all(service.stopped for service in fleet.services)
+                status, payload = await http_json(
+                    fleet.host, fleet.port, "POST", "/solve",
+                    make_bodies(6, 1)[0],
+                )
+                assert status == 502, payload
+                assert payload["error"] == "no shard reachable"
+                counters = fleet.router.stats()["counters"]
+                assert counters["router.proxy.errors"] == 2
+                assert counters["router.solve.unrouted"] == 1
+                assert "router.solve.proxied" not in counters
+                health = (
+                    await http_json(fleet.host, fleet.port, "GET", "/healthz")
+                )[1]
+                assert [s["status"] for s in health["shards"]] == [
+                    "down", "down"
+                ]
+            finally:
+                await fleet.stop()
+
+        run(body())
+
+    def test_router_never_connects_to_a_shard(self, monkeypatch):
+        # Every connection any front accepts is recorded: a routed pass
+        # over all four routes must reach no shard's listener.
+        fronts = []
+        serve = HttpFront._serve
+
+        async def recording(front, reader, writer):
+            fronts.append(front)
+            await serve(front, reader, writer)
+
+        monkeypatch.setattr(HttpFront, "_serve", recording)
+
+        async def body():
+            fleet = await _start_fleet()
+            address = fleet.host, fleet.port
+            try:
+                for request in make_bodies(29, 4):
+                    status, _ = await http_json(
+                        *address, "POST", "/solve", request
+                    )
+                    assert status == 200
+                request = dict(make_bodies(30, 1)[0], mode="async")
+                status, accepted = await http_json(
+                    *address, "POST", "/solve", request
+                )
+                assert status == 202
+                for _ in range(500):
+                    status, _ = await http_json(
+                        *address, "GET", f"/result/{accepted['id']}"
+                    )
+                    if status != 202:
+                        break
+                    await asyncio.sleep(0.01)
+                assert status == 200
+                for path in ("/healthz", "/metrics", "/metrics?format=json"):
+                    assert (await http_exchange(*address, "GET", path))[0] == 200
+                return fleet.router._http
+            finally:
+                await fleet.stop()
+
+        router_front = run(body())
+        assert fronts and all(front is router_front for front in fronts)
 
 
 class TestSharedDiskCache:

@@ -165,6 +165,38 @@ class TestSolveErrors:
         assert main(["solve", str(bad)]) == 2
         assert "cannot read instance" in capsys.readouterr().err
 
+    def test_unbounded_speed_overflow_refused(self, capsys, tmp_path):
+        # s_max = inf loads fine; the one task needs a speed whose
+        # power overflows a float, which the solver refuses.
+        inst = tmp_path / "unbounded.json"
+        inst.write_text(
+            '{"schema_version": 1, "energy_fn": {"kind": "continuous", '
+            '"deadline": 1.0, "power_model": {"kind": "polynomial", '
+            '"alpha": 3.0, "beta0": 0.08, "beta1": 1.52, "s_min": 0.0, '
+            '"s_max": Infinity}}, '
+            '"tasks": [{"name": "t0", "cycles": 1e120, "penalty": 1.0}]}'
+        )
+        args = ["solve", str(inst), "--algorithm", "greedy_marginal"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "greedy_marginal cannot solve" in err
+        assert "workload 1e+120" in err and "overflows" in err
+        assert len(err.strip().splitlines()) == 1  # one line, no traceback
+
+    def test_solver_refusal_is_one_line(self, capsys, tmp_path, monkeypatch):
+        # pareto_exact's frontier guard, tripped on a small instance.
+        from repro.core.rejection import pareto
+
+        monkeypatch.setattr(pareto, "MAX_FRONTIER", 1)
+        inst = tmp_path / "inst.json"
+        assert main(["generate", "--n", "6", "--seed", "0", str(inst)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(inst), "--algorithm", "pareto_exact"]) == 2
+        err = capsys.readouterr().err
+        assert "pareto_exact cannot solve" in err
+        assert "Pareto frontier exceeded 1 states" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestTopLevel:
     def test_version_prints_and_exits_zero(self, capsys):
