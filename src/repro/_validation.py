@@ -52,7 +52,14 @@ def require_finite(name: str, value: float) -> float:
     """Return *value* if it is a finite real number, else raise ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        raise ValueError(
+            f"{name} must be finite, got an integer too large for a float "
+            f"({value.bit_length()} bits)"
+        ) from None
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 

@@ -12,9 +12,9 @@ Two classic axes:
   it is also the engine of the FPTAS (:mod:`repro.core.rejection.fptas`),
   which feeds it scaled penalties.
 
-Both run in O(n · table) with the row relaxations and final level scans
-delegated to the active array kernel (:mod:`repro.kernels`), keeping the
-per-task decision bits for O(n) reconstruction.
+Both run in O(n · table) with the whole table sweep and the final level
+scan delegated to the active array kernel (:mod:`repro.kernels`), one
+call each, keeping the per-task decision bits for O(n) reconstruction.
 """
 
 from __future__ import annotations
@@ -80,11 +80,7 @@ def dp_cycles(
     kern = get_kernel()
     # dp[w] = min rejected penalty with accepted cycles exactly w units.
     with span("solve.dp_cycles", n=problem.n, width=w_max + 1):
-        dp = kern.dp_init(w_max + 1, math.inf)
-        decisions = []
-        for u, penalty in zip(units, problem.penalties):
-            dp, take = kern.dp_relax_min(dp, u, penalty)
-            decisions.append(take)
+        dp, decisions = kern.dp_sweep_min(units, problem.penalties, w_max + 1)
         best_w, _ = kern.best_workload_level(
             dp, quantum, problem.capacity, problem.energy_fn
         )
@@ -118,19 +114,14 @@ def _dp_over_penalties(units: list[int], cycles: list[float], kern=None):
     """Core penalty-indexed DP.
 
     ``dp[p]`` is the maximum cycles shed by rejecting a subset with
-    integer penalty sum exactly ``p`` (−inf when unreachable); decision
-    bit rows say, per task, whether the entry at ``p`` rejected it.
-    Rows and decision bits are kernel-native sequences.
+    integer penalty sum exactly ``p`` (−inf when unreachable); the
+    decision table says, per task, whether the entry at ``p`` rejected
+    it.  The row and the table are kernel-native.
     """
     kern = kern or get_kernel()
     p_max = sum(units)
     _check_table(p_max + 1, "dp_penalty")
-    dp = kern.dp_init(p_max + 1, -math.inf)
-    decisions = []
-    for u, c in zip(units, cycles):
-        dp, take = kern.dp_relax_max(dp, u, c)
-        decisions.append(take)
-    return dp, decisions
+    return kern.dp_sweep_max(units, cycles, p_max + 1)
 
 
 def dp_penalty(problem: RejectionProblem, *, quantum: float = 1.0) -> RejectionSolution:

@@ -17,8 +17,9 @@ exact algorithm that:
 
 The frontier lives as parallel workload/penalty sequences native to the
 active array kernel (:mod:`repro.kernels`), whose
-:meth:`~repro.kernels.Kernel.frontier_step` does the extend-and-prune
-sweep; per-task parent/decision rows are kept for O(n) reconstruction.
+:meth:`~repro.kernels.Kernel.frontier_sweep` runs the extend-and-prune
+step of every task in one call and keeps each step's survivors for O(n)
+reconstruction.
 
 This is the strongest general-purpose exact solver in the library and
 the recommended oracle beyond exhaustive range.
@@ -27,56 +28,42 @@ the recommended oracle beyond exhaustive range.
 from __future__ import annotations
 
 from repro.core.rejection.problem import RejectionProblem, RejectionSolution
-from repro.kernels import get_kernel
+from repro.kernels import Frontier, get_kernel
 from repro.obs import counters as obs_counters
 from repro.obs.trace import span
 
 #: Refuse to grow the frontier beyond this many states.
 MAX_FRONTIER = 2_000_000
 
-#: Reconstruction history: per task, (parent indices, accepted bits).
-_History = list[tuple["object", "object"]]
-
 
 def _build_frontier(
     problem: RejectionProblem, *, label: str, guard_hint: str = ""
-):
+) -> Frontier:
     """Run the dominance-pruned sweep; emits frontier-size counters.
 
     Shared by :func:`pareto_frontier` and :func:`pareto_exact` (they
     differ only in how the final frontier is consumed).  Returns the
-    final ``(workloads, penalties)`` frontier (kernel-native sequences,
-    workload ascending / penalty strictly descending) and the per-task
-    reconstruction history.
+    kernel's :class:`~repro.kernels.Frontier`: the final frontier
+    (kernel-native sequences, workload ascending / penalty strictly
+    descending) and the steps that reconstruct each of its states.
     """
     kern = get_kernel()
-    cap = problem.capacity
-    workloads = [0.0]
-    penalties = [0.0]
-    history: _History = []
-    states = 1
-    peak = 1
     with span(f"solve.{label}", n=problem.n):
-        for cycles, penalty in zip(problem.cycles, problem.penalties):
-            step = kern.frontier_step(workloads, penalties, cycles, penalty, cap)
-            states += step.candidates
-            workloads, penalties = step.workloads, step.penalties
-            history.append((step.sources, step.accepted))
-            if len(step) > peak:
-                peak = len(step)
-            if len(step) > MAX_FRONTIER:
-                raise ValueError(
-                    f"Pareto frontier exceeded {MAX_FRONTIER} states"
-                    + guard_hint
-                )
+        frontier = kern.frontier_sweep(
+            problem.cycles, problem.penalties, problem.capacity, MAX_FRONTIER
+        )
+        if frontier.peak > MAX_FRONTIER:
+            raise ValueError(
+                f"Pareto frontier exceeded {MAX_FRONTIER} states" + guard_hint
+            )
     obs_counters.emit(
         label,
         calls=1,
-        states=states,
-        peak_frontier=peak,
-        final_frontier=len(workloads),
+        states=frontier.states,
+        peak_frontier=frontier.peak,
+        final_frontier=len(frontier),
     )
-    return workloads, penalties, history
+    return frontier
 
 
 def pareto_frontier(
@@ -90,7 +77,8 @@ def pareto_frontier(
     Useful for "what would accepting more work cost me" exploration.
     """
     cap = problem.capacity
-    workloads, penalties, _ = _build_frontier(problem, label="pareto_frontier")
+    frontier = _build_frontier(problem, label="pareto_frontier")
+    workloads, penalties = frontier.workloads, frontier.penalties
     kern = get_kernel()
     energies = kern.energy_table(
         problem.energy_fn, [min(float(w), cap) for w in workloads]
@@ -109,7 +97,7 @@ def pareto_exact(problem: RejectionProblem) -> RejectionSolution:
     frontier exceeds :data:`MAX_FRONTIER` states (an adversarial
     instance; fall back to the FPTAS).
     """
-    workloads, penalties, history = _build_frontier(
+    frontier = _build_frontier(
         problem,
         label="pareto_exact",
         guard_hint="; use fptas() for this instance",
@@ -117,17 +105,9 @@ def pareto_exact(problem: RejectionProblem) -> RejectionSolution:
 
     kern = get_kernel()
     best, _ = kern.frontier_best(
-        workloads, penalties, problem.capacity, problem.energy_fn
+        frontier.workloads, frontier.penalties, problem.capacity, problem.energy_fn
     )
     assert best >= 0  # the frontier always contains reject-all
-
-    accepted: list[int] = []
-    idx = best
-    for i in range(problem.n - 1, -1, -1):
-        sources, took = history[i]
-        if took[idx]:
-            accepted.append(i)
-        idx = int(sources[idx])
     return problem.solution(
-        accepted, algorithm="pareto_exact", frontier=len(workloads)
+        frontier.accepted(best), algorithm="pareto_exact", frontier=len(frontier)
     )

@@ -24,10 +24,10 @@ from __future__ import annotations
 import contextlib
 import os
 
-from repro.kernels.base import FrontierStep, Kernel  # noqa: F401 - re-export
+from repro.kernels.base import Frontier, Kernel  # noqa: F401 - re-export
 
 __all__ = [
-    "FrontierStep",
+    "Frontier",
     "Kernel",
     "KernelUnavailableError",
     "available_kernels",

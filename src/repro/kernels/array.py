@@ -3,15 +3,19 @@
 NumPy's per-call overhead exceeds a short python loop, so
 :class:`NumpyKernel` inherits :class:`~repro.kernels.pyref.PythonKernel`
 and overrides only what the crossover sweep in ``docs/kernels.md``
-("Where numpy pays") shows faster.  Sequence-returning ops always
-return an ``ndarray``; ``marginal_best`` runs the inherited loop below
-:data:`VECTOR_MIN_LEN` candidates, and ``energy_table`` the flat loop
-below :data:`ENERGY_VECTOR_MIN_LEN` workloads.  Every override
-reproduces the reference bit for bit (the contract in
-:mod:`repro.kernels.base`):
+("Where numpy pays") shows faster.  Sequence-returning ops return an
+``ndarray``, except that ``frontier_sweep`` runs the inherited list
+step (so keeps lists) while the frontier holds fewer than
+:data:`FRONTIER_VECTOR_MIN_LEN` states; ``marginal_best`` runs the
+inherited loop below :data:`VECTOR_MIN_LEN` candidates, and
+``energy_table`` the flat loop below :data:`ENERGY_VECTOR_MIN_LEN`
+workloads.  Every override reproduces the reference bit for bit (the
+contract in :mod:`repro.kernels.base`):
 
 * elementwise float64 ops and running ``np.minimum``/``np.maximum``
-  accumulations round exactly like the reference's loops;
+  accumulations round exactly like the reference's loops, and the DP
+  sweeps' elementwise ``np.minimum``/``np.maximum`` never meet a -0.0
+  or NaN, so they pick the reference's term;
 * stable sorts (``kind="stable"``, and ``np.lexsort`` on tied keys)
   replicate the reference's tie-breaking;
 * energy tables on the stock continuous curve are float64 array ops in
@@ -34,12 +38,7 @@ import numpy as np
 
 from repro._validation import CAPACITY_RTOL
 from repro.energy import ContinuousEnergyFunction
-from repro.kernels.base import (
-    IMPROVE_RTOL,
-    FrontierStep,
-    energy_many,
-    staircase_applies,
-)
+from repro.kernels.base import IMPROVE_RTOL, energy_many, staircase_applies
 from repro.kernels.pyref import PythonKernel
 
 #: ``marginal_best`` runs the inherited reference loop on fewer
@@ -52,6 +51,12 @@ VECTOR_MIN_LEN = 24
 #: this many workloads up; below it, the flat loop of
 #: ``energy_many`` costs less than numpy's per-call overhead.
 ENERGY_VECTOR_MIN_LEN = 64
+
+#: ``frontier_sweep`` extends a frontier of fewer states than this with
+#: the reference's list step; from the first frontier this long on, it
+#: runs array steps (frontiers rarely shrink back).  Both steps return
+#: the same bits.
+FRONTIER_VECTOR_MIN_LEN = 32
 
 
 def _as_array(values: Sequence[float]) -> np.ndarray:
@@ -155,36 +160,52 @@ class NumpyKernel(PythonKernel):
     # Dynamic programs                                                   #
     # ------------------------------------------------------------------ #
 
-    def dp_init(self, size: int, fill: float) -> np.ndarray:
-        row = np.full(size, fill)
+    def dp_sweep_min(
+        self, shifts: Sequence[int], addends: Sequence[float], width: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # Two ping-pong rows: each task reads one and writes the other.
+        # ``np.minimum`` picks the reference's term: starting from
+        # ``[0.0, inf, ...]`` with finite addends, no entry is ever -0.0
+        # or NaN, so equal terms have equal bits.
+        rows = np.full((2, width), np.inf)
+        rows[0, 0] = 0.0
+        take = np.zeros((len(shifts), width), dtype=bool)
+        src, dst = rows
+        reach = 0
+        for i, (shift, addend) in enumerate(zip(shifts, addends)):
+            reach = min(reach + shift, width - 1)
+            end = reach + 1
+            np.add(src[:end], addend, out=dst[:end])
+            if shift < end:
+                accept = src[: end - shift]
+                out = dst[shift:end]
+                np.less(accept, out, out=take[i, shift:end])
+                np.minimum(out, accept, out=out)
+            src, dst = dst, src
+        return src, take
+
+    def dp_sweep_max(
+        self, shifts: Sequence[int], addends: Sequence[float], width: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # One row relaxed in place: the shifted terms go to a scratch row
+        # before any entry they were read from is overwritten.  As in
+        # ``dp_sweep_min``, no entry is -0.0 or NaN, so ``np.maximum``
+        # picks the reference's term.
+        row = np.full(width, -np.inf)
         row[0] = 0.0
-        return row
-
-    def dp_relax_min(
-        self, row: Sequence[float], shift: int, addend: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        arr = _as_array(row)
-        size = len(arr)
-        out = arr + addend
-        take = np.zeros(size, dtype=bool)
-        if shift < size:
-            accept = arr[: size - shift]
-            np.less(accept, out[shift:], out=take[shift:])
-            np.copyto(out[shift:], accept, where=take[shift:])
-        return out, take
-
-    def dp_relax_max(
-        self, row: Sequence[float], shift: int, addend: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        arr = _as_array(row)
-        size = len(arr)
-        out = arr.copy()
-        take = np.zeros(size, dtype=bool)
-        if shift < size:
-            reject = arr[: size - shift] + addend
-            np.greater(reject, arr[shift:], out=take[shift:])
-            np.copyto(out[shift:], reject, where=take[shift:])
-        return out, take
+        scratch = np.empty(width)
+        take = np.zeros((len(shifts), width), dtype=bool)
+        reach = 0
+        for i, (shift, addend) in enumerate(zip(shifts, addends)):
+            reach = min(reach + shift, width - 1)
+            end = reach + 1
+            if shift < end:
+                reject = scratch[: end - shift]
+                np.add(row[: end - shift], addend, out=reject)
+                keep = row[shift:end]
+                np.greater(reject, keep, out=take[i, shift:end])
+                np.maximum(keep, reject, out=keep)
+        return row, take
 
     def best_workload_level(
         self, row: Sequence[float], quantum: float, capacity: float, energy_fn
@@ -235,51 +256,37 @@ class NumpyKernel(PythonKernel):
     # Pareto frontier                                                    #
     # ------------------------------------------------------------------ #
 
-    def frontier_step(
-        self,
-        workloads: Sequence[float],
-        penalties: Sequence[float],
-        cycles: float,
-        penalty: float,
-        capacity: float,
-    ) -> FrontierStep:
-        w = _as_array(workloads)
-        p = _as_array(penalties)
-        size = len(w)
-        grown = w + cycles
-        fit = np.flatnonzero(grown <= capacity * (1 + CAPACITY_RTOL))
-        # Reject candidates first, then the accept candidates that fit.
-        cand_w = np.concatenate([w, grown[fit]])
-        cand_p = np.concatenate([p + penalty, p[fit]])
+    def _frontier_step(self, workloads, penalties, cycles, penalty, bound):
+        if isinstance(workloads, list):
+            if len(workloads) < FRONTIER_VECTOR_MIN_LEN:
+                return super()._frontier_step(
+                    workloads, penalties, cycles, penalty, bound
+                )
+            workloads, penalties = np.array(workloads), np.array(penalties)
+        grown = workloads + cycles
+        # Workloads ascend, so the accepts that fit are a prefix.
+        fit = int(grown.searchsorted(bound, side="right"))
+        cand_w = np.concatenate((workloads, grown[:fit]))
+        cand_p = np.concatenate((penalties + penalty, penalties[:fit]))
         # A stable sort on the workloads alone orders the candidates as
         # the reference's (w, p) sort does unless two workloads tie; then
         # the lexsort breaks ties by penalty, and on full ties both keep
         # the reject candidate first.  Both halves arrive sorted, which
         # the stable sort's run merging exploits.
-        order = np.argsort(cand_w, kind="stable")
-        sw = cand_w[order]
+        order = cand_w.argsort(kind="stable")
+        sw = cand_w.take(order)
         if (sw[1:] == sw[:-1]).any():
             order = np.lexsort((cand_p, cand_w))
-            sw = cand_w[order]
-        sp = cand_p[order]
+            sw = cand_w.take(order)
+        sp = cand_p.take(order)
         # A candidate survives iff its penalty is strictly below every
         # earlier survivor's; since survivors' penalties are strictly
         # decreasing, "every earlier survivor" == the running prefix min.
         keep = np.empty(len(sp), dtype=bool)
-        if len(sp):
-            keep[0] = True
-            np.less(sp[1:], np.minimum.accumulate(sp)[:-1], out=keep[1:])
-        kept = order[keep]
-        accepted = kept >= size
-        sources = kept.copy()
-        sources[accepted] = fit[kept[accepted] - size]
-        return FrontierStep(
-            workloads=sw[keep],
-            penalties=sp[keep],
-            sources=sources,
-            accepted=accepted,
-            candidates=len(cand_w),
-        )
+        keep[0] = True
+        np.less(sp[1:], np.minimum.accumulate(sp)[:-1], out=keep[1:])
+        alive = keep.nonzero()[0]
+        return sw.take(alive), sp.take(alive), order.take(alive), len(sp)
 
     def frontier_best(
         self,

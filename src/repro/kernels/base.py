@@ -1,8 +1,8 @@
 """The array-kernel interface the rejection solvers run on.
 
 A :class:`Kernel` bundles the array primitives behind the hot inner
-loops of the REJECT-MIN solvers — DP row relaxation, Pareto-frontier
-dominance filtering, prefix-capacity sweeps, penalty-density scoring,
+loops of the REJECT-MIN solvers — DP table sweeps, Pareto-frontier
+sweeps, prefix-capacity sweeps, penalty-density scoring,
 energy-table evaluation, and the exhaustive subset scan.
 Two backends implement it:
 
@@ -47,8 +47,9 @@ consequences shape the interface:
 
 Rows returned by DP ops are backend-native (``list`` vs ``ndarray``);
 solvers must treat them as opaque indexable sequences.  Decision/take
-bit rows support ``row[i]`` truth-testing (``bytearray`` vs bool
-``ndarray``).
+tables support ``table[i][j]`` truth-testing (``bytearray`` rows vs a
+2-D bool ``ndarray``).  The DP and frontier ops each take every task at
+once and loop inside the kernel, so a solve makes one call per table.
 """
 
 from __future__ import annotations
@@ -98,25 +99,39 @@ def energy_many(energy_fn, workloads: Sequence[float]) -> list[float]:
 
 
 @dataclass(frozen=True)
-class FrontierStep:
-    """One dominance-filtered Pareto-frontier extension.
+class Frontier:
+    """A dominance-pruned Pareto frontier and the steps that built it.
 
     ``workloads``/``penalties`` are the surviving states (workload
-    ascending, penalty strictly descending); ``sources[i]`` is the index
-    of state ``i``'s parent in the *previous* frontier and
-    ``accepted[i]`` whether it accepted the task just processed.
-    ``candidates`` counts the states examined before pruning (the
-    ``states`` work counter of the solvers).
+    strictly ascending, penalty strictly descending).  ``steps`` holds
+    one ``(kept, size)`` pair per task processed: ``size`` is the length
+    of the frontier the task extended and ``kept[i]`` the candidate
+    state ``i`` came from, indexed as the step lists its candidates —
+    ``k < size`` is the reject branch of state ``k``, ``k >= size`` the
+    accept branch of state ``k - size``.  ``states`` counts the initial
+    state plus every candidate examined before pruning (the solvers'
+    ``states`` work counter) and ``peak`` the largest frontier seen.
     """
 
     workloads: Sequence[float]
     penalties: Sequence[float]
-    sources: Sequence[int]
-    accepted: Sequence[bool]
-    candidates: int
+    steps: list[tuple[Sequence[int], int]]
+    states: int
+    peak: int
 
     def __len__(self) -> int:
         return len(self.workloads)
+
+    def accepted(self, index: int) -> list[int]:
+        """The tasks final state *index* accepted, last task first."""
+        accepted = []
+        for task in range(len(self.steps) - 1, -1, -1):
+            kept, size = self.steps[task]
+            index = int(kept[index])
+            if index >= size:
+                accepted.append(task)
+                index -= size
+        return accepted
 
 
 class Kernel(ABC):
@@ -235,29 +250,37 @@ class Kernel(ABC):
     # ------------------------------------------------------------------ #
 
     @abstractmethod
-    def dp_init(self, size: int, fill: float) -> Sequence[float]:
-        """A DP row of *size* entries of *fill* with ``row[0] = 0.0``."""
+    def dp_sweep_min(
+        self, shifts: Sequence[int], addends: Sequence[float], width: int
+    ) -> tuple[Sequence[float], Sequence[Sequence[bool]]]:
+        """The cycle-indexed DP over every task.
 
-    @abstractmethod
-    def dp_relax_min(
-        self, row: Sequence[float], shift: int, addend: float
-    ) -> tuple[Sequence[float], Sequence[bool]]:
-        """Min-relaxation step of the cycle-indexed DP.
+        Starts from the row ``[0.0, inf, ..., inf]`` of *width* >= 1
+        entries and relaxes it once per task ``i``:
+        ``row[j] = min(row[j] + addends[i], row[j - shifts[i]])`` (the
+        shifted term exists only for ``j >= shifts[i] >= 0``);
+        ``take[i][j]`` is True when the shifted (accept) term is strictly
+        smaller.  Returns the final row and the ``n x width`` take table.
 
-        ``out[j] = min(row[j] + addend, row[j - shift])`` (the shifted
-        term exists only for ``j >= shift``); ``take[j]`` is True when
-        the shifted (accept) term is strictly smaller.
+        Task ``i`` relaxes only the reachable prefix ``j <= min(shifts[0]
+        + ... + shifts[i], width - 1)``: past it every entry is ``inf``
+        before and after (addends are finite), with a False take bit,
+        which is what the formula gives there.
         """
 
     @abstractmethod
-    def dp_relax_max(
-        self, row: Sequence[float], shift: int, addend: float
-    ) -> tuple[Sequence[float], Sequence[bool]]:
-        """Max-relaxation step of the penalty-indexed DP.
+    def dp_sweep_max(
+        self, shifts: Sequence[int], addends: Sequence[float], width: int
+    ) -> tuple[Sequence[float], Sequence[Sequence[bool]]]:
+        """The penalty-indexed DP over every task.
 
-        ``out[j] = max(row[j], row[j - shift] + addend)`` (the shifted
-        term exists only for ``j >= shift``); ``take[j]`` is True when
-        the shifted (reject) term is strictly greater.
+        Starts from the row ``[0.0, -inf, ..., -inf]`` of *width* >= 1
+        entries and relaxes it once per task ``i``:
+        ``row[j] = max(row[j], row[j - shifts[i]] + addends[i])`` (the
+        shifted term exists only for ``j >= shifts[i] >= 0``);
+        ``take[i][j]`` is True when the shifted (reject) term is strictly
+        greater.  Only the reachable prefix is relaxed, as in
+        :meth:`dp_sweep_min`; past it every entry stays ``-inf``.
         """
 
     @abstractmethod
@@ -315,22 +338,26 @@ class Kernel(ABC):
     # ------------------------------------------------------------------ #
 
     @abstractmethod
-    def frontier_step(
+    def frontier_sweep(
         self,
-        workloads: Sequence[float],
+        cycles: Sequence[float],
         penalties: Sequence[float],
-        cycles: float,
-        penalty: float,
         capacity: float,
-    ) -> FrontierStep:
-        """Extend a frontier by one task and prune dominated states.
+        limit: int,
+    ) -> Frontier:
+        """The Pareto frontier of every task, from the state ``(0, 0)``.
 
-        Candidates are the reject branch ``(w_i, p_i + penalty)`` for
-        every state, followed by the accept branch ``(w_i + cycles, p_i)``
-        for states whose accept workload fits.  They are stably sorted by
-        ``(w, p)`` (reject-branch first on full ties) and a candidate
-        survives iff its penalty is strictly below every earlier
-        survivor's.
+        Task ``(c, rho)`` extends the frontier with the reject branch
+        ``(w_i, p_i + rho)`` of every state, followed by the accept
+        branch ``(w_i + c, p_i)`` of the states whose accept workload
+        fits the capacity (a prefix, since workloads ascend).  The
+        candidates are stably sorted by ``(w, p)`` (reject branch first
+        on full ties) and one survives iff its penalty is strictly below
+        every earlier survivor's.
+
+        Stops after the first task whose frontier holds more than
+        *limit* states; ``peak > limit`` then says so, and ``steps`` ends
+        at that task.
         """
 
     @abstractmethod

@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
+from repro._validation import capacity_limit
 from repro.kernels.base import (
-    FrontierStep,
+    Frontier,
     Kernel,
     energy_many,
     improves,
@@ -84,45 +85,47 @@ class PythonKernel(Kernel):
     # Dynamic programs                                                   #
     # ------------------------------------------------------------------ #
 
-    def dp_init(self, size: int, fill: float) -> list[float]:
-        row = [fill] * size
+    def dp_sweep_min(
+        self, shifts: Sequence[int], addends: Sequence[float], width: int
+    ) -> tuple[list[float], list[bytearray]]:
+        row = [_INF] * width
         row[0] = 0.0
-        return row
+        decisions = []
+        reach = 0
+        for shift, addend in zip(shifts, addends):
+            reach = min(reach + shift, width - 1)
+            take = bytearray(width)
+            # Descending, so row[j - shift] still holds the previous row.
+            for j in range(reach, shift - 1, -1):
+                reject = row[j] + addend
+                accept = row[j - shift]
+                if accept < reject:
+                    row[j] = accept
+                    take[j] = 1
+                else:
+                    row[j] = reject
+            for j in range(min(shift, reach + 1)):
+                row[j] = row[j] + addend
+            decisions.append(take)
+        return row, decisions
 
-    def dp_relax_min(
-        self, row: Sequence[float], shift: int, addend: float
-    ) -> tuple[list[float], bytearray]:
-        size = len(row)
-        out = [0.0] * size
-        take = bytearray(size)
-        for j in range(min(shift, size)):
-            out[j] = row[j] + addend
-        for j in range(shift, size):
-            reject = row[j] + addend
-            accept = row[j - shift]
-            if accept < reject:
-                out[j] = accept
-                take[j] = 1
-            else:
-                out[j] = reject
-        return out, take
-
-    def dp_relax_max(
-        self, row: Sequence[float], shift: int, addend: float
-    ) -> tuple[list[float], bytearray]:
-        size = len(row)
-        out = list(row[: min(shift, size)])
-        out += [0.0] * (size - len(out))
-        take = bytearray(size)
-        for j in range(shift, size):
-            keep = row[j]
-            reject = row[j - shift] + addend
-            if reject > keep:
-                out[j] = reject
-                take[j] = 1
-            else:
-                out[j] = keep
-        return out, take
+    def dp_sweep_max(
+        self, shifts: Sequence[int], addends: Sequence[float], width: int
+    ) -> tuple[list[float], list[bytearray]]:
+        row = [-_INF] * width
+        row[0] = 0.0
+        decisions = []
+        reach = 0
+        for shift, addend in zip(shifts, addends):
+            reach = min(reach + shift, width - 1)
+            take = bytearray(width)
+            for j in range(reach, shift - 1, -1):
+                reject = row[j - shift] + addend
+                if reject > row[j]:
+                    row[j] = reject
+                    take[j] = 1
+            decisions.append(take)
+        return row, decisions
 
     def best_workload_level(
         self, row: Sequence[float], quantum: float, capacity: float, energy_fn
@@ -173,42 +176,59 @@ class PythonKernel(Kernel):
     # Pareto frontier                                                    #
     # ------------------------------------------------------------------ #
 
-    def frontier_step(
+    def frontier_sweep(
         self,
-        workloads: Sequence[float],
+        cycles: Sequence[float],
         penalties: Sequence[float],
-        cycles: float,
-        penalty: float,
         capacity: float,
-    ) -> FrontierStep:
-        # Candidate tuples: (workload, penalty, source index, accepted).
-        candidates: list[tuple[float, float, int, bool]] = [
-            (w, p + penalty, i, False)
-            for i, (w, p) in enumerate(zip(workloads, penalties))
+        limit: int,
+    ) -> Frontier:
+        bound = capacity_limit(capacity)
+        workloads: Sequence[float] = [0.0]
+        pens: Sequence[float] = [0.0]
+        steps = []
+        states = peak = 1
+        for c, rho in zip(cycles, penalties):
+            size = len(workloads)
+            workloads, pens, kept, candidates = self._frontier_step(
+                workloads, pens, c, rho, bound
+            )
+            steps.append((kept, size))
+            states += candidates
+            peak = max(peak, len(workloads))
+            if len(workloads) > limit:
+                break
+        return Frontier(workloads, pens, steps, states, peak)
+
+    def _frontier_step(self, workloads, penalties, cycles, penalty, bound):
+        """One task's extend-and-prune step of :meth:`frontier_sweep`.
+
+        Returns the new ``(workloads, penalties, kept, candidates)``;
+        *bound* is the capacity's largest fitting load.
+        """
+        size = len(workloads)
+        # (workload, penalty, candidate index): rejects, then the accepts
+        # that fit.  Sorting the tuples orders full (w, p) ties by index,
+        # which is the stable sort's reject-first order.
+        candidates = [
+            (w, p + penalty, i) for i, (w, p) in enumerate(zip(workloads, penalties))
         ]
         for i, (w, p) in enumerate(zip(workloads, penalties)):
             grown = w + cycles
-            if self.fits(grown, capacity):
-                candidates.append((grown, p, i, True))
-        candidates.sort(key=lambda c: (c[0], c[1]))  # stable: reject first
+            if not grown <= bound:
+                break
+            candidates.append((grown, p, size + i))
+        candidates.sort()
         out_w: list[float] = []
         out_p: list[float] = []
-        out_src: list[int] = []
-        out_acc: list[bool] = []
-        for w, p, src, acc in candidates:
+        kept: list[int] = []
+        for w, p, k in candidates:
             if out_p and p >= out_p[-1]:
                 continue
             out_w.append(w)
             out_p.append(p)
-            out_src.append(src)
-            out_acc.append(acc)
-        return FrontierStep(
-            workloads=out_w,
-            penalties=out_p,
-            sources=out_src,
-            accepted=out_acc,
-            candidates=len(candidates),
-        )
+            kept.append(k)
+        return out_w, out_p, kept, len(candidates)
 
     def frontier_best(
         self,

@@ -10,7 +10,11 @@ from repro.core.rejection import (
     dp_cycles,
     exhaustive,
     pareto_exact,
+    pareto_frontier,
 )
+from repro.core.rejection import pareto
+from repro.kernels import kernel_names, use_kernel
+from repro.obs import counters as obs_counters
 from repro.energy import ContinuousEnergyFunction, CriticalSpeedEnergyFunction
 from repro.power import DormantMode, PolynomialPowerModel, xscale_power_model
 from repro.tasks import FrameTask, FrameTaskSet, frame_instance
@@ -103,3 +107,30 @@ class TestMechanics:
             energy_fn=ContinuousEnergyFunction(xscale_power_model(), 1.0),
         )
         assert 0 not in pareto_exact(problem).accepted
+
+
+@pytest.mark.parametrize("kernel", kernel_names())
+def test_frontier_guard_raises_past_the_peak_only(kernel, monkeypatch):
+    # The guard trips exactly when some step's frontier exceeds it: at
+    # the peak the solve finishes, one state below it it refuses, with
+    # the fptas hint on pareto_exact only and no counters emitted.
+    problem = RejectionProblem(
+        tasks=frame_instance(np.random.default_rng(7), n_tasks=20, load=1.4),
+        energy_fn=ContinuousEnergyFunction(xscale_power_model(), 1.0),
+    )
+    with use_kernel(kernel), obs_counters.counting() as registry:
+        pareto_exact(problem)
+        peak = registry.snapshot()["pareto_exact.peak_frontier"]
+        monkeypatch.setattr(pareto, "MAX_FRONTIER", peak)
+        pareto_exact(problem)
+        monkeypatch.setattr(pareto, "MAX_FRONTIER", peak - 1)
+        before = registry.snapshot()
+        with pytest.raises(ValueError) as exact:
+            pareto_exact(problem)
+        with pytest.raises(ValueError) as curve:
+            pareto_frontier(problem)
+        assert registry.snapshot() == before
+    assert str(exact.value) == (
+        f"Pareto frontier exceeded {peak - 1} states; use fptas() for this instance"
+    )
+    assert str(curve.value) == f"Pareto frontier exceeded {peak - 1} states"

@@ -2,13 +2,15 @@
 
 ``energy_table`` prices a stock continuous curve with float64 array ops
 (and CPython's ``pow``) from :data:`ENERGY_VECTOR_MIN_LEN` workloads up;
-``dp_relax_min``/``dp_relax_max`` relax one row in place; and
-``frontier_step`` orders its candidates with one stable sort.  Each must
-return what :class:`PythonKernel` returns, to the last bit and the sign
-of zero, at the corners random solver instances rarely reach: signed
-zeros, denormals, the speed-range edges, the ``_limit`` edge, both
-sides of the crossover, tied workloads and out-of-range shifts.  The
-module skips when NumPy is absent.
+``dp_sweep_min``/``dp_sweep_max`` relax ping-ponged rows over each
+task's reachable prefix; and ``frontier_sweep`` switches from list steps
+to array steps that order their candidates with one stable sort.  Each
+must return what :class:`PythonKernel` returns, and the sweeps what the
+frozen per-row loops of :mod:`tests.kernels.perrow` return, to the last
+bit and the sign of zero, at the corners random solver instances rarely
+reach: signed zeros, denormals, the speed-range edges, the ``_limit``
+edge, both sides of each crossover, tied workloads, zero and
+out-of-range shifts.  The module skips when NumPy is absent.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ import math
 
 import pytest
 
+from tests.kernels import perrow
+
+from repro._validation import capacity_limit
 from repro.energy import ContinuousEnergyFunction
 from repro.kernels.pyref import PythonKernel
 from repro.power import PolynomialPowerModel
@@ -218,76 +223,115 @@ def test_energy_table_prices_a_patched_instance_per_element(attr, routed):
 
 
 # --------------------------------------------------------------------- #
-# dp_relax_min / dp_relax_max                                           #
+# dp_sweep_min / dp_sweep_max                                           #
 # --------------------------------------------------------------------- #
+#
+# Test ids keep the per-row relaxation each sweep runs ("dp_relax_min"
+# is the min sweep); the oracle is the frozen per-row loop.
+
+SWEEPS = pytest.mark.parametrize(
+    "kind", ["min", "max"], ids=["dp_relax_min", "dp_relax_max"]
+)
 
 
-def _rows(size: int) -> dict[str, list[float]]:
-    rng = np.random.default_rng(size)
-    mixed = rng.uniform(0.0, 5.0, size)
-    mixed[rng.random(size) < 0.3] = np.inf
-    mixed[::5] = np.round(mixed[::5])  # exact ties between branches
-    negated = -mixed
-    return {
-        "mixed": mixed.tolist(),
-        "negated": negated.tolist(),
-        "all_inf": [math.inf] * size,
-        "all_neg_inf": [-math.inf] * size,
-        "signed_zeros": [(-0.0 if i % 2 else 0.0) for i in range(size)],
-    }
+def _sweep_both(kind: str, shifts, addends, width: int):
+    want_row, want_take = perrow.dp_sweep(kind, shifts, addends, width)
+    for kernel in (PYTHON, NUMPY):
+        row, take = getattr(kernel, f"dp_sweep_{kind}")(shifts, addends, width)
+        assert _bits(row) == _bits(want_row), kernel.name
+        assert [[bool(t) for t in r] for r in take] == want_take, kernel.name
+    return row, take
 
 
-def _relax_both(op: str, row: list[float], shift: int, addend: float):
-    want_out, want_take = getattr(PYTHON, op)(row, shift, addend)
-    got_out, got_take = getattr(NUMPY, op)(np.array(row), shift, addend)
-    assert got_take.dtype == bool and got_out.dtype == np.float64
-    assert _bits(got_out) == _bits(want_out)
-    assert [bool(t) for t in got_take] == [bool(t) for t in want_take]
+def _tasks(width: int, n: int, seed: int) -> tuple[list[int], list[float]]:
+    """Shifts from 0 to past the row's end, and addends with exact ties
+    between branches (whole numbers) and signed zeros."""
+    rng = np.random.default_rng([width, n, seed])
+    shifts = rng.integers(0, max(2, width // 3), n)
+    shifts[::7] = width + 4  # beyond the row
+    shifts[3::9] = 0  # a zero-unit task
+    addends = rng.uniform(0.0, 5.0, n)
+    addends[::5] = np.round(addends[::5])
+    addends[1::6] = 0.0
+    addends[2::11] = -0.0
+    return shifts.tolist(), addends.tolist()
 
 
-@pytest.mark.parametrize("op", ["dp_relax_min", "dp_relax_max"])
+@SWEEPS
 @pytest.mark.parametrize("size", [1, 7, 2001])
-def test_dp_relax_matches_the_reference(op, size):
-    for kind, row in _rows(size).items():
-        for shift in sorted({0, 1, 3, size // 2, size - 1, size, size + 4}):
-            for addend in (0.0, -0.0, 0.75, 2.0):
-                _relax_both(op, row, shift, addend)
+def test_dp_relax_matches_the_reference(kind, size):
+    for n in (1, 5, 40):
+        for seed in range(3):
+            _sweep_both(kind, *_tasks(size, n, seed), size)
 
 
-@pytest.mark.parametrize("op", ["dp_relax_min", "dp_relax_max"])
-def test_dp_relax_leaves_its_input_row_alone(op):
-    row = np.array(_rows(64)["mixed"])
-    before = row.copy()
-    getattr(NUMPY, op)(row, 3, 0.5)
-    assert _bits(row) == _bits(before)
+@SWEEPS
+def test_dp_relax_leaves_its_input_row_alone(kind):
+    # The sweep reads its task columns without writing to them, as
+    # tuples, lists or arrays.
+    shifts, addends = _tasks(64, 30, 0)
+    for cols in (
+        (tuple(shifts), tuple(addends)),
+        (list(shifts), list(addends)),
+        (np.array(shifts), np.array(addends)),
+    ):
+        before = [list(col) for col in cols]
+        _, take = getattr(NUMPY, f"dp_sweep_{kind}")(*cols, 64)
+        assert take.shape == (30, 64)
+        assert [list(col) for col in cols] == before
 
 
-def test_dp_relax_on_an_empty_row():
-    for op in ("dp_relax_min", "dp_relax_max"):
-        out, take = getattr(NUMPY, op)(np.array([]), 0, 1.0)
-        assert len(out) == 0 and len(take) == 0
+@SWEEPS
+def test_dp_sweep_tail_past_the_reach(kind):
+    # Small shifts on a wide row: most of it lies past every task's
+    # reach, where the per-row loop relaxed +-inf to itself.
+    shifts = [1, 0, 2, 1, 3]
+    row, take = _sweep_both(kind, shifts, [1.5, 0.5, 2.0, 0.0, 1.0], 50)
+    fill = math.inf if kind == "min" else -math.inf
+    assert list(row[8:]) == [fill] * 42
+    assert not take[:, 8:].any()
+
+
+def test_dp_sweep_with_no_tasks():
+    for kind in ("min", "max"):
+        row, take = getattr(NUMPY, f"dp_sweep_{kind}")([], [], 3)
+        fill = math.inf if kind == "min" else -math.inf
+        assert list(row) == [0.0, fill, fill] and take.shape == (0, 3)
 
 
 # --------------------------------------------------------------------- #
-# frontier_step                                                         #
+# frontier_sweep                                                        #
 # --------------------------------------------------------------------- #
 
 
-def _step_both(workloads, penalties, cycles, penalty, capacity):
-    want = PYTHON.frontier_step(workloads, penalties, cycles, penalty, capacity)
-    got = NUMPY.frontier_step(
-        np.array(workloads, dtype=float),
-        np.array(penalties, dtype=float),
-        cycles,
-        penalty,
-        capacity,
+#: ``FRONTIER_VECTOR_MIN_LEN`` settings a frontier test runs under: array
+#: steps from the first task on, then the shipped list-to-array gate.
+GATES = (0, array.FRONTIER_VECTOR_MIN_LEN)
+
+
+def _gated(monkeypatch):
+    for gate in GATES:
+        monkeypatch.setattr(array, "FRONTIER_VECTOR_MIN_LEN", gate)
+        yield gate
+
+
+def _frontier_both(cycles, penalties, capacity, limit=math.inf):
+    want_w, want_p, want_steps, states, peak = perrow.frontier_sweep(
+        cycles, penalties, capacity, limit
     )
-    assert _bits(got.workloads) == _bits(want.workloads)
-    assert _bits(got.penalties) == _bits(want.penalties)
-    assert [int(s) for s in got.sources] == list(want.sources)
-    assert [bool(a) for a in got.accepted] == list(want.accepted)
-    assert got.candidates == want.candidates
+    for kernel in (PYTHON, NUMPY):
+        got = kernel.frontier_sweep(cycles, penalties, capacity, limit)
+        assert _bits(got.workloads) == _bits(want_w), kernel.name
+        assert _bits(got.penalties) == _bits(want_p), kernel.name
+        assert perrow.decoded_steps(got) == want_steps, kernel.name
+        assert (got.states, got.peak) == (states, peak), kernel.name
     return got
+
+
+def _random_tasks(rng, n):
+    cycles = rng.uniform(0.01, 0.3, n).tolist()
+    penalties = rng.uniform(0.0, 1.0, n).tolist()
+    return cycles, penalties, sum(cycles) * float(rng.uniform(0.3, 0.8))
 
 
 @pytest.fixture
@@ -301,48 +345,89 @@ def lexsorts(monkeypatch):
     return calls
 
 
-def test_frontier_step_matches_the_reference_on_random_frontiers(lexsorts):
-    rng = np.random.default_rng(5)
-    for size in (1, 2, 9, 64, 234, 1000):
-        for _ in range(5):
-            w = np.cumsum(rng.uniform(0.01, 0.1, size)).tolist()
-            p = sorted(rng.uniform(0.0, 10.0, size).tolist(), reverse=True)
-            cycles = float(rng.uniform(0.01, 0.3))
-            capacity = w[-1] * float(rng.uniform(0.5, 1.5))
-            _step_both(w, p, cycles, float(rng.uniform(0.0, 1.0)), capacity)
+def test_frontier_step_matches_the_reference_on_random_frontiers(
+    monkeypatch, lexsorts
+):
+    for _ in _gated(monkeypatch):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 9, 16, 30):
+            for _ in range(3):
+                _frontier_both(*_random_tasks(rng, n))
     assert lexsorts == []
 
 
-def test_frontier_step_when_accepts_round_to_one_workload(lexsorts):
-    # 0 + 1e16 and 1 + 1e16 round to the same double: the accept half
-    # carries a tie, which the lexsort fallback orders by penalty.
+def test_frontier_sweep_crosses_the_list_to_array_switch(monkeypatch):
+    # The frontier grows from 1 state past the gate: the first steps run
+    # as lists, the later ones on arrays, and the bits do not change.
+    kinds = []
+    step = array.NumpyKernel._frontier_step
+
+    def spy(self, workloads, *args):
+        kinds.append(type(workloads).__name__)
+        return step(self, workloads, *args)
+
+    monkeypatch.setattr(array.NumpyKernel, "_frontier_step", spy)
+    rng = np.random.default_rng(11)
+    front = _frontier_both(*_random_tasks(rng, 24))
+    assert len(front) > array.FRONTIER_VECTOR_MIN_LEN
+    switch = kinds.index("ndarray")
+    assert kinds[:switch] == ["list"] * switch and switch > 1
+    assert set(kinds[switch:]) == {"ndarray"}
+
+
+def test_frontier_sweep_stops_at_the_same_step_as_the_per_step_guard(
+    monkeypatch,
+):
+    # The oracle stops after the first step whose frontier exceeds the
+    # limit, as the solvers' guard raised there; so must every kernel.
+    for _ in _gated(monkeypatch):
+        cycles, penalties, capacity = _random_tasks(np.random.default_rng(3), 30)
+        stopped = [
+            len(_frontier_both(cycles, penalties, capacity, limit).steps)
+            for limit in (1, 5, 40, 10**6)
+        ]
+        assert stopped[0] == 1 and stopped == sorted(stopped)
+        assert stopped[-2] < stopped[-1] == 30
+
+
+def test_frontier_step_when_accepts_round_to_one_workload(monkeypatch, lexsorts):
+    # The first two tasks build workloads 0, 1, 3, 4.  Then 0 + 1e16 and
+    # 1 + 1e16 round to the same double: the accept half carries a tie,
+    # which the array step's lexsort fallback orders by penalty.
     assert 0.0 + 1e16 == 1.0 + 1e16
-    _step_both([0.0, 1.0, 3.0], [9.0, 7.0, 1.0], 1e16, 0.5, 1e17)
-    assert lexsorts == [1]
+    for _ in _gated(monkeypatch):
+        _frontier_both([1.0, 3.0, 1e16], [2.0, 7.0, 0.5], 1e17)
+    assert lexsorts == [1]  # the gated run takes list steps only
 
 
-def test_frontier_step_when_the_halves_tie(lexsorts):
-    # Accepting state i lands exactly on state i + 1's workload, so each
-    # reject candidate ties an accept candidate; equal penalties too.
-    w = [0.0, 1.0, 2.0, 3.0]
-    p = [4.0, 3.0, 2.5, 0.5]
-    _step_both(w, p, 1.0, 0.5, 10.0)
-    _step_both(w, p, 1.0, 0.0, 10.0)
+def test_frontier_step_when_the_halves_tie(monkeypatch, lexsorts):
+    # The first two tasks build workloads 0, 1, 2, 3; accepting a
+    # one-cycle task lands each state on the next one's workload, so
+    # each reject candidate ties an accept candidate, for a task with a
+    # penalty and for one without.
+    for _ in _gated(monkeypatch):
+        for penalty in (0.5, 0.0):
+            _frontier_both([1.0, 2.0, 1.0], [1.0, 2.5, penalty], 10.0)
     assert lexsorts == [1, 1]
 
 
-def test_frontier_step_on_an_unsorted_frontier(lexsorts):
-    # The op does not rely on its input being a sorted frontier: here
-    # state 0's accept does not fit but states 1 and 2's do.
-    _step_both([5.0, 1.0, 2.0], [0.5, 3.0, 2.0], 0.75, 1.0, 3.0)
-    assert lexsorts == []
+def test_frontier_step_accept_exactly_on_the_capacity_bound(monkeypatch):
+    # The second task's accept from state (0.5, 0) lands exactly on the
+    # largest load that fits: the fitting prefix must include it.
+    bound = capacity_limit(1.0)
+    cycles = bound - 0.5
+    assert 0.5 + cycles == bound
+    for _ in _gated(monkeypatch):
+        front = _frontier_both([0.5, cycles], [10.0, 0.25], 1.0)
+        assert front.states == 1 + 2 + 4
 
 
-def test_frontier_step_when_no_accept_fits():
-    step = _step_both([0.0, 1.0], [2.0, 1.0], 5.0, 0.25, 4.0)
-    assert not any(step.accepted)
+def test_frontier_step_when_no_accept_fits(monkeypatch):
+    for _ in _gated(monkeypatch):
+        front = _frontier_both([5.0, 6.0], [0.25, 1.0], 4.0)
+        assert [front.accepted(i) for i in range(len(front))] == [[]]
 
 
-def test_frontier_step_on_an_empty_frontier():
-    step = _step_both([], [], 1.0, 1.0, 1.0)
-    assert len(step) == 0 and step.candidates == 0
+def test_frontier_sweep_with_no_tasks():
+    front = _frontier_both([], [], 1.0)
+    assert list(front.workloads) == [0.0] and front.steps == []

@@ -164,12 +164,16 @@ def test_cross_kernel_ops_bitwise_on_random_rows():
             assert nu.density_order(values, pens) == py.density_order(
                 values, pens
             )
-            row = [float(v) for v in rng.uniform(0.0, 5.0, size=9)]
-            for shift in (1, 3, 9, 12):
-                a_out, a_take = py.dp_relax_min(row, shift, 0.75)
-                b_out, b_take = nu.dp_relax_min(row, shift, 0.75)
-                assert [float(x) for x in b_out] == a_out
-                assert [bool(t) for t in b_take] == [bool(t) for t in a_take]
+            shifts = [int(u) for u in rng.integers(0, 13, size=6)]
+            addends = [float(v) for v in rng.uniform(0.0, 5.0, size=6)]
+            for sweep in ("dp_sweep_min", "dp_sweep_max"):
+                for width in (1, 9, 40):
+                    a_row, a_take = getattr(py, sweep)(shifts, addends, width)
+                    b_row, b_take = getattr(nu, sweep)(shifts, addends, width)
+                    assert [float(x) for x in b_row] == a_row
+                    assert [[bool(t) for t in r] for r in b_take] == [
+                        [bool(t) for t in r] for r in a_take
+                    ]
 
 
 # --------------------------------------------------------------------- #

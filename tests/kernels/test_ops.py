@@ -1,5 +1,9 @@
 """Exact-value unit tests for the kernel ops at ulp/tie-break corners.
 
+The DP relaxations and the frontier steps run inside the sweep ops
+(``dp_sweep_min``/``dp_sweep_max``, ``frontier_sweep``); their tests
+drive each corner through a short task sequence.
+
 Parametrised over every *available* kernel (just the python reference in
 NumPy-free environments), pinning hand-computed expected values at the
 capacity-boundary and tie-breaking corners the differential wall's
@@ -67,33 +71,58 @@ def test_prefix_reject_count_zero_when_already_fitting(kern):
 
 
 def test_dp_relax_min_breaks_ties_toward_reject(kern):
-    # reject (row[j] + addend) == accept (row[j - shift]): the accept
-    # branch is not strictly smaller, so take must stay False.
-    out, take = kern.dp_relax_min([0.0, 0.0], 1, 0.0)
-    assert list(out) == [0.0, 0.0]
-    assert not take[1]
-    # Strictly smaller accept does take.
-    out2, take2 = kern.dp_relax_min([0.0, 1.0], 1, 0.5)
-    assert list(out2) == [0.5, 0.0]
-    assert take2[1] and not take2[0]
+    # The second task's reject (row[1] + 0) ties its accept (row[0]): the
+    # accept branch is not strictly smaller, so take must stay False.
+    row, take = kern.dp_sweep_min([1, 1], [0.0, 0.0], 2)
+    assert list(row) == [0.0, 0.0]
+    assert take[0][1] and not take[1][1]
+    # Strictly smaller accepts do take: [0, inf, inf] -> [2, 0, inf]
+    # -> [2.5, 0.5, 0], where 0.5 (reject) beats 2.0 (accept) at j = 1.
+    row2, take2 = kern.dp_sweep_min([1, 1], [2.0, 0.5], 3)
+    assert list(row2) == [2.5, 0.5, 0.0]
+    assert [bool(t) for t in take2[1]] == [False, False, True]
 
 
 def test_dp_relax_max_breaks_ties_toward_keep(kern):
-    out, take = kern.dp_relax_max([0.0, 0.0, 0.0], 1, 0.0)
-    assert list(out) == [0.0, 0.0, 0.0]
-    assert not take[1] and not take[2]  # ties keep the accept branch
-    out2, take2 = kern.dp_relax_max([0.0, -math.inf], 1, 2.0)
-    assert list(out2) == [0.0, 2.0]
-    assert take2[1]
+    row, take = kern.dp_sweep_max([1, 1], [0.0, 0.0], 3)
+    assert list(row) == [0.0, 0.0, 0.0]
+    assert not take[1][1]  # the tie keeps the accept branch
+    assert take[0][1] and take[1][2]  # -inf loses to any finite reject
+    row2, take2 = kern.dp_sweep_max([1], [2.0], 2)
+    assert list(row2) == [0.0, 2.0]
+    assert take2[0][1]
 
 
 def test_dp_relax_shift_beyond_row_is_reject_only(kern):
-    out, take = kern.dp_relax_min([0.0, 3.0], 5, 1.0)
-    assert list(out) == [1.0, 4.0]
-    assert not any(bool(t) for t in take)
-    out2, take2 = kern.dp_relax_max([0.0, 3.0], 5, 1.0)
-    assert list(out2) == [0.0, 3.0]
-    assert not any(bool(t) for t in take2)
+    row, take = kern.dp_sweep_min([5], [1.0], 2)
+    assert list(row) == [1.0, math.inf]
+    assert not any(bool(t) for t in take[0])
+    row2, take2 = kern.dp_sweep_max([5], [1.0], 2)
+    assert list(row2) == [0.0, -math.inf]
+    assert not any(bool(t) for t in take2[0])
+
+
+def test_dp_sweep_zero_shift_relaxes_in_place(kern):
+    # A zero-unit task compares each entry with itself: the min sweep
+    # keeps it (accept), the max sweep adds the cycles (reject).
+    row, take = kern.dp_sweep_min([0, 1], [1.0, 1.0], 3)
+    assert list(row) == [1.0, 0.0, math.inf]
+    assert [bool(t) for t in take[0]] == [True, False, False]
+    row2, take2 = kern.dp_sweep_max([0, 1], [2.0, 1.0], 3)
+    assert list(row2) == [2.0, 3.0, -math.inf]
+    assert [bool(t) for t in take2[0]] == [True, False, False]
+
+
+def test_dp_sweep_leaves_the_tail_past_the_reach_alone(kern):
+    # Two tasks reach level 3 of 8: levels 4-7 stay +-inf, never taken.
+    row, take = kern.dp_sweep_min([1, 2], [1.0, 1.0], 8)
+    assert list(row)[4:] == [math.inf] * 4
+    assert list(row)[:4] == [2.0, 1.0, 1.0, 0.0]
+    row2, take2 = kern.dp_sweep_max([1, 2], [1.0, 1.0], 8)
+    assert list(row2)[4:] == [-math.inf] * 4
+    assert list(row2)[:4] == [0.0, 1.0, 1.0, 2.0]
+    for table in (take, take2):
+        assert not any(bool(t) for r in table for t in list(r)[4:])
 
 
 def test_best_workload_level_prefers_first_minimum(kern):
@@ -216,36 +245,57 @@ def test_improving_prefix_stops_at_first_non_improving(kern):
 
 
 def test_frontier_step_keeps_reject_branch_on_full_tie(kern):
-    # cycles == 0 and penalty == 0 duplicates every state in both
-    # branches; the stable reject-first order must keep the reject copy.
-    step = kern.frontier_step([0.0, 1.0], [5.0, 0.0], 0.0, 0.0, 10.0)
-    assert list(step.workloads) == [0.0, 1.0]
-    assert list(step.penalties) == [5.0, 0.0]
-    assert [bool(a) for a in step.accepted] == [False, False]
-    assert step.candidates == 4
+    # The first task builds (0, 5), (1, 0).  The second (cycles == 0,
+    # penalty == 0) duplicates every state in both branches; the stable
+    # reject-first order must keep the reject copies.
+    front = kern.frontier_sweep([1.0, 0.0], [5.0, 0.0], 10.0, 10)
+    assert list(front.workloads) == [0.0, 1.0]
+    assert list(front.penalties) == [5.0, 0.0]
+    kept, size = front.steps[1]
+    assert [int(k) for k in kept] == [0, 1] and size == 2  # both rejects
+    assert front.states == 1 + 2 + 4
+    assert front.accepted(1) == [0]
 
 
 def test_frontier_step_prunes_dominated_states(kern):
-    # States (0,3),(1,2) + task (c=1, rho=2): candidates are rejects
-    # (0,5),(1,4) and accepts (1,3),(2,2); (1,4) is dominated by (1,3).
-    step = kern.frontier_step([0.0, 1.0], [3.0, 2.0], 1.0, 2.0, 10.0)
-    assert list(step.workloads) == [0.0, 1.0, 2.0]
-    assert list(step.penalties) == [5.0, 3.0, 2.0]
-    assert [bool(a) for a in step.accepted] == [False, True, True]
-    assert [int(s) for s in step.sources] == [0, 0, 1]
+    # The first two tasks build (0, 3), (1, 2) (the second fits nowhere).
+    # The third (c=1, rho=2) makes rejects (0,5), (1,4) and accepts
+    # (1,3), (2,2); (1,4) is dominated by (1,3).
+    front = kern.frontier_sweep([1.0, 5.0, 1.0], [1.0, 2.0, 2.0], 4.0, 10)
+    assert list(front.workloads) == [0.0, 1.0, 2.0]
+    assert list(front.penalties) == [5.0, 3.0, 2.0]
+    kept, size = front.steps[2]
+    # Reject of state 0, accepts of states 0 and 1.
+    assert [int(k) for k in kept] == [0, 2, 3] and size == 2
+    assert [front.accepted(i) for i in range(3)] == [[], [2], [2, 0]]
+    assert (front.states, front.peak) == (1 + 2 + 2 + 4, 3)
 
 
 def test_frontier_step_capacity_tolerance_on_accept_branch(kern):
     cap = 1.0
-    # From workload 3*RTOL above zero, accepting a capacity-sized task
-    # lands outside the shared tolerance: only the reject branch remains.
-    step = kern.frontier_step([3 * CAPACITY_RTOL * cap], [0.5], cap, 0.25, cap)
-    assert len(step) == 1
-    assert not bool(step.accepted[0])
-    # From exactly zero the same accept lands exactly on the capacity.
-    step2 = kern.frontier_step([0.0], [0.5], cap, 0.25, cap)
-    assert list(step2.workloads) == [0.0, cap]
-    assert [bool(a) for a in step2.accepted] == [False, True]
+    # The first task builds (0, 10), (d, 0).  Accepting a capacity-sized
+    # task fits from workload 0 (exactly on the capacity) but, for
+    # d = 3 * RTOL, not from d: the step examines 3 candidates.
+    outside = kern.frontier_sweep(
+        [3 * CAPACITY_RTOL * cap, cap], [10.0, 0.25], cap, 10
+    )
+    assert outside.states == 1 + 2 + 3
+    assert list(outside.penalties) == [10.25, 0.25]
+    # Half an RTOL above the capacity is inside the shared tolerance.
+    inside = kern.frontier_sweep(
+        [0.5 * CAPACITY_RTOL * cap, cap], [10.0, 0.25], cap, 10
+    )
+    assert inside.states == 1 + 2 + 4
+    assert list(inside.penalties) == [10.25, 0.25, 0.0]
+    assert inside.accepted(2) == [1, 0]
+
+
+def test_frontier_sweep_stops_past_its_limit(kern):
+    # Three tasks grow the frontier 1 -> 2 -> 4 -> 8 states; a limit of
+    # 3 stops the sweep after the second task (4 > 3).
+    front = kern.frontier_sweep([1.0, 2.0, 4.0], [1.0, 2.0, 4.0], 100.0, 3)
+    assert len(front.steps) == 2 and len(front) == 4
+    assert front.peak == 4 and front.states == 1 + 2 + 4
 
 
 def test_subset_sums_doubling_order(kern):

@@ -318,6 +318,22 @@ class TestSolvePath:
         assert "workload 1e+120" in payload["error"]
         assert "overflows a float" in payload["error"]
 
+    def test_integer_too_large_for_a_float_answers_400(self):
+        request = make_bodies(0, 1, n_min=6, n_max=6)[0]
+        request["instance"]["tasks"][2]["cycles"] = 10**400
+
+        async def body():
+            svc, host, port = await _start()
+            try:
+                return await http_json(host, port, "POST", "/solve", request)
+            finally:
+                await svc.stop()
+
+        status, payload = run(body())
+        assert status == 400, payload
+        assert "cycles must be finite" in payload["error"]
+        assert "too large for a float" in payload["error"]
+
 
 class TestRejection:
     def test_oversized_request_gets_429_capacity(self):

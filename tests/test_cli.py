@@ -1,5 +1,6 @@
 """Tests for the CLI entry point."""
 
+import json
 import os
 import socket
 import subprocess
@@ -164,6 +165,20 @@ class TestSolveErrors:
         bad.write_text('{"schema_version": 999, "tasks": []}')
         assert main(["solve", str(bad)]) == 2
         assert "cannot read instance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["cycles", "penalty"])
+    def test_integer_too_large_for_a_float(self, capsys, tmp_path, field):
+        inst = tmp_path / "inst.json"
+        assert main(["generate", "--n", "3", "--seed", "0", str(inst)]) == 0
+        capsys.readouterr()
+        data = json.loads(inst.read_text())
+        data["tasks"][1][field] = 10**400
+        inst.write_text(json.dumps(data))
+        assert main(["solve", str(inst)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read instance" in err
+        assert f"{field} must be finite" in err and "too large for a float" in err
+        assert len(err.strip().splitlines()) == 1  # one line, no traceback
 
     def test_unbounded_speed_overflow_refused(self, capsys, tmp_path):
         # s_max = inf loads fine; the one task needs a speed whose

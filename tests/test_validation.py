@@ -46,6 +46,14 @@ class TestRequireFinite:
         with pytest.raises(TypeError, match="real number"):
             require_finite("x", True)
 
+    def test_int_past_the_float_range_rejected(self):
+        assert require_finite("x", 2**1023) == 2**1023
+        with pytest.raises(ValueError) as info:
+            require_finite("x", 10**400)
+        assert str(info.value) == (
+            "x must be finite, got an integer too large for a float (1329 bits)"
+        )
+
     def test_string_rejected(self):
         with pytest.raises(TypeError):
             require_finite("x", "1.0")
