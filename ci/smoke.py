@@ -51,8 +51,8 @@ ARTIFACTS = {
     "hetero": "het-inst.json hetero-solve.log hsim1.json hsim2.json "
     "python-only/het-inst.json python-only/hetero-solve.log "
     "python-only/hsim1.json python-only/hsim2.json",
-    "shard": "serve.log bench.log saturation.log health.json metrics.prom "
-    "metrics.json results/BENCH_serve.json",
+    "shard": "serve.log bench.log top.txt saturation.log health.json "
+    "metrics.prom metrics.json results/BENCH_serve.json",
 }
 
 
@@ -408,6 +408,7 @@ def shard(ws: Workspace) -> None:
         ws.repro_json(f"{TRACE_SIM} --emit-trace trace.jsonl", "sim.json")
         replay(ws, port, "replay.json")
         replay(ws, port, "timed.json", "--replay-mode timed --speedup 8")
+        top = ws.repro(f"top --port {port} --once", out="top.txt")
         text, payload = ws.scrape(port)
         # After the scrape, as in the service scenario.  Round-robin sends
         # the copy to the other shard, which reads the shared disk tier.
@@ -419,7 +420,15 @@ def shard(ws: Workspace) -> None:
                        f'repro_shard_up{{shard="{shard_id}"}} 1'):
             check(needle in text, f"the merged /metrics has {needle}")
     check('outcome="disk_hit"' in text, "a shard hit the shared disk cache")
+    # The router reads its shards directly: its own /healthz, /metrics
+    # and top polls are no shard requests, and nothing else scrapes a shard.
+    scraped = re.findall(r'^repro_http_requests_total\{shard="\d+",endpoint="/metrics"',
+                         text, re.M)
+    check(not scraped, "router scrapes are not shard /metrics requests", scraped)
     total = solve_total(payload["counters"])
+    # top polled just before the scrape, so it shows the same total.
+    shown = re.search(r"^solve +total=(\d+)", top, re.M)
+    check(shown and int(shown[1]) == total > 0, "top shows the fleet's solve total", top)
     check(total >= 400, "fleet solve.total counts the load", total)
     per_shard = [s["counters"].get("service.solve.total", 0) for s in payload["shards"]]
     check(sum(per_shard) == total, "shard totals add up", (per_shard, total))

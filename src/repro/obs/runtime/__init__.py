@@ -6,8 +6,8 @@ layer the solve service, load generator, and arrival simulator share:
 
 ``metrics``
     Labeled counter/gauge/histogram families behind a thread-safe
-    :class:`MetricsRegistry` with ``merge()`` for multi-shard
-    aggregation.
+    :class:`MetricsRegistry`; ``collect()`` reads them as live
+    families, which the shard router labels per shard.
 ``prometheus``
     Text exposition (format 0.0.4) with stable ordering, escaped
     labels, and cumulative histogram buckets.
@@ -31,7 +31,6 @@ from repro.obs.runtime.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    relabel_snapshot,
 )
 from repro.obs.runtime.prometheus import Family, Sample, render
 from repro.obs.runtime.slo import (
@@ -61,7 +60,6 @@ __all__ = [
     "fetch_snapshot",
     "format_slo_line",
     "parse_slo_line",
-    "relabel_snapshot",
     "render",
     "render_frame",
     "run_top",

@@ -1,18 +1,16 @@
 """Labeled metric families behind a thread-safe registry.
 
-The solve service records metrics from the asyncio loop thread, from
-``run_in_executor`` callbacks, and (via shipped snapshots) from pool
-worker processes, and the shard router aggregates several of these
-registries into one fleet exposition.  So the design constraints are:
+The solve service records metrics from the asyncio loop thread and
+from ``run_in_executor`` callbacks, so every mutation is
+lock-protected: one lock per metric, because the service hot path
+touches two or three metrics per request and a registry-wide lock
+would serialise unrelated endpoints.
 
-* every mutation is lock-protected (one lock per metric — the service
-  hot path touches two or three metrics per request, and a registry
-  -wide lock would serialise unrelated endpoints);
-* snapshots are plain JSON-serialisable dicts, so a shard can ship its
-  registry through a pipe exactly like the pool ships solver counters;
-* :meth:`MetricsRegistry.merge` folds another registry *or* snapshot
-  in: counters and histograms sum, gauges sum too (label per-shard
-  gauges with a ``shard`` label when summing is not what you want).
+Exposition is a direct read: :meth:`MetricsRegistry.collect` returns
+each metric's live series as a :class:`~repro.obs.runtime.prometheus
+.Family`, samples in label order.  The fleet router reads each shard's
+families the same way and prefixes a ``shard`` label; nothing is
+serialised or merged on the way.
 
 Label values are free-form strings; label *names* and metric names are
 validated against the Prometheus grammar at creation time so the text
@@ -35,7 +33,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "relabel_snapshot",
 ]
 
 _METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -124,14 +121,6 @@ class Counter(_Metric):
             {"labels": self._labels_dict(key), "value": value}
             for key, value in items
         ]
-
-    def _merge(self, series: list[dict[str, Any]]) -> None:
-        with self._lock:
-            for row in series:
-                key = self._key(row["labels"])
-                self._values[key] = (
-                    self._values.get(key, 0.0) + float(row["value"])
-                )
 
     def collect(self) -> Family:
         return Family(
@@ -232,22 +221,6 @@ class Histogram(_Metric):
             for key, (counts, total, count) in items
         ]
 
-    def _merge(self, series: list[dict[str, Any]]) -> None:
-        with self._lock:
-            for row in series:
-                key = self._key(row["labels"])
-                counts = row["counts"]
-                if len(counts) != len(self.bounds):
-                    raise ValueError(
-                        f"{self.name}: bucket count mismatch "
-                        f"({len(counts)} != {len(self.bounds)})"
-                    )
-                cell = self._cell(key)
-                for i, n in enumerate(counts):
-                    cell[0][i] += int(n)
-                cell[1] += float(row["sum"])
-                cell[2] += int(row["count"])
-
     def quantile(self, q: float, **labels: str) -> float:
         """Interpolated estimate of quantile *q* for one series.
 
@@ -303,42 +276,8 @@ class Histogram(_Metric):
         )
 
 
-def relabel_snapshot(
-    snapshot: Mapping[str, Any], **labels: str
-) -> dict[str, Any]:
-    """A copy of *snapshot* with extra labels prepended to every series.
-
-    The shard aggregation primitive: the router stamps each worker's
-    registry snapshot with ``shard="0"``, ``shard="1"``, ... before
-    merging, so per-shard series stay disjoint in the fleet registry and
-    summed families (``merge`` always sums) decompose exactly into their
-    per-shard parts.  Raises on a label name the snapshot already uses —
-    silently overwriting a shard's own labels would corrupt the sum.
-    """
-    extra = _check_labelnames(labels)
-    out: dict[str, Any] = {}
-    for name, entry in snapshot.items():
-        labelnames = tuple(entry["labelnames"])
-        clash = set(extra) & set(labelnames)
-        if clash:
-            raise ValueError(
-                f"{name}: relabel collides with existing labels "
-                f"{sorted(clash)!r}"
-            )
-        new_entry = dict(entry)
-        new_entry["labelnames"] = list(extra) + list(labelnames)
-        new_entry["series"] = [
-            {**row, "labels": {**labels, **row["labels"]}}
-            for row in entry["series"]
-        ]
-        out[name] = new_entry
-    return out
-
-
 class MetricsRegistry:
-    """An ordered collection of metrics with snapshot/merge/collect."""
-
-    _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+    """An ordered collection of metrics, collected as families."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -387,50 +326,3 @@ class MetricsRegistry:
         with self._lock:
             metrics = list(self._metrics.values())
         return [metric.collect() for metric in metrics]
-
-    def snapshot(self) -> dict[str, Any]:
-        """JSON-serialisable dump, suitable for shipping across shards."""
-        out: dict[str, Any] = {}
-        with self._lock:
-            metrics = list(self._metrics.values())
-        for metric in metrics:
-            entry: dict[str, Any] = {
-                "type": metric.kind,
-                "help": metric.help,
-                "labelnames": list(metric.labelnames),
-                "series": metric.series(),
-            }
-            if isinstance(metric, Histogram):
-                entry["buckets"] = [
-                    "+Inf" if math.isinf(b) else b for b in metric.bounds
-                ]
-            out[metric.name] = entry
-        return out
-
-    def merge(self, other: "MetricsRegistry | Mapping[str, Any]") -> None:
-        """Fold another registry (or its snapshot) into this one.
-
-        Counters, gauges, and histograms all *sum*; unknown families
-        are created on the fly, so an empty aggregator registry can
-        absorb N shard snapshots and expose the fleet view.
-        """
-        snap = other.snapshot() if isinstance(other, MetricsRegistry) else other
-        for name, entry in sorted(snap.items()):
-            kind = entry["type"]
-            if kind not in self._KINDS:
-                raise ValueError(f"{name}: unknown metric type {kind!r}")
-            labelnames = tuple(entry["labelnames"])
-            if kind == "histogram":
-                bounds = tuple(
-                    math.inf if b == "+Inf" else float(b)
-                    for b in entry.get("buckets", ())
-                )
-                metric = self.histogram(
-                    name, entry.get("help", ""), labelnames,
-                    bounds or None,
-                )
-            elif kind == "gauge":
-                metric = self.gauge(name, entry.get("help", ""), labelnames)
-            else:
-                metric = self.counter(name, entry.get("help", ""), labelnames)
-            metric._merge(entry["series"])

@@ -6,6 +6,10 @@ latency quantiles, queue depth, energy rate, and SLO burn.  Rates are
 derived client-side from the server's time-series ring (raw totals),
 so a dropped poll skews nothing.
 
+Pointed at a fleet router (``repro serve --shards N``), whose JSON
+carries only the fleet section and the summed counters, it shows the
+shards up and the summed solve and cache counters instead.
+
 ``render_frame`` is a pure function of the snapshot dict — tests feed
 it canned payloads; only ``fetch_snapshot``/``run_top`` touch sockets.
 """
@@ -60,8 +64,53 @@ def _fmt_rate(value: float) -> str:
     return f"{value:.1f}/s"
 
 
+def _show(
+    section: dict[str, Any], key: str, spec: str = "", unit: str = ""
+) -> str:
+    """``section[key]`` formatted with *spec* and *unit*; ``?`` if the
+    payload lacks it."""
+    value = section.get(key)
+    return "?" if value is None else format(value, spec) + unit
+
+
+def _counts(label: str, counters: dict[str, float], prefix: str) -> str:
+    """Every counter named ``prefix<part>``, ``total`` first."""
+    parts = sorted(
+        (key[len(prefix):] for key in counters if key.startswith(prefix)),
+        key=lambda part: (part != "total", part),
+    )
+    shown = "  ".join(f"{part}={counters[prefix + part]:.0f}" for part in parts)
+    return f"{label:<10}{shown or '(none counted)'}"
+
+
+def _fleet_frame(snapshot: dict[str, Any]) -> str:
+    """The frame for a fleet router's payload: shards up and the summed
+    solve and cache counters, which is all that payload carries."""
+    fleet = snapshot["fleet"]
+    counters = snapshot.get("counters", {})
+    up = "?"
+    if "shards" in snapshot:
+        shards = snapshot["shards"]
+        up = f"{sum(1 for shard in shards if shard.get('up'))}/{len(shards)}"
+    flags = " [draining]" if fleet.get("draining") else ""
+    return "\n".join(
+        [
+            f"repro top — fleet router  shards={_show(fleet, 'shards')}"
+            f"  up={up}{flags}",
+            _counts("solve", counters, "service.solve."),
+            _counts("cache", counters, "service.cache."),
+        ]
+    )
+
+
 def render_frame(snapshot: dict[str, Any]) -> str:
-    """Render one dashboard frame from a ``/metrics?format=json`` dict."""
+    """Render one dashboard frame from a ``/metrics?format=json`` dict.
+
+    A fleet router's payload (the one with a ``fleet`` section) gets the
+    fleet frame.  A field the payload lacks prints as ``?``, never as 0.
+    """
+    if "fleet" in snapshot:
+        return _fleet_frame(snapshot)
     service = snapshot.get("service", {})
     requests = snapshot.get("requests", {})
     admission = snapshot.get("admission", {})
@@ -75,39 +124,41 @@ def render_frame(snapshot: dict[str, Any]) -> str:
     qps = rate(samples, "requests")
     if qps == 0.0 and uptime > 0:
         qps = total / uptime  # cold ring: fall back to lifetime average
+    known = samples or "total_requests" in requests
+    qps_text = f"{qps:.1f}" if known else "?"
 
     lines = []
     flags = " [draining]" if service.get("draining") else ""
     lines.append(
         f"repro top — {service.get('host', '?')}:{service.get('port', '?')}"
-        f"  up {uptime:.1f}s  policy={admission.get('policy', '?')}"
+        f"  up {_show(requests, 'uptime_s', '.1f', 's')}"
+        f"  policy={admission.get('policy', '?')}"
         f"  workers={service.get('workers', '?')}{flags}"
     )
     lines.append(
-        f"requests  total={total}  qps={qps:.1f}"
-        f"  queue={runtime.get('queue_depth', 0)}"
-        f"  util={admission.get('utilisation', 0.0) * 100.0:.1f}%"
-        f"  inflight={admission.get('inflight_units', 0.0):.0f}u"
+        f"requests  total={_show(requests, 'total_requests')}  qps={qps_text}"
+        f"  queue={_show(runtime, 'queue_depth')}"
+        f"  util={_show(admission, 'utilisation', '.1%')}"
+        f"  inflight={_show(admission, 'inflight_units', '.0f', 'u')}"
     )
-    solve_total = counters.get("service.solve.total", 0)
     lines.append(
-        f"solve     total={solve_total:.0f}"
-        f"  admitted={admission.get('admitted', 0)}"
+        f"solve     total={_show(counters, 'service.solve.total', '.0f')}"
+        f"  admitted={_show(admission, 'admitted')}"
         f" ({_fmt_rate(rate(samples, 'admitted'))})"
-        f"  rejected={admission.get('rejected', 0)}"
+        f"  rejected={_show(admission, 'rejected')}"
         f" ({_fmt_rate(rate(samples, 'rejected'))})"
-        f"  shed={admission.get('shed', 0)}"
-        f"  cache_hits={cache.get('hits', 0)}"
+        f"  shed={_show(admission, 'shed')}"
+        f"  cache_hits={_show(cache, 'hits')}"
     )
     solve = requests.get("endpoints", {}).get("/solve", {})
     latency = solve.get("latency", {})
     lines.append(
-        f"latency   /solve p50={latency.get('p50_ms', 0.0):.1f}ms"
-        f" p99={latency.get('p99_ms', 0.0):.1f}ms"
-        f"  n={latency.get('count', 0)}"
+        f"latency   /solve p50={_show(latency, 'p50_ms', '.1f', 'ms')}"
+        f" p99={_show(latency, 'p99_ms', '.1f', 'ms')}"
+        f"  n={_show(latency, 'count')}"
     )
     lines.append(
-        f"energy    proxy={runtime.get('energy_proxy_j', 0.0):.2f}J"
+        f"energy    proxy={_show(runtime, 'energy_proxy_j', '.2f', 'J')}"
         f"  rate={rate(samples, 'energy_j'):.3f}J/s"
     )
     for row in runtime.get("slo", []):

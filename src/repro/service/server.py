@@ -58,6 +58,7 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from repro.obs import counters as obs_counters
+from repro.obs.runtime.prometheus import Family, render
 from repro.obs.trace import active_sink, emit_record, span
 from repro.runner.pool import evict_executor, get_executor
 from repro.service import worker as worker_mod
@@ -115,7 +116,7 @@ class SolveService:
     shard_id:
         Fleet identity.  When set, request ids carry an ``s<id>-``
         prefix (so the router can route ``/result`` lookups) and the
-        id appears in ``/metrics`` snapshots.
+        id appears in ``/healthz`` and ``/metrics?format=json``.
     budget:
         Optional fleet-wide capacity ledger
         (:mod:`repro.service.shard.budget`); the admission controller
@@ -349,16 +350,17 @@ class SolveService:
         if route == "/solve":
             return await self._solve(body, req_id)
         if route == "/healthz":
-            return 200, self._health()
+            return 200, self.health()
         if route == "/metrics":
             if "format=json" in query.split("&"):
                 return 200, self.metrics_dict()
-            if "format=snapshot" in query.split("&"):
-                return 200, self.metrics_snapshot()
             return 200, self.metrics_text()
         return self._result(path[len("/result/") :])
 
-    def _health(self) -> dict:
+    # -- reads (the router calls these directly) ------------------------
+
+    def health(self) -> dict:
+        """The ``/healthz`` payload."""
         controller = self._controller
         health = {
             "status": "draining" if self._draining else "ok",
@@ -386,48 +388,35 @@ class SolveService:
             "requests": self.telemetry.requests_dict(),
             "admission": self._controller.stats() if self._controller else {},
             "cache": self._cache.stats(),
-            "counters": self._registry.snapshot(),
+            "counters": self.counters(),
             "runtime": self.telemetry.runtime_dict(
                 queue_depth=len(self._queued),
                 energy_j=self._energy_proxy_j(),
             ),
         }
 
-    def _exposition_kwargs(self) -> dict:
-        return {
-            "counters": self._registry.snapshot(),
-            "admission": (
-                self._controller.stats() if self._controller else {}
-            ),
-            "cache": self._cache.stats(),
-            "info": {
-                "policy": (
-                    self._controller.policy.name if self._controller else None
-                ),
+    def counters(self) -> dict[str, float]:
+        """This server's :mod:`repro.obs` counter totals."""
+        return self._registry.snapshot()
+
+    def metrics_families(self) -> list[Family]:
+        """Every family of the ``GET /metrics`` exposition."""
+        controller = self._controller
+        return self.telemetry.families(
+            counters=self.counters(),
+            admission=controller.stats() if controller else {},
+            cache=self._cache.stats(),
+            info={
+                "policy": controller.policy.name if controller else None,
                 "workers": self.workers,
             },
-            "queue_depth": len(self._queued),
-            "energy_j": self._energy_proxy_j(),
-        }
+            queue_depth=len(self._queued),
+            energy_j=self._energy_proxy_j(),
+        )
 
     def metrics_text(self) -> str:
         """The ``GET /metrics`` Prometheus text exposition."""
-        return self.telemetry.render_prometheus(**self._exposition_kwargs())
-
-    def metrics_snapshot(self) -> dict:
-        """``/metrics?format=snapshot``: a mergeable registry dump.
-
-        The payload is a :meth:`MetricsRegistry.snapshot` of the full
-        exposition plus this shard's identity and counters — the router
-        relabels every series with ``shard=<id>`` and folds N of these
-        into the fleet-wide text exposition.
-        """
-        registry = self.telemetry.export_registry(**self._exposition_kwargs())
-        return {
-            "shard": self.shard_id,
-            "registry": registry.snapshot(),
-            "counters": self._registry.snapshot(),
-        }
+        return render(self.metrics_families())
 
     # -- runtime sampling -----------------------------------------------
 

@@ -1,10 +1,13 @@
 """The fleet's front door: one public port over N in-process shards.
 
-The router owns the address clients talk to and hands each request to
-a shard's :meth:`~repro.service.server.SolveService.handle`, awaited
-directly on the shared event loop: no request is re-encoded or sent
-over a socket a second time, and the shard's ``(status, payload,
-extra_headers)`` answer is written to the client unchanged.
+The router owns the address clients talk to and hands each client
+request (``/solve``, ``/result/<id>``) to a shard's
+:meth:`~repro.service.server.SolveService.handle`, awaited directly on
+the shared event loop: no request is re-encoded or sent over a socket a
+second time, and the shard's ``(status, payload, extra_headers)``
+answer is written to the client unchanged.  ``/healthz`` and
+``/metrics`` read the shards' live objects instead, so the router's
+own reads are not counted as shard requests.
 
 ``POST /solve``
     Round-robin over the shards; the shard's answer (status, body,
@@ -22,16 +25,16 @@ extra_headers)`` answer is written to the client unchanged.
     with the per-shard verdicts inlined (a stopped shard is ``down``).
 
 ``GET /metrics``
-    The fleet exposition.  Each shard's full registry comes as a
-    mergeable snapshot (its ``/metrics?format=snapshot`` answer); the
-    router relabels every series with ``shard=<k>``
-    (:func:`repro.obs.runtime.relabel_snapshot`) and folds them into
-    one :class:`~repro.obs.runtime.MetricsRegistry` — per-shard series
-    stay disjoint, so every summed family (``repro_solve_requests_total``
-    included) decomposes exactly into its per-shard parts and the
-    pinned ``solve.total`` invariant holds fleet-wide.
-    ``?format=json`` returns the JSON fleet view with the per-shard
-    obs-counter registries summed.
+    The fleet exposition.  The router reads each running shard's
+    families (:meth:`~repro.service.server.SolveService
+    .metrics_families`) straight from its live objects, prefixes
+    ``shard=<k>`` to every sample and groups the samples by family
+    name, shards in ``str(k)`` order.  Per-shard series stay disjoint,
+    so every family (``repro_solve_requests_total`` included)
+    decomposes exactly into its per-shard parts and the pinned
+    ``solve.total`` invariant holds fleet-wide.  ``?format=json``
+    returns the JSON fleet view with the per-shard obs-counter
+    registries summed.
 
 Client connections are served and drained by the same
 :class:`~repro.service.http.HttpFront` as the shard server, and 404/405
@@ -48,8 +51,7 @@ import time
 from typing import Any
 
 from repro.obs import counters as obs_counters
-from repro.obs.runtime.metrics import MetricsRegistry, relabel_snapshot
-from repro.obs.runtime.prometheus import render
+from repro.obs.runtime.prometheus import Family, Sample, render
 from repro.service.http import HttpFront, refusal, route_of
 from repro.service.server import SolveService
 
@@ -113,10 +115,10 @@ class ShardRouter:
             if route == "/result/":
                 return await self._proxy_result(path)
             if route == "/healthz":
-                return 200, await self._health(), None
+                return 200, self._health(), None
             if "format=json" in query.split("&"):
-                return 200, await self._metrics_json(), None
-            return 200, await self._metrics_text(), None
+                return 200, self._metrics_json(), None
+            return 200, self._metrics_text(), None
         except Exception as exc:  # noqa: BLE001 - must answer something
             self._registry.add("router.errors.internal")
             return 500, {"status": "error", "error": str(exc)}, None
@@ -162,28 +164,14 @@ class ShardRouter:
 
     # -- fleet views ----------------------------------------------------
 
-    async def _shard_views(self, path: str) -> list[dict | None]:
-        """Each shard's JSON answer to ``GET path``; ``None`` if stopped."""
-        views: list[dict | None] = []
-        for shard in self.shards:
-            view = None
-            if not shard.stopped:
-                status, payload, _ = await shard.handle("GET", path, b"")
-                if status == 200 and isinstance(payload, dict):
-                    view = payload
-            views.append(view)
-        return views
-
-    async def _health(self) -> dict:
-        shards = []
-        statuses = []
-        for index, report in enumerate(await self._shard_views("/healthz")):
-            if report is None:
-                shards.append({"shard": str(index), "status": "down"})
-                statuses.append("down")
-            else:
-                shards.append(report)
-                statuses.append(str(report.get("status", "down")))
+    def _health(self) -> dict:
+        shards = [
+            {"shard": str(index), "status": "down"}
+            if shard.stopped
+            else shard.health()
+            for index, shard in enumerate(self.shards)
+        ]
+        statuses = [str(report.get("status", "down")) for report in shards]
         if all(status == "ok" for status in statuses):
             fleet = "ok"
         elif any(status == "draining" for status in statuses):
@@ -197,47 +185,47 @@ class ShardRouter:
             "uptime_s": time.time() - self._started_at,
         }
 
-    async def _snapshots(self) -> list[dict | None]:
-        return await self._shard_views("/metrics?format=snapshot")
-
-    def _fleet_registry(
-        self, snapshots: list[dict | None]
-    ) -> MetricsRegistry:
-        registry = MetricsRegistry()
-        up = registry.gauge(
+    def _metrics_text(self) -> str:
+        """Every running shard's families with ``shard`` as first label,
+        shards in ``str(k)`` order, plus ``repro_shard_up``."""
+        up = Family(
             "repro_shard_up",
+            "gauge",
             "Whether the shard answered the last fleet scrape.",
-            ("shard",),
         )
-        for index, snap in enumerate(snapshots):
-            up.set(0.0 if snap is None else 1.0, shard=str(index))
-            if snap is None:
-                continue
-            registry.merge(
-                relabel_snapshot(snap.get("registry", {}), shard=str(index))
+        fleet = {up.name: up}
+        for shard_id, shard in sorted(
+            (str(index), shard) for index, shard in enumerate(self.shards)
+        ):
+            label = ("shard", shard_id)
+            up.samples.append(
+                Sample(up.name, (label,), 0.0 if shard.stopped else 1.0)
             )
-        return registry
+            if shard.stopped:
+                continue
+            for family in shard.metrics_families():
+                merged = fleet.setdefault(
+                    family.name, Family(family.name, family.kind, family.help)
+                )
+                merged.samples.extend(
+                    Sample(sample.name, (label, *sample.labels), sample.value)
+                    for sample in family.samples
+                )
+        return render(fleet.values())
 
-    async def _metrics_text(self) -> str:
-        return render(self._fleet_registry(await self._snapshots()).collect())
-
-    async def _metrics_json(self) -> dict:
-        """The JSON fleet view: summed counters + per-shard snapshots."""
-        snapshots = await self._snapshots()
+    def _metrics_json(self) -> dict:
+        """The JSON fleet view: summed counters + per-shard counters."""
         totals = obs_counters.Counters()
         totals.merge(self._registry.snapshot())
         shards = []
-        for index, snap in enumerate(snapshots):
-            if snap is None:
+        for index, shard in enumerate(self.shards):
+            if shard.stopped:
                 shards.append({"shard": str(index), "up": False})
                 continue
-            totals.merge(snap.get("counters", {}))
+            counters = shard.counters()
+            totals.merge(counters)
             shards.append(
-                {
-                    "shard": str(index),
-                    "up": True,
-                    "counters": snap.get("counters", {}),
-                }
+                {"shard": str(index), "up": True, "counters": counters}
             )
         return {
             "fleet": {

@@ -35,7 +35,7 @@ import time
 from typing import Any, Mapping, Sequence
 
 from repro.obs.runtime.metrics import MetricsRegistry
-from repro.obs.runtime.prometheus import CONTENT_TYPE, render
+from repro.obs.runtime.prometheus import CONTENT_TYPE, Family, Sample
 from repro.obs.runtime.slo import DEFAULT_SLOS, SloObjective, SloTracker
 from repro.obs.runtime.timeseries import TimeSeriesRing
 from repro.power import xscale_power_model
@@ -47,9 +47,7 @@ __all__ = ["CONTENT_TYPE", "RuntimeTelemetry"]
 #: the serving twin of the simulator's active-energy accounting.
 _FULL_POWER_W = xscale_power_model(s_max=1.0).power(1.0)
 
-_SOLVE_OUTCOMES = (
-    "cached", "admitted", "rejected", "invalid", "unavailable", "failed"
-)
+_SOLVE_OUTCOMES = ("cached", "admitted", "rejected", "invalid", "unavailable")
 
 
 class RuntimeTelemetry:
@@ -245,7 +243,7 @@ class RuntimeTelemetry:
             "last_request": last,
         }
 
-    def export_registry(
+    def families(
         self,
         *,
         counters: Mapping[str, float],
@@ -254,220 +252,147 @@ class RuntimeTelemetry:
         info: Mapping[str, Any],
         queue_depth: int,
         energy_j: float,
-    ) -> MetricsRegistry:
-        """The full exposition as one fresh :class:`MetricsRegistry`.
+    ) -> list[Family]:
+        """Every family ``GET /metrics`` shows, read from live state.
 
-        Everything ``GET /metrics`` shows — the runtime gauges this
-        object owns plus every family derived from the server's JSON
-        metrics sources — is folded into a single registry, so a shard
-        can ship ``registry.snapshot()`` through a pipe and the router
-        can relabel + merge N of them into one fleet exposition
-        (:func:`repro.obs.runtime.relabel_snapshot`).
+        The registry's own families come from
+        :meth:`MetricsRegistry.collect`; the rest are derived from the
+        server's counter, admission and cache dicts.  Every family lists
+        its samples in label order, as a registry family does, so the
+        fleet router can prefix a ``shard`` label and concatenate shards.
         """
         self._refresh_slo_gauges()
         self._g_queue.set(float(queue_depth))
         self._g_energy.set(float(energy_j))
         with self._lock:
-            snapshot = self.registry.snapshot()
-        registry = MetricsRegistry()
-        registry.merge(snapshot)
-        registry.merge(
-            self._exposition_snapshot(
-                counters=counters,
-                admission=admission,
-                cache=cache,
-                info=info,
-            )
-        )
-        return registry
-
-    def render_prometheus(
-        self,
-        *,
-        counters: Mapping[str, float],
-        admission: Mapping[str, Any],
-        cache: Mapping[str, Any],
-        info: Mapping[str, Any],
-        queue_depth: int,
-        energy_j: float,
-    ) -> str:
-        """Full Prometheus text exposition for ``GET /metrics``."""
-        registry = self.export_registry(
-            counters=counters,
-            admission=admission,
-            cache=cache,
-            info=info,
-            queue_depth=queue_depth,
-            energy_j=energy_j,
-        )
-        return render(registry.collect())
-
-    def _exposition_snapshot(
-        self,
-        *,
-        counters: Mapping[str, float],
-        admission: Mapping[str, Any],
-        cache: Mapping[str, Any],
-        info: Mapping[str, Any],
-    ) -> dict[str, Any]:
-        """The derived families in registry-snapshot form.
-
-        Built directly in the :meth:`MetricsRegistry.snapshot` schema
-        (series rows under declared label names) and folded in through
-        the public ``merge`` path, so the exposition and the shard
-        snapshot can never drift apart.
-        """
-
-        def value_rows(rows):
-            return [
-                {"labels": labels, "value": value} for labels, value in rows
-            ]
-
-        snap: dict[str, Any] = {}
+            families = self.registry.collect()
+            last = sorted(self._last.items())
         # The outcomes partition service.solve.total (the pinned
         # invariant: total == cached+admitted+rejected+invalid+
         # unavailable), so the family's sum over its disjoint outcome
         # labels equals the JSON total — "failed" is intentionally NOT
         # a label here because failed requests were already admitted.
-        snap["repro_solve_requests_total"] = {
-            "type": "counter",
-            "help": "Solve requests by admission outcome; the labels "
-            "partition the pinned service.solve.total invariant.",
-            "labelnames": ["outcome"],
-            "series": value_rows(
-                ({"outcome": outcome},
-                 counters.get(f"service.solve.{outcome}", 0))
-                for outcome in _SOLVE_OUTCOMES
-                if outcome != "failed"
+        derived = [
+            (
+                "repro_solve_requests_total", "counter",
+                "Solve requests by admission outcome; the labels "
+                "partition the pinned service.solve.total invariant.",
+                ("outcome",),
+                [
+                    ((outcome,), counters.get(f"service.solve.{outcome}", 0))
+                    for outcome in _SOLVE_OUTCOMES
+                ],
             ),
-        }
-        snap["repro_obs_counter"] = {
-            "type": "counter",
-            "help": "Raw repro.obs counter registry (solver counters "
-            "merged back from pool workers included).",
-            "labelnames": ["name"],
-            "series": value_rows(
-                ({"name": name}, value)
-                for name, value in sorted(counters.items())
+            (
+                "repro_obs_counter", "counter",
+                "Raw repro.obs counter registry (solver counters merged "
+                "back from pool workers included).",
+                ("name",),
+                [((name,), value) for name, value in counters.items()],
             ),
-        }
+        ]
         if admission:
-            snap["repro_admission_utilisation_ratio"] = {
-                "type": "gauge",
-                "help": "Admitted-but-unfinished backlog as a fraction "
-                "of capacity.",
-                "labelnames": [],
-                "series": value_rows(
-                    [({}, admission.get("utilisation", 0.0))]
+            derived += [
+                (
+                    "repro_admission_utilisation_ratio", "gauge",
+                    "Admitted-but-unfinished backlog as a fraction of "
+                    "capacity.",
+                    (), [((), admission.get("utilisation", 0.0))],
                 ),
-            }
-            snap["repro_admission_inflight_units"] = {
-                "type": "gauge",
-                "help": "Admitted-but-unfinished work, in operation "
-                "units.",
-                "labelnames": [],
-                "series": value_rows(
-                    [({}, admission.get("inflight_units", 0.0))]
+                (
+                    "repro_admission_inflight_units", "gauge",
+                    "Admitted-but-unfinished work, in operation units.",
+                    (), [((), admission.get("inflight_units", 0.0))],
                 ),
-            }
-            snap["repro_admission_decisions_total"] = {
-                "type": "counter",
-                "help": "Admission controller verdicts.",
-                "labelnames": ["decision"],
-                "series": value_rows(
-                    ({"decision": decision}, admission.get(decision, 0))
-                    for decision in ("admitted", "rejected", "shed")
+                (
+                    "repro_admission_decisions_total", "counter",
+                    "Admission controller verdicts.",
+                    ("decision",),
+                    [
+                        ((decision,), admission.get(decision, 0))
+                        for decision in ("admitted", "rejected", "shed")
+                    ],
                 ),
-            }
-            snap["repro_completed_work_units_total"] = {
-                "type": "counter",
-                "help": "Work units released back to the pool after "
-                "completion.",
-                "labelnames": [],
-                "series": value_rows(
-                    [({}, admission.get("completed_units", 0.0))]
+                (
+                    "repro_completed_work_units_total", "counter",
+                    "Work units released back to the pool after "
+                    "completion.",
+                    (), [((), admission.get("completed_units", 0.0))],
                 ),
-            }
+            ]
             budget = admission.get("budget")
             if budget:
-                snap["repro_budget_capacity_units"] = {
-                    "type": "gauge",
-                    "help": "The fleet-wide admission budget this shard "
-                    "leases from.",
-                    "labelnames": [],
-                    "series": value_rows(
-                        [({}, budget.get("budget_units", 0.0))]
+                derived += [
+                    (
+                        "repro_budget_capacity_units", "gauge",
+                        "The fleet-wide admission budget this shard "
+                        "leases from.",
+                        (), [((), budget.get("budget_units", 0.0))],
                     ),
-                }
-                snap["repro_budget_leased_units"] = {
-                    "type": "gauge",
-                    "help": "Units currently leased across the fleet "
-                    "(as this shard last saw the ledger).",
-                    "labelnames": [],
-                    "series": value_rows(
-                        [({}, budget.get("leased_units", 0.0))]
+                    (
+                        "repro_budget_leased_units", "gauge",
+                        "Units currently leased across the fleet (as this "
+                        "shard last saw the ledger).",
+                        (), [((), budget.get("leased_units", 0.0))],
                     ),
-                }
-        lookup_rows = [
-            ({"outcome": "hit"}, cache.get("hits", 0)),
-            ({"outcome": "miss"}, cache.get("misses", 0)),
+                ]
+        lookups = [
+            (("hit",), cache.get("hits", 0)),
+            (("miss",), cache.get("misses", 0)),
         ]
         if "disk_hits" in cache:
-            lookup_rows.insert(
-                1, ({"outcome": "disk_hit"}, cache.get("disk_hits", 0))
-            )
-        snap["repro_cache_lookups_total"] = {
-            "type": "counter",
-            "help": "Result-cache lookups by outcome.",
-            "labelnames": ["outcome"],
-            "series": value_rows(lookup_rows),
-        }
-        snap["repro_cache_entries"] = {
-            "type": "gauge",
-            "help": "Result-cache entries currently held.",
-            "labelnames": [],
-            "series": value_rows([({}, cache.get("entries", 0))]),
-        }
-        snap["repro_service_info"] = {
-            "type": "gauge",
-            "help": "Static server identity (value is always 1).",
-            "labelnames": ["policy", "workers"],
-            "series": value_rows(
+            lookups.append((("disk_hit",), cache["disk_hits"]))
+        derived += [
+            (
+                "repro_cache_lookups_total", "counter",
+                "Result-cache lookups by outcome.",
+                ("outcome",), lookups,
+            ),
+            (
+                "repro_cache_entries", "gauge",
+                "Result-cache entries currently held.",
+                (), [((), cache.get("entries", 0))],
+            ),
+            (
+                "repro_service_info", "gauge",
+                "Static server identity (value is always 1).",
+                ("policy", "workers"),
+                [((info.get("policy"), info.get("workers")), 1)],
+            ),
+            (
+                "repro_uptime_seconds", "gauge",
+                "Seconds since the server started.",
+                (), [((), time.time() - self.started_at)],
+            ),
+            (
+                "repro_last_request", "gauge",
+                "Most recent request id per (endpoint, status); the value "
+                "is its unix timestamp.  Replace semantics keep "
+                "cardinality bounded.",
+                ("endpoint", "status", "req_id"),
                 [
-                    (
-                        {
-                            "policy": str(info.get("policy")),
-                            "workers": str(info.get("workers")),
-                        },
-                        1,
-                    )
-                ]
+                    ((endpoint, status, req_id), t)
+                    for (endpoint, status), (req_id, t) in last
+                ],
             ),
-        }
-        snap["repro_uptime_seconds"] = {
-            "type": "gauge",
-            "help": "Seconds since the server started.",
-            "labelnames": [],
-            "series": value_rows([({}, time.time() - self.started_at)]),
-        }
-        with self._lock:
-            items = sorted(self._last.items())
-        snap["repro_last_request"] = {
-            "type": "gauge",
-            "help": "Most recent request id per (endpoint, status); the "
-            "value is its unix timestamp.  Replace semantics keep "
-            "cardinality bounded.",
-            "labelnames": ["endpoint", "status", "req_id"],
-            "series": value_rows(
-                (
-                    {
-                        "endpoint": endpoint,
-                        "status": status,
-                        "req_id": req_id,
-                    },
-                    t,
-                )
-                for (endpoint, status), (req_id, t) in items
-            ),
-        }
-        return snap
+        ]
+        return families + [_family(*spec) for spec in derived]
+
+
+def _family(
+    name: str,
+    kind: str,
+    help: str,
+    labelnames: tuple[str, ...],
+    rows: list[tuple[tuple[Any, ...], float]],
+) -> Family:
+    """One derived family, its samples sorted by label values."""
+    keyed = sorted(
+        (tuple(str(value) for value in values), value) for values, value in rows
+    )
+    return Family(
+        name,
+        kind,
+        help,
+        [Sample(name, tuple(zip(labelnames, key)), value) for key, value in keyed],
+    )

@@ -143,6 +143,42 @@ class TestRenderFrame:
         frame = render_frame({})
         assert "repro top" in frame
 
+    def test_missing_fields_print_as_unknown_not_zero(self):
+        frame = render_frame({"service": {"workers": 2}})
+        assert "workers=2" in frame
+        for field in ("total=?", "qps=?", "queue=?", "admitted=?", "n=?"):
+            assert field in frame
+        assert "total=0" not in frame and "n=0" not in frame
+
+    def test_fleet_payload_renders_the_fleet_frame(self):
+        # What a router of `repro serve --shards 2` answers on
+        # /metrics?format=json: no service, requests or admission section.
+        payload = {
+            "fleet": {"role": "router", "shards": 2, "draining": False},
+            "counters": {
+                "router.http.requests": 9,
+                "service.solve.total": 6,
+                "service.solve.admitted": 4,
+                "service.solve.cached": 2,
+                "service.cache.hits": 2,
+                "service.cache.misses": 4,
+            },
+            "shards": [
+                {"shard": "0", "up": True, "counters": {}},
+                {"shard": "1", "up": False},
+            ],
+        }
+        lines = render_frame(payload).splitlines()
+        assert lines == [
+            "repro top — fleet router  shards=2  up=1/2",
+            "solve     total=6  admitted=4  cached=2",
+            "cache     hits=2  misses=4",
+        ]
+        assert "?:?" not in render_frame(payload)
+        bare = render_frame({"fleet": {}})
+        assert "shards=?  up=?" in bare
+        assert "solve     (none counted)" in bare
+
     def test_sparkline_shapes(self):
         assert sparkline([]) == ""
         assert sparkline([0.0, 0.0]) == "▁▁"

@@ -12,7 +12,6 @@ why.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -121,7 +120,7 @@ def render_both() -> tuple[str, str]:
             finally:
                 await router.stop()
 
-        return one, asyncio.run(asyncio.wait_for(scrape(), 60.0))
+        return one, run(scrape())
     finally:
         time.time = real_time
 
@@ -130,10 +129,6 @@ def test_metrics_texts_match_the_golden_files():
     one, fleet = render_both()
     assert one == (GOLDEN / "metrics_one.prom").read_text()
     assert fleet == (GOLDEN / "metrics_fleet.prom").read_text()
-
-
-def test_rendering_twice_gives_the_same_bytes():
-    assert render_both() == render_both()
 
 
 def test_fleet_shards_are_labelled_in_string_order():

@@ -5,8 +5,8 @@ One server is driven through a fixed request mix (200, 400 and 429
 ``requests`` section of ``/metrics?format=json`` must equal the
 Prometheus ``repro_http_requests_total`` and
 ``repro_request_duration_seconds`` series for every endpoint — on one
-shard, and per ``shard`` label through a 2-shard router's relabelled
-fleet exposition.
+shard, and per ``shard`` label through a 2-shard router's fleet
+exposition.
 """
 
 import math
@@ -128,10 +128,10 @@ class TestRequestFamilyParity:
                 for shard_host, shard_port in fleet.shard_addresses:
                     await _drive(shard_host, shard_port)
                 await _drive(fleet.host, fleet.port)
-                # The router's scrape records one /metrics request per
-                # shard only after that shard's snapshot is built, so
-                # JSON read just before the scrape is exactly what the
-                # relabelled exposition shows.
+                # The router reads each shard's families directly and
+                # its scrape is no shard request, so JSON read just
+                # before the scrape is exactly what the fleet
+                # exposition shows.
                 shards = [svc.metrics_dict() for svc in fleet.services]
                 status, _, text = await http_exchange(
                     fleet.host, fleet.port, "GET", "/metrics"

@@ -406,6 +406,47 @@ class TestFleetMetrics:
         run(body())
 
 
+    def test_router_reads_are_not_shard_requests(self):
+        async def body():
+            fleet = await _start_fleet()
+            try:
+                for request in make_bodies(5, 2):
+                    status, _ = await http_json(
+                        fleet.host, fleet.port, "POST", "/solve", request
+                    )
+                    assert status == 200
+
+                def requests_seen():
+                    return [
+                        (
+                            svc.telemetry.registry.get(
+                                "repro_http_requests_total"
+                            ).series(),
+                            {
+                                name: value
+                                for name, value in svc.counters().items()
+                                if name.startswith("service.http.")
+                            },
+                        )
+                        for svc in fleet.services
+                    ]
+
+                before = requests_seen()
+                for path in ("/metrics", "/metrics?format=json", "/healthz"):
+                    status, _, _ = await http_exchange(
+                        fleet.host, fleet.port, "GET", path
+                    )
+                    assert status == 200
+                return before, requests_seen()
+            finally:
+                await fleet.stop()
+
+        before, after = run(body())
+        assert after == before
+        # Each shard did count the client solve routed to it.
+        assert all(http["service.http.requests"] == 1 for _, http in before)
+
+
 class TestGlobalBudget:
     def test_overload_is_refused_with_deterministic_budget_429s(self):
         async def body():
